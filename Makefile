@@ -1,17 +1,17 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: check fmt vet lint build test test-vm test-vm-batch test-bl bench bench-json oracle oracle-bl selfcheck dataflow-selfcheck serve-smoke loadgen-smoke cache-smoke fuzz-smoke
+.PHONY: check fmt vet lint build test benchmark-smoke test-vm test-vm-batch test-bl bench bench-json oracle oracle-bl selfcheck dataflow-selfcheck serve-smoke loadgen-smoke cache-smoke fuzz-smoke
 
 # STATICCHECK_VERSION pins the analyzer CI installs; keep in sync with
 # .github/workflows/ci.yml.
 STATICCHECK_VERSION = 2025.1.1
 
 # check is the tier-1 gate: formatting, vet, lint, build, race-enabled
-# tests (the engine differential sweeps included), plus the self-lint,
-# oracle sweeps (both counter-placement strategies) and a fuzzing smoke
-# pass.
-check: fmt vet lint build test selfcheck dataflow-selfcheck serve-smoke cache-smoke oracle oracle-bl fuzz-smoke
+# tests (the engine differential sweeps included), the benchmark's smoke
+# test, plus the self-lint, oracle sweeps (both counter-placement
+# strategies) and a fuzzing smoke pass.
+check: fmt vet lint build test benchmark-smoke selfcheck dataflow-selfcheck serve-smoke cache-smoke oracle oracle-bl fuzz-smoke
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -39,6 +39,13 @@ build:
 
 test:
 	$(GO) test -race ./...
+
+# benchmark-smoke runs the repository benchmark's own tests (bench/ is a
+# separate module, so the root `go test ./...` does not reach it): a
+# quick-mode run of every workload with its output checks, plus the
+# statistics unit tests. A change that breaks the benchmark fails here.
+benchmark-smoke:
+	cd bench && $(GO) test -race .
 
 # test-vm and test-vm-batch re-run the tier-1 suite with the bytecode VM
 # (per-seed, then batched multi-seed) as the ambient execution engine

@@ -9,6 +9,7 @@
 //	ptranlint [-json] [-Werror] [-passes name,name] [-workers N] [-src] prog.f
 //	ptranlint -hot-paths K [-hot-seed N] prog.f
 //	ptranlint -dataflow prog.f
+//	ptranlint -explain-plan prog.f
 //	ptranlint -list
 //
 // With -dataflow the report additionally carries each procedure's monotone
@@ -16,6 +17,12 @@
 // infeasible edges, decided branches and constant trip counts. These are
 // the facts the counter planner and the estimator consume; the oracle's
 // dataflow-sound invariant checks every one of them dynamically.
+//
+// With -explain-plan the report carries each procedure's counter plan:
+// the counters it keeps, then every condition whose counter was
+// eliminated, in recovery-schedule order, with the rule that recovers it
+// (Section 3's conservation, loop and DO-trip identities) and that rule's
+// inputs — as text lines, or as the plans array of the JSON document.
 //
 // With -hot-paths K the program additionally runs once under Ball–Larus
 // path instrumentation and the report carries each procedure's top-K most
@@ -58,6 +65,7 @@ func main() {
 	dflow := flag.Bool("dataflow", false, "report each procedure's dataflow facts (infeasible edges, decided branches, constant trips)")
 	hotPaths := flag.Int("hot-paths", 0, "report each procedure's top-K hot acyclic paths from one profiled run (0: off)")
 	hotSeed := flag.Uint64("hot-seed", 1, "random seed of the -hot-paths profiling run")
+	explain := flag.Bool("explain-plan", false, "report each procedure's counter plan: kept counters, then every derived condition in recovery order with its rule and inputs")
 	list := flag.Bool("list", false, "list registry passes and exit")
 	cacheDir := artifact.AddCLIFlags(flag.CommandLine)
 	obsCLI := obs.AddCLIFlags(flag.CommandLine)
@@ -105,6 +113,13 @@ func main() {
 	if *dflow && pipe != nil {
 		flow = flowReports(pipe)
 	}
+	var plans []report.PlanExplain
+	if *explain && pipe != nil {
+		if plans, err = explainPlans(pipe); err != nil {
+			fmt.Fprintln(os.Stderr, "ptranlint: explain-plan:", err)
+			os.Exit(2)
+		}
+	}
 	var hot []report.HotPath
 	if *hotPaths > 0 && pipe != nil {
 		hps, err := pipe.HotPaths(interp.Options{Seed: *hotSeed, MaxSteps: 50_000_000}, *hotPaths)
@@ -118,7 +133,42 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ptranlint:", err)
 		os.Exit(2)
 	}
-	emit(*src, diags, hot, flow, *jsonOut, *werror)
+	emit(*src, diags, hot, flow, plans, *jsonOut, *werror)
+}
+
+// explainPlans renders every procedure's Sarkar counter plan, in sorted
+// procedure order.
+func explainPlans(pipe *core.Pipeline) ([]report.PlanExplain, error) {
+	plans, err := pipe.Plans()
+	if err != nil {
+		return nil, err
+	}
+	names := make([]string, 0, len(plans))
+	for name := range plans {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	out := make([]report.PlanExplain, 0, len(names))
+	for _, name := range names {
+		plan := plans[name]
+		ds, err := plan.Derivations()
+		if err != nil {
+			return nil, err
+		}
+		pe := report.PlanExplain{Proc: name, Counters: []string{}, Derivations: []report.PlanStep{}, RecoverSteps: plan.RecoverSteps()}
+		for _, c := range plan.Counters {
+			pe.Counters = append(pe.Counters, c.String())
+		}
+		for _, d := range ds {
+			st := report.PlanStep{Rule: d.Kind.String(), Node: int(d.Node), Inputs: d.Inputs}
+			for _, c := range d.Derives {
+				st.Derives = append(st.Derives, c.String())
+			}
+			pe.Derivations = append(pe.Derivations, st)
+		}
+		out = append(out, pe)
+	}
+	return out, nil
 }
 
 // flowReport is one procedure's dataflow fact summary, ordered for output.
@@ -220,7 +270,7 @@ func lint(text string, opts check.Options, workers int, tr *obs.Trace, store *ar
 }
 
 // emit prints the findings and exits with the verdict.
-func emit(path string, diags []report.Diagnostic, hot []report.HotPath, flow []flowReport, jsonOut, werror bool) {
+func emit(path string, diags []report.Diagnostic, hot []report.HotPath, flow []flowReport, plans []report.PlanExplain, jsonOut, werror bool) {
 	fail := report.Count(diags, report.Error) > 0
 	if werror && report.Count(diags, report.Warning) > 0 {
 		fail = true
@@ -228,6 +278,7 @@ func emit(path string, diags []report.Diagnostic, hot []report.HotPath, flow []f
 	if jsonOut {
 		doc := report.NewDocument("ptranlint", diags)
 		doc.HotPaths = hot
+		doc.Plans = plans
 		if len(flow) > 0 {
 			doc.Dataflow = flow
 		}
@@ -254,6 +305,16 @@ func emit(path string, diags []report.Diagnostic, hot []report.HotPath, flow []f
 			}
 			for _, tr := range fr.Trips {
 				fmt.Printf("%s: dataflow %s: %s\n", path, fr.Proc, tr)
+			}
+		}
+		for _, pe := range plans {
+			fmt.Printf("%s: plan %s: %d counters, %d derivations, %d recovery steps\n",
+				path, pe.Proc, len(pe.Counters), len(pe.Derivations), pe.RecoverSteps)
+			for _, c := range pe.Counters {
+				fmt.Printf("%s: plan %s: counter %s\n", path, pe.Proc, c)
+			}
+			for _, st := range pe.Derivations {
+				fmt.Printf("%s: plan %s: derive %s\n", path, pe.Proc, st)
 			}
 		}
 		for _, h := range hot {

@@ -2,6 +2,7 @@ package repro_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -200,6 +201,53 @@ func TestCommandLineTools(t *testing.T) {
 		}
 	})
 
+	t.Run("ptranlint-explain-plan", func(t *testing.T) {
+		bin := filepath.Join(dir, "ptranlint")
+		out := runCmd(t, bin, "-explain-plan", "examples/figure1.f")
+		want, err := os.ReadFile("testdata/explain_plan_figure1.golden")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out != string(want) {
+			t.Errorf("-explain-plan output differs from testdata/explain_plan_figure1.golden:\n got:\n%s\nwant:\n%s", out, want)
+		}
+		jout := runCmd(t, bin, "-explain-plan", "-json", "examples/figure1.f")
+		var doc struct {
+			Plans []struct {
+				Proc        string   `json:"proc"`
+				Counters    []string `json:"counters"`
+				Derivations []struct {
+					Rule    string   `json:"rule"`
+					Derives []string `json:"derives"`
+					Inputs  []string `json:"inputs"`
+				} `json:"derivations"`
+				RecoverSteps int `json:"recover_steps"`
+			} `json:"plans"`
+		}
+		if err := json.Unmarshal([]byte(jout), &doc); err != nil {
+			t.Fatalf("-explain-plan -json: %v\n%s", err, jout)
+		}
+		// The JSON document carries the same plan as the text report.
+		var lines []string
+		for _, pe := range doc.Plans {
+			lines = append(lines, fmt.Sprintf("plan %s: %d counters, %d derivations, %d recovery steps",
+				pe.Proc, len(pe.Counters), len(pe.Derivations), pe.RecoverSteps))
+			for _, d := range pe.Derivations {
+				if len(d.Derives) == 0 || len(d.Inputs) == 0 || d.Rule == "" {
+					t.Errorf("%s: incomplete derivation %+v", pe.Proc, d)
+				}
+			}
+		}
+		for _, l := range lines {
+			if !strings.Contains(out, l) {
+				t.Errorf("JSON plan %q not in the text report:\n%s", l, out)
+			}
+		}
+		if len(doc.Plans) != 2 {
+			t.Errorf("plans for %d procedures, want 2 (EXMPL, FOO)", len(doc.Plans))
+		}
+	})
+
 	t.Run("check-flag", func(t *testing.T) {
 		out := runCmd(t, filepath.Join(dir, "ptranc"), "-src", src, "-check", "-dump", "plan", "-proc", "EXMPL")
 		if !strings.Contains(out, "smart counters") {
@@ -261,8 +309,10 @@ func TestCommandLineTools(t *testing.T) {
 		if err := json.Unmarshal(raw, &mdoc); err != nil {
 			t.Fatalf("metrics JSON: %v\n%s", err, raw)
 		}
-		if mdoc.Metrics["pipeline.counters"] <= 0 {
-			t.Errorf("profrun metrics missing pipeline.counters: %v", mdoc.Metrics)
+		for _, name := range []string{"pipeline.counters", "pipeline.plan_trials", "pipeline.recover_steps"} {
+			if mdoc.Metrics[name] <= 0 {
+				t.Errorf("profrun metrics missing %s: %v", name, mdoc.Metrics)
+			}
 		}
 	})
 

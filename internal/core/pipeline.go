@@ -280,14 +280,24 @@ func (p *Pipeline) profilePlans() (profiler.Plans, error) {
 		}
 		p.plans, p.plansErr = profiler.BuildPlansPrebuilt(p.An, prebuilt)
 		if p.plansErr == nil {
-			var counters, blocks int
+			var counters, blocks, trials, steps int
 			for name, plan := range p.plans {
 				counters += plan.NumCounters()
 				blocks += len(profiler.BlockLeaders(p.An.Procs[name].P.G))
+				if plan != prebuilt[name] {
+					// Planned just now, so its recovery schedule is
+					// already fixed; decoded plans derive theirs on
+					// first recovery and are not charged here.
+					trials += plan.Trials()
+					steps += plan.RecoverSteps()
+				}
 			}
 			obs.Default.Add("pipeline.counters", int64(counters))
 			obs.Default.Add("pipeline.blocks", int64(blocks))
-			sp.End(obs.M("counters", float64(counters)), obs.M("blocks", float64(blocks)))
+			obs.Default.Add("pipeline.plan_trials", int64(trials))
+			obs.Default.Add("pipeline.recover_steps", int64(steps))
+			sp.End(obs.M("counters", float64(counters)), obs.M("blocks", float64(blocks)),
+				obs.M("trials", float64(trials)), obs.M("recover_steps", float64(steps)))
 		} else {
 			sp.End()
 		}

@@ -1,0 +1,149 @@
+package profiler
+
+import (
+	"bufio"
+	"crypto/sha256"
+	"encoding/hex"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+
+	"repro/internal/analysis"
+	"repro/internal/lang"
+	"repro/internal/lower"
+	"repro/internal/progen"
+	"repro/internal/wire"
+)
+
+var updateDigests = flag.Bool("update", false, "rewrite testdata/plan_digests.golden")
+
+const digestGolden = "testdata/plan_digests.golden"
+
+// digestSeeds is the size of the generated corpus the plan digests cover.
+const digestSeeds = 216
+
+// digestSizes are the progen sizes the corpus cycles through.
+var digestSizes = []int{3, 8, 16, 32, 64, 128}
+
+// digestPlanners are the placements whose encoded plans are pinned.
+var digestPlanners = []struct {
+	name string
+	plan func(*analysis.Proc) (*Plan, error)
+}{
+	{"flow", PlanFlow},
+	{"smart", PlanSmart},
+	{"level0", func(a *analysis.Proc) (*Plan, error) { return PlanLevel(a, LevelConditions) }},
+	{"level1", func(a *analysis.Proc) (*Plan, error) { return PlanLevel(a, LevelBranches) }},
+	{"level2", func(a *analysis.Proc) (*Plan, error) { return PlanLevel(a, LevelFull) }},
+}
+
+// digestCorpus returns the named sources the digests cover: the shipped
+// examples plus a fixed progen corpus mixing sizes, nesting depths, the
+// ConstFacts gadget family and the Stops family.
+func digestCorpus(t testing.TB) map[string]string {
+	srcs := map[string]string{}
+	files, err := filepath.Glob("../../examples/*.f")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no example sources: %v", err)
+	}
+	for _, f := range files {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srcs["examples/"+filepath.Base(f)] = string(b)
+	}
+	for i := 1; i <= digestSeeds; i++ {
+		o := progen.Opts{ConstFacts: i%3 == 2, Stops: i%4 == 1}
+		size := digestSizes[(i*7)%len(digestSizes)]
+		depth := 2 + i%3
+		srcs[fmt.Sprintf("progen/%d", i)] = progen.GenerateOpts(uint64(i), size, depth, o)
+	}
+	return srcs
+}
+
+// planDigests returns one "source proc planner sha256" line per procedure
+// and planner, sorted.
+func planDigests(t testing.TB) []string {
+	var lines []string
+	for name, src := range digestCorpus(t) {
+		prog, err := lang.Parse(src)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		res, err := lower.Lower(prog)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		ap, err := analysis.AnalyzeProgram(res)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for proc, a := range ap.Procs {
+			for _, pl := range digestPlanners {
+				plan, err := pl.plan(a)
+				if err != nil {
+					t.Fatalf("%s %s %s: %v", name, proc, pl.name, err)
+				}
+				var w wire.Writer
+				plan.Encode(&w)
+				sum := sha256.Sum256(w.Bytes())
+				lines = append(lines, fmt.Sprintf("%s %s %s %s", name, proc, pl.name, hex.EncodeToString(sum[:])))
+			}
+		}
+	}
+	sort.Strings(lines)
+	return lines
+}
+
+// TestPlanDigests pins Plan.Encode, byte for byte, for every procedure of
+// the digest corpus under every placement. Any change to the greedy trial
+// order or to an accept/reject decision of the planner shows here. Run with
+// -update to rewrite the golden after an intended change of placements
+// (which also needs an artifact.FormatVersion bump).
+func TestPlanDigests(t *testing.T) {
+	got := planDigests(t)
+	if *updateDigests {
+		if err := os.MkdirAll(filepath.Dir(digestGolden), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(digestGolden, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	f, err := os.Open(digestGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var want []string
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		if line := strings.TrimSpace(sc.Text()); line != "" {
+			want = append(want, line)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d plan digests, golden has %d", len(got), len(want))
+	}
+	bad := 0
+	for i := range got {
+		if got[i] != want[i] {
+			if bad < 10 {
+				t.Errorf("digest mismatch:\n got  %s\n want %s", got[i], want[i])
+			}
+			bad++
+		}
+	}
+	if bad > 0 {
+		t.Fatalf("%d of %d plan digests differ", bad, len(got))
+	}
+}

@@ -1,6 +1,8 @@
 package profiler
 
 import (
+	"fmt"
+
 	"repro/internal/cdg"
 	"repro/internal/cfg"
 )
@@ -93,4 +95,71 @@ func (p *Plan) ConstTripTests() []cfg.NodeID {
 		}
 	}
 	return out
+}
+
+// Derivation is one rule application of the plan's recovery schedule: the
+// conditions it recovers and the quantities it reads. Inputs name
+// condition totals as "(node,label)", node execution counts as
+// "exec(node)", a TripAdd counter as "tripadd(init)" and a constant trip
+// count as "trip=N".
+type Derivation struct {
+	Kind    RuleKind
+	Node    cfg.NodeID
+	Derives []cdg.Condition
+	Inputs  []string
+}
+
+// Derivations returns the rule steps of the recovery schedule in the order
+// recovery executes them — the proof, condition by condition, that the
+// kept counters determine every TOTAL_FREQ. The steps that only sum a
+// node's in-conditions into exec(node) are left out. Naive plans have no
+// derivations.
+func (p *Plan) Derivations() ([]Derivation, error) {
+	if p.Naive {
+		return nil, nil
+	}
+	rec := p.recovery()
+	if rec.err != nil {
+		return nil, rec.err
+	}
+	f := p.A.FCDG
+	nc := int32(f.NumConditions())
+	name := func(slot int32) string {
+		if slot < nc {
+			return f.CondAt(int(slot)).String()
+		}
+		return fmt.Sprintf("exec(%d)", slot-nc)
+	}
+	var out []Derivation
+	a0 := int32(0)
+	for _, st := range rec.steps {
+		args := rec.args[a0:st.end]
+		a0 = st.end
+		if st.kind == stepExec {
+			continue
+		}
+		r := &p.rules[st.rule]
+		d := Derivation{Kind: RuleKind(r.kind), Node: r.node, Derives: []cdg.Condition{f.CondAt(int(st.dst))}, Inputs: []string{name(st.in)}}
+		if st.kind == stepDo {
+			for _, s := range args {
+				if s >= 0 {
+					d.Derives = append(d.Derives, f.CondAt(int(s)))
+				}
+			}
+		} else {
+			for _, a := range args {
+				d.Inputs = append(d.Inputs, name(a))
+			}
+		}
+		switch r.kind {
+		case doConstTrip:
+			d.Inputs = append(d.Inputs, fmt.Sprintf("trip=%d", r.trip))
+		case doAddTrip:
+			d.Inputs = append(d.Inputs, p.Counters[r.counter].String())
+		case staticCond:
+			d.Inputs = append(d.Inputs, fmt.Sprintf("freq=%g", r.staticFreq))
+		}
+		out = append(out, d)
+	}
+	return out, nil
 }

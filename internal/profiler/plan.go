@@ -13,10 +13,19 @@
 //     trip count to the counter once per entry, or needs no counter at all
 //     when the trip count is a compile-time constant.
 //
-// Placement is greedy-with-proof: a counter is eliminated only if a
-// symbolic solvability pass confirms that every control condition's
-// TOTAL_FREQ can still be reconstructed from the remaining counters; the
-// reconstruction itself (Plan.Recover) runs the same fixpoint with numbers.
+// Placement is greedy-with-proof. The inference rules form a Horn system
+// over dense facts — each condition's total and each node's execution
+// count — and a counter is eliminated only if every control condition's
+// TOTAL_FREQ stays derivable from the remaining counters. The planner keeps
+// the derivable set of the current plan and checks each trial by
+// delete–re-derive over the part the trial can affect, so placement is
+// near linear in the procedure size (horn.go).
+//
+// The proof is then written out as a recovery schedule: the straight-line
+// order in which the facts get derived, over dense value slots, fixed once
+// per plan (schedule.go). Reconstruction (Plan.Recover, Plan.RecoverRun)
+// is one pass over that schedule — the paper's "one top-down pass" — plus
+// the stopped-run corrections of stopfix.go.
 //
 // Instrumented runs are simulated: the interpreter already records the
 // exact count of every node and labelled edge, so counter readings are
@@ -29,10 +38,12 @@ package profiler
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/analysis"
 	"repro/internal/cdg"
 	"repro/internal/cfg"
+	"repro/internal/dom"
 	"repro/internal/ecfg"
 	"repro/internal/lang"
 	"repro/internal/lower"
@@ -119,10 +130,25 @@ type Plan struct {
 	// consulted by doLoopRule when syntactic folding of the bounds fails.
 	// Only flow-aware placements (PlanFlow) set it.
 	flowTrips map[cfg.NodeID]int64
+
+	// trials counts the eliminations the planner tested (0 for decoded
+	// plans).
+	trials int
+	// The recovery schedule and the postdominator tree of stopped-run
+	// corrections are derived from the plan on first use; see recovery
+	// and postDominators.
+	recOnce  sync.Once
+	rec      *recovery
+	pdomOnce sync.Once
+	pdom     *dom.Tree
 }
 
 // NumCounters returns the number of counter variables the plan maintains.
 func (p *Plan) NumCounters() int { return len(p.Counters) }
+
+// Trials returns how many greedy eliminations the planner tested while
+// building the plan (0 for plans decoded from an artifact).
+func (p *Plan) Trials() int { return p.trials }
 
 // --------------------------------------------------------------------------
 // Smart placement.
@@ -179,31 +205,41 @@ func planImpl(a *analysis.Proc, level Level, static map[cdg.Condition]float64, f
 		}
 		p.conds = append(p.conds, c)
 	}
-	counted := make(map[cdg.Condition]bool, len(p.conds))
-	for _, c := range p.conds {
-		counted[c] = true
+	// Start from one counter per condition: every condition is an axiom.
+	h := newHorn(a)
+	for _, c := range a.FCDG.Conditions() {
+		f, _ := h.condFact(c)
+		h.axiom[f] = true
 	}
-	var trial []rule
+	h.solve()
+	counted := func(c cdg.Condition) bool {
+		f, ok := h.condFact(c)
+		return ok && h.axiom[f]
+	}
+	// try keeps rule r, recovering the dropped conditions, when the plan
+	// stays solvable without their counters.
+	try := func(r rule, drop ...cdg.Condition) bool {
+		p.trials++
+		if !h.try(drop, len(p.rules), &r) {
+			return false
+		}
+		p.rules = append(p.rules, r)
+		return true
+	}
 
 	// Pass 0 — compile-time frequencies: a statically known condition's
 	// total is FREQ × exec(node), so its counter can go.
 	for _, c := range p.conds {
 		v, ok := static[c]
-		if !ok || !counted[c] {
+		if !ok || !counted(c) {
 			continue
 		}
-		r := rule{kind: staticCond, node: c.Node, dropped: c, staticFreq: v}
-		counted[c] = false
-		trial = append(p.rules, r)
-		if p.solvable(counted, trial) {
-			p.rules = trial
-		} else {
-			counted[c] = true
-		}
+		try(rule{kind: staticCond, node: c.Node, dropped: c, staticFreq: v}, c)
 	}
 
 	// Pass 1 — loops, innermost first (headers sorted by depth descending
 	// so inner-loop eliminations are tried before outer ones).
+	gotoExits := gotoExitHeaders(a)
 	headers := append([]cfg.NodeID(nil), a.Intervals.Headers()...)
 	sort.Slice(headers, func(i, j int) bool {
 		di, dj := a.Intervals.Depth(headers[i]), a.Intervals.Depth(headers[j])
@@ -212,168 +248,140 @@ func planImpl(a *analysis.Proc, level Level, static map[cdg.Condition]float64, f
 		}
 		return headers[i] < headers[j]
 	})
-	for _, h := range headers {
+	for _, hd := range headers {
 		if level < LevelBranches {
 			break
 		}
-		ph := a.Ext.Preheader[h]
+		ph := a.Ext.Preheader[hd]
 		loopCond := cdg.Condition{Node: ph, Label: ecfg.LoopBodyLabel}
-		if !counted[loopCond] {
+		if !counted(loopCond) {
 			continue
 		}
-		if r, ok := p.doLoopRule(h); ok && level >= LevelFull {
+		if r, ok := p.doLoopRule(hd, gotoExits); ok && level >= LevelFull {
 			// DO optimization: drop the loop condition and the body-entry
 			// condition together.
-			saved := []cdg.Condition{loopCond}
-			testCond := cdg.Condition{Node: h, Label: cfg.True}
-			if counted[testCond] {
-				saved = append(saved, testCond)
+			drop := []cdg.Condition{loopCond}
+			if testCond := (cdg.Condition{Node: hd, Label: cfg.True}); counted(testCond) {
+				drop = append(drop, testCond)
 			}
-			for _, c := range saved {
-				counted[c] = false
-			}
-			trial = append(p.rules, r)
-			if p.solvable(counted, trial) {
-				p.rules = trial
+			if try(r, drop...) {
 				continue
-			}
-			for _, c := range saved {
-				counted[c] = true
 			}
 		}
 		// General loop: infer the frequency from entries + back edges.
-		r := rule{kind: loopIdentity, node: h, dropped: loopCond,
-			backEdges: a.Intervals.BackEdges(h)}
-		counted[loopCond] = false
-		trial = append(p.rules, r)
-		if p.solvable(counted, trial) {
-			p.rules = trial
-			continue
-		}
-		counted[loopCond] = true
+		try(rule{kind: loopIdentity, node: hd, dropped: loopCond,
+			backEdges: a.Intervals.BackEdges(hd)}, loopCond)
 	}
 
 	// Pass 2 — branch conservation: for each node whose CFG labels are all
 	// control conditions, try to drop one (the highest-sorting label).
-	byNode := map[cfg.NodeID][]cdg.Condition{}
-	for _, c := range p.conds {
-		byNode[c.Node] = append(byNode[c.Node], c)
-	}
-	nodes := make([]cfg.NodeID, 0, len(byNode))
-	for n := range byNode {
-		nodes = append(nodes, n)
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	for _, u := range nodes {
-		if level < LevelBranches {
-			break
+	// p.conds is (node, label)-sorted, so each node's conditions are one
+	// run of it, in ascending node order.
+	for i := 0; i < len(p.conds) && level >= LevelBranches; {
+		u := p.conds[i].Node
+		j := i
+		for j < len(p.conds) && p.conds[j].Node == u {
+			j++
 		}
+		conds := p.conds[i:j]
+		i = j
 		if a.Ext.IsSynthetic(u) {
 			continue // preheaders handled above; START keeps its run counter
 		}
-		cfgLabels := nonPseudoLabels(a.Ext.G, u)
-		if len(cfgLabels) < 2 {
+		if !branchComplete(a.Ext.G, u, conds) {
 			continue
 		}
-		condSet := map[cfg.Label]bool{}
-		for _, c := range byNode[u] {
-			condSet[c.Label] = true
-		}
-		complete := true
-		for _, l := range cfgLabels {
-			if !condSet[l] {
-				complete = false
-				break
-			}
-		}
-		if !complete {
-			continue
-		}
-		// Try dropping each still-counted label, highest first.
-		labels := append([]cdg.Condition(nil), byNode[u]...)
-		sort.Slice(labels, func(i, j int) bool { return labels[i].Label > labels[j].Label })
-		for _, cand := range labels {
-			if !counted[cand] {
+		// Try dropping the highest still-counted label; at most one label
+		// per node may be dropped.
+		for k := len(conds) - 1; k >= 0; k-- {
+			cand := conds[k]
+			if !counted(cand) {
 				continue
 			}
 			var others []cdg.Condition
-			for _, c := range byNode[u] {
+			for _, c := range conds {
 				if c != cand {
 					others = append(others, c)
 				}
 			}
-			r := rule{kind: branchBalance, node: u, dropped: cand, others: others}
-			counted[cand] = false
-			trial = append(p.rules, r)
-			if p.solvable(counted, trial) {
-				p.rules = trial
-			} else {
-				counted[cand] = true
-			}
-			break // at most one label per node may be dropped
+			try(rule{kind: branchBalance, node: u, dropped: cand, others: others}, cand)
+			break
 		}
 	}
 
 	// Materialize counters.
-	tripAdds := map[cfg.NodeID]int{}
-	for i := range p.rules {
-		if p.rules[i].kind == doAddTrip {
-			init := p.doInitNode(p.rules[i].node)
-			if _, dup := tripAdds[init]; !dup {
-				tripAdds[init] = 0
-			}
-		}
-	}
 	for _, c := range p.conds {
-		if counted[c] {
+		if counted(c) {
 			p.Counters = append(p.Counters, Counter{Kind: CondCounter, Cond: c})
 		}
 	}
-	inits := make([]cfg.NodeID, 0, len(tripAdds))
-	for n := range tripAdds {
-		inits = append(inits, n)
+	inits := p.doInits()
+	tripAdds := map[cfg.NodeID]int{}
+	var initNodes []cfg.NodeID
+	for i := range p.rules {
+		if p.rules[i].kind == doAddTrip {
+			init := inits[p.rules[i].node]
+			if _, dup := tripAdds[init]; !dup {
+				tripAdds[init] = 0
+				initNodes = append(initNodes, init)
+			}
+		}
 	}
-	sort.Slice(inits, func(i, j int) bool { return inits[i] < inits[j] })
-	for _, n := range inits {
+	sort.Slice(initNodes, func(i, j int) bool { return initNodes[i] < initNodes[j] })
+	for _, n := range initNodes {
 		tripAdds[n] = len(p.Counters)
 		p.Counters = append(p.Counters, Counter{Kind: TripAdd, Node: n})
 	}
 	for i := range p.rules {
 		if p.rules[i].kind == doAddTrip {
-			p.rules[i].counter = tripAdds[p.doInitNode(p.rules[i].node)]
+			p.rules[i].counter = tripAdds[inits[p.rules[i].node]]
 		}
 	}
-	if !p.solvable(counted, p.rules) {
-		return nil, fmt.Errorf("profiler: final plan for %s is not solvable", a.P.G.Name)
+	// Fix the recovery schedule now, from the planner's own Horn system;
+	// it doubles as the final proof that every condition is recoverable.
+	p.recOnce.Do(func() { p.rec = recoveryFrom(p, h) })
+	if err := p.rec.err; err != nil {
+		return nil, fmt.Errorf("profiler: final plan for %s is not solvable: %w", a.P.G.Name, err)
 	}
 	return p, nil
 }
 
-// doLoopRule checks whether header h is an exit-free counted DO loop and
-// returns the matching rule (doConstTrip when the trip count folds to a
-// constant, doAddTrip otherwise).
-func (p *Plan) doLoopRule(h cfg.NodeID) (rule, bool) {
-	node := p.A.Ext.G.Node(h)
-	op, ok := node.Payload.(lower.OpDoTest)
-	if !ok {
-		return rule{}, false
-	}
-	// Exit-free: every postexit of this interval is fed by the test's own
-	// F edge; any other source is a GOTO out of the loop. This is the
-	// paper's FCDG test "just look for an edge to a POSTEXIT node" (from a
-	// node other than the header).
-	for _, pe := range p.A.Ext.Postexits {
-		if p.A.Ext.ExitedInterval[pe] != h {
+// branchComplete reports whether u has at least two distinct non-pseudo
+// out-labels and every one of them is the label of a condition in conds.
+func branchComplete(g *cfg.Graph, u cfg.NodeID, conds []cdg.Condition) bool {
+	var first cfg.Label
+	seen, multi := false, false
+	for _, e := range g.OutEdges(u) {
+		if e.Label.IsPseudo() {
 			continue
 		}
-		for _, e := range p.A.Ext.G.InEdges(pe) {
-			if e.Pseudo() {
-				continue
-			}
-			if e.From != h {
-				return rule{}, false
+		if !seen {
+			first, seen = e.Label, true
+		} else if e.Label != first {
+			multi = true
+		}
+		found := false
+		for _, c := range conds {
+			if c.Label == e.Label {
+				found = true
+				break
 			}
 		}
+		if !found {
+			return false
+		}
+	}
+	return multi
+}
+
+// doLoopRule checks whether header h is an exit-free counted DO loop and
+// returns the matching rule (doConstTrip when the trip count folds to a
+// constant, doAddTrip otherwise). gotoExits is gotoExitHeaders(p.A).
+func (p *Plan) doLoopRule(h cfg.NodeID, gotoExits map[cfg.NodeID]bool) (rule, bool) {
+	node := p.A.Ext.G.Node(h)
+	op, ok := node.Payload.(lower.OpDoTest)
+	if !ok || gotoExits[h] {
+		return rule{}, false
 	}
 	l := op.L
 	lo, okLo := lang.FoldInt(p.A.P.Unit, l.Lo)
@@ -396,26 +404,33 @@ func (p *Plan) doLoopRule(h cfg.NodeID) (rule, bool) {
 	return rule{kind: doAddTrip, node: h}, true
 }
 
-// doInitNode finds the DoInit node feeding the DO test h. In the extended
-// graph the init is a predecessor of the loop preheader, not of the header
-// itself, so the node is located by its payload.
-func (p *Plan) doInitNode(h cfg.NodeID) cfg.NodeID {
-	for _, n := range p.A.P.G.Nodes() {
-		if op, ok := n.Payload.(lower.OpDoInit); ok && op.Test == h {
-			return n.ID
+// gotoExitHeaders returns the loop headers whose interval has an exit
+// other than the header's own F edge. Exit-free means every postexit of the
+// interval is fed by the test itself; any other source is a GOTO out of
+// the loop. This is the paper's FCDG test "just look for an edge to a
+// POSTEXIT node" (from a node other than the header).
+func gotoExitHeaders(a *analysis.Proc) map[cfg.NodeID]bool {
+	out := map[cfg.NodeID]bool{}
+	for _, pe := range a.Ext.Postexits {
+		h := a.Ext.ExitedInterval[pe]
+		for _, e := range a.Ext.G.InEdges(pe) {
+			if !e.Pseudo() && e.From != h {
+				out[h] = true
+			}
 		}
 	}
-	panic(fmt.Sprintf("profiler: DO test %d has no DoInit node", h))
+	return out
 }
 
-// nonPseudoLabels returns the distinct non-pseudo edge labels leaving u in
-// the extended graph (these equal the original CFG labels for original
-// nodes).
-func nonPseudoLabels(g *cfg.Graph, u cfg.NodeID) []cfg.Label {
-	var out []cfg.Label
-	for _, l := range g.Labels(u) {
-		if !l.IsPseudo() {
-			out = append(out, l)
+// doInits maps each DO test node to the DoInit node feeding it. In the
+// extended graph the init is a predecessor of the loop preheader, not of
+// the header itself, so inits are located by their payload.
+func (p *Plan) doInits() map[cfg.NodeID]cfg.NodeID {
+	out := map[cfg.NodeID]cfg.NodeID{}
+	g := p.A.P.G
+	for id := g.MaxID(); id > cfg.None; id-- {
+		if op, ok := g.Node(id).Payload.(lower.OpDoInit); ok {
+			out[op.Test] = id // the lowest-ID init wins, as in a forward scan
 		}
 	}
 	return out
@@ -438,8 +453,10 @@ func PlanNaive(a *analysis.Proc) *Plan {
 	// Σtrips, test executions = Σtrips + init executions).
 	skip := map[cfg.NodeID]bool{}
 	var adds []cfg.NodeID
+	inits := p.doInits()
+	gotoExits := gotoExitHeaders(a)
 	for _, h := range a.Intervals.Headers() {
-		r, ok := p.doLoopRule(h)
+		r, ok := p.doLoopRule(h, gotoExits)
 		if !ok {
 			continue
 		}
@@ -450,7 +467,7 @@ func PlanNaive(a *analysis.Proc) *Plan {
 		skip[h] = true    // test block
 		skip[body] = true // body block leader
 		if r.kind == doAddTrip {
-			adds = append(adds, p.doInitNode(h))
+			adds = append(adds, inits[h])
 		}
 		// Constant trips need no counter at all; both blocks derive from
 		// the init block count.

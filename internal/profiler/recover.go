@@ -3,7 +3,6 @@ package profiler
 import (
 	"fmt"
 
-	"repro/internal/cdg"
 	"repro/internal/cfg"
 	"repro/internal/freq"
 )
@@ -20,8 +19,8 @@ func (r Readings) Add(other Readings) {
 }
 
 // Recover reconstructs TOTAL_FREQ for every control condition of the
-// procedure from the counter readings, applying the plan's inference rules
-// to a fixpoint. The result feeds freq.Compute directly.
+// procedure from the counter readings, in one pass over the plan's
+// recovery schedule. The result feeds freq.Compute directly.
 //
 // On readings from a STOP-terminated run the trip rules over-estimate
 // in-flight loops (they assume every entered DO completes); use RecoverRun
@@ -38,290 +37,77 @@ func (p *Plan) recoverWith(readings Readings, adj *stopAdjust) (freq.Totals, err
 	if len(readings) != len(p.Counters) {
 		return nil, fmt.Errorf("profiler: %d readings for %d counters", len(readings), len(p.Counters))
 	}
-	st := newSolveState(p, readings)
-	st.adj = adj
-	if !st.run(p) {
-		missing := st.missingConds(p)
-		return nil, fmt.Errorf("profiler: recovery incomplete for %s: unresolved %v", p.A.P.G.Name, missing)
+	rec := p.recovery()
+	if rec.err != nil {
+		return nil, rec.err
 	}
-	totals := make(freq.Totals, len(st.cond))
-	for c, v := range st.cond {
-		totals[c] = v
-	}
-	// Pseudo conditions are statically zero; add them so downstream passes
-	// can look any FCDG condition up.
-	for _, c := range p.A.FCDG.Conditions() {
-		if c.Label.IsPseudo() {
-			totals[c] = 0
+	val := make([]float64, rec.nslot)
+	for i, s := range rec.condSlot {
+		if s >= 0 {
+			val[s] = readings[i]
 		}
+	}
+	a0 := int32(0)
+	for k := range rec.steps {
+		st := &rec.steps[k]
+		args := rec.args[a0:st.end]
+		a0 = st.end
+		switch st.kind {
+		case stepExec:
+			sum := 0.0
+			for _, a := range args {
+				sum += val[a]
+			}
+			val[st.dst] = sum - adj.pendingAt(cfg.NodeID(st.dst-rec.nc))
+		case stepBranch:
+			sum := 0.0
+			for _, a := range args {
+				sum += val[a]
+			}
+			v := val[st.in] - sum
+			if v < 0 {
+				v = 0 // numerical guard; exact inputs never go negative
+			}
+			val[st.dst] = v
+		case stepLoop:
+			sum := val[st.in]
+			for _, a := range args {
+				sum += val[a]
+			}
+			val[st.dst] = sum
+		case stepStatic:
+			val[st.dst] = p.rules[st.rule].staticFreq * val[st.in]
+		case stepDo:
+			r := &p.rules[st.rule]
+			entries := val[st.in]
+			// Frames frozen inside this DO entered it without (yet)
+			// completing: each took the body edge only (trip − remaining
+			// + 1) times and never took the exit edge. On completed runs n
+			// and sr are zero and the rule reduces to the paper's
+			// entries×trip identity.
+			n, sr := adj.inflightAt(r.node)
+			var tripSum float64
+			if r.kind == doConstTrip {
+				tripSum = entries*float64(r.trip) - sr + n
+			} else {
+				// The TripAdd reading already reflects actual body
+				// takings: the STOP-handler dump subtracts each live
+				// register's remainder (see SimulateReadings).
+				tripSum = readings[r.counter]
+			}
+			val[st.dst] = tripSum + entries - n
+			if body := args[0]; body >= 0 {
+				val[body] = tripSum
+			}
+			if exit := args[1]; exit >= 0 {
+				val[exit] = entries - n
+			}
+		}
+	}
+	f := p.A.FCDG
+	totals := make(freq.Totals, len(rec.out))
+	for _, s := range rec.out {
+		totals[f.CondAt(int(s))] = val[s]
 	}
 	return totals, nil
-}
-
-// solvable is the symbolic variant of Recover used during placement: can
-// every condition be reconstructed from the counters in `counted` plus the
-// rules? Values are irrelevant; only derivability matters.
-func (p *Plan) solvable(counted map[cdg.Condition]bool, rules []rule) bool {
-	st := &solveState{
-		cond: make(map[cdg.Condition]float64),
-		exec: make(map[cfg.NodeID]float64),
-	}
-	for c, on := range counted {
-		if on {
-			st.cond[c] = 0
-		}
-	}
-	for _, c := range p.A.FCDG.Conditions() {
-		if c.Label.IsPseudo() {
-			st.cond[c] = 0
-		}
-	}
-	st.tripReadings = map[cfg.NodeID]float64{}
-	for i := range rules {
-		if rules[i].kind == doAddTrip {
-			st.tripReadings[rules[i].node] = 0
-		}
-	}
-	saved := p.rules
-	p.rules = rules
-	ok := st.run(p)
-	p.rules = saved
-	return ok
-}
-
-// solveState carries the fixpoint's known values.
-type solveState struct {
-	cond map[cdg.Condition]float64
-	exec map[cfg.NodeID]float64
-	// tripReadings maps a DO test node to its TripAdd counter reading.
-	tripReadings map[cfg.NodeID]float64
-	// adj holds the stopped-run corrections (nil for completed runs and
-	// for the symbolic solvability check): see stopfix.go.
-	adj *stopAdjust
-}
-
-// pendingAt is the number of frozen frames whose in-condition takings
-// committed to u without reaching it.
-func (st *solveState) pendingAt(u cfg.NodeID) float64 {
-	if st.adj == nil {
-		return 0
-	}
-	return st.adj.pending[u]
-}
-
-func newSolveState(p *Plan, readings Readings) *solveState {
-	st := &solveState{
-		cond:         make(map[cdg.Condition]float64),
-		exec:         make(map[cfg.NodeID]float64),
-		tripReadings: make(map[cfg.NodeID]float64),
-	}
-	for i, c := range p.Counters {
-		switch c.Kind {
-		case CondCounter:
-			st.cond[c.Cond] = readings[i]
-		case TripAdd:
-			// Index by the test node the DoInit feeds.
-			for i2 := range p.rules {
-				if p.rules[i2].kind == doAddTrip && p.doInitNode(p.rules[i2].node) == c.Node {
-					st.tripReadings[p.rules[i2].node] = readings[i]
-				}
-			}
-		}
-	}
-	for _, c := range p.A.FCDG.Conditions() {
-		if c.Label.IsPseudo() {
-			st.cond[c] = 0
-		}
-	}
-	return st
-}
-
-// run iterates node-execution derivation and rule application to a
-// fixpoint; it reports whether every condition became known.
-func (st *solveState) run(p *Plan) bool {
-	f := p.A.FCDG
-	nodes := f.Nodes()
-	for changed := true; changed; {
-		changed = false
-		// exec(u) = Σ TOTAL over u's FCDG in-edges, once all are known.
-		for _, u := range nodes {
-			if _, ok := st.exec[u]; ok {
-				continue
-			}
-			if u == f.Root {
-				c := cdg.Condition{Node: f.Root, Label: cfg.Uncond}
-				if v, ok := st.cond[c]; ok {
-					st.exec[u] = v
-					changed = true
-				}
-				continue
-			}
-			in := f.InEdges(u)
-			if len(in) == 0 {
-				continue // STOP: never needed
-			}
-			sum := 0.0
-			known := true
-			for _, e := range in {
-				v, ok := st.cond[cdg.Condition{Node: e.From, Label: e.Label}]
-				if !ok {
-					known = false
-					break
-				}
-				sum += v
-			}
-			if known {
-				st.exec[u] = sum - st.pendingAt(u)
-				changed = true
-			}
-		}
-		// Rules.
-		for i := range p.rules {
-			if st.applyRule(p, &p.rules[i]) {
-				changed = true
-			}
-		}
-	}
-	return st.missingConds(p) == nil
-}
-
-func (st *solveState) missingConds(p *Plan) []cdg.Condition {
-	var missing []cdg.Condition
-	for _, c := range p.conds {
-		if _, ok := st.cond[c]; !ok {
-			missing = append(missing, c)
-		}
-	}
-	return missing
-}
-
-// applyRule tries one inference rule; it reports whether new values were
-// derived.
-func (st *solveState) applyRule(p *Plan, r *rule) bool {
-	switch r.kind {
-	case branchBalance:
-		if _, done := st.cond[r.dropped]; done {
-			return false
-		}
-		ex, ok := st.exec[r.node]
-		if !ok {
-			return false
-		}
-		sum := 0.0
-		for _, o := range r.others {
-			v, ok := st.cond[o]
-			if !ok {
-				return false
-			}
-			sum += v
-		}
-		v := ex - sum
-		if v < 0 {
-			v = 0 // numerical guard; exact inputs never go negative
-		}
-		st.cond[r.dropped] = v
-		return true
-
-	case loopIdentity:
-		if _, done := st.cond[r.dropped]; done {
-			return false
-		}
-		ph := p.A.Ext.Preheader[r.node]
-		entries, ok := st.exec[ph]
-		if !ok {
-			return false
-		}
-		sum := entries
-		for _, be := range r.backEdges {
-			t, ok := st.taking(p, be)
-			if !ok {
-				return false
-			}
-			sum += t
-		}
-		st.cond[r.dropped] = sum
-		return true
-
-	case staticCond:
-		if _, done := st.cond[r.dropped]; done {
-			return false
-		}
-		ex, ok := st.exec[r.node]
-		if !ok {
-			return false
-		}
-		st.cond[r.dropped] = r.staticFreq * ex
-		return true
-
-	case doConstTrip, doAddTrip:
-		loopCond := r.dropped
-		if loopCond == (cdg.Condition{}) {
-			loopCond = cdg.Condition{Node: p.A.Ext.Preheader[r.node], Label: cfg.Uncond}
-		}
-		if _, done := st.cond[loopCond]; done {
-			return false
-		}
-		ph := p.A.Ext.Preheader[r.node]
-		entries, ok := st.exec[ph]
-		if !ok {
-			return false
-		}
-		// Frames frozen inside this DO entered it without (yet) completing:
-		// each took the body edge only (trip − remaining + 1) times and
-		// never took the exit edge. On completed runs n and sr are zero and
-		// the rule reduces to the paper's entries×trip identity.
-		var n, sr float64
-		if st.adj != nil {
-			n = st.adj.inflight[r.node]
-			sr = st.adj.remaining[r.node]
-		}
-		var tripSum float64
-		if r.kind == doConstTrip {
-			tripSum = entries*float64(r.trip) - sr + n
-		} else {
-			// The TripAdd reading already reflects actual body takings: the
-			// STOP-handler dump subtracts each live register's remainder
-			// (see SimulateReadings).
-			ts, ok := st.tripReadings[r.node]
-			if !ok {
-				return false
-			}
-			tripSum = ts
-		}
-		st.cond[loopCond] = tripSum + entries - n
-		bodyCond := cdg.Condition{Node: r.node, Label: cfg.True}
-		if hasCondition(p, bodyCond) {
-			st.cond[bodyCond] = tripSum
-		}
-		exitCond := cdg.Condition{Node: r.node, Label: cfg.False}
-		if hasCondition(p, exitCond) {
-			st.cond[exitCond] = entries - n
-		}
-		return true
-	}
-	return false
-}
-
-// taking computes how often the CFG edge be was taken: directly if its
-// (from,label) is a known condition, or via exec(from) when the source has
-// a single non-pseudo out-label.
-func (st *solveState) taking(p *Plan, be cfg.Edge) (float64, bool) {
-	c := cdg.Condition{Node: be.From, Label: be.Label}
-	if v, ok := st.cond[c]; ok {
-		return v, true
-	}
-	if len(nonPseudoLabels(p.A.Ext.G, be.From)) == 1 {
-		v, ok := st.exec[be.From]
-		return v, ok
-	}
-	return 0, false
-}
-
-func hasCondition(p *Plan, c cdg.Condition) bool {
-	for _, have := range p.conds {
-		if have == c {
-			return true
-		}
-	}
-	return false
 }

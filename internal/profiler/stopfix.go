@@ -39,6 +39,24 @@ type stopAdjust struct {
 	remaining map[cfg.NodeID]float64
 }
 
+// pendingAt is the number of frozen frames whose in-condition takings
+// committed to u without reaching it (0 on a completed run).
+func (adj *stopAdjust) pendingAt(u cfg.NodeID) float64 {
+	if adj == nil {
+		return 0
+	}
+	return adj.pending[u]
+}
+
+// inflightAt returns the frames frozen inside the DO loop with test node
+// test and the sum of their remaining trips (0, 0 on a completed run).
+func (adj *stopAdjust) inflightAt(test cfg.NodeID) (n, remaining float64) {
+	if adj == nil {
+		return 0, 0
+	}
+	return adj.inflight[test], adj.remaining[test]
+}
+
 // RecoverRun reconstructs TOTAL_FREQ for every control condition of the
 // procedure from one run's simulated counter readings, exactly: unlike
 // Recover on raw readings, it consults the run's StopFrames so totals on
@@ -48,6 +66,16 @@ func (p *Plan) RecoverRun(run *interp.Result) (freq.Totals, error) {
 	return p.recoverWith(p.SimulateReadings(run), p.stopCorrections(run))
 }
 
+// postDominators returns the postdominator tree of the extended graph,
+// computed on the first stopped run that froze a frame of this procedure.
+// Postdominance on the extended graph: pseudo edges make loop bodies
+// skippable, so u pdom s says "committed at s" only for nodes in s's own
+// iteration scope, never for bodies of loops not yet entered.
+func (p *Plan) postDominators() *dom.Tree {
+	p.pdomOnce.Do(func() { p.pdom = dom.PostDominators(p.A.Ext.G) })
+	return p.pdom
+}
+
 // stopCorrections derives the stopAdjust of this procedure from a run's
 // stop record; nil when no frame of this procedure froze.
 func (p *Plan) stopCorrections(run *interp.Result) *stopAdjust {
@@ -55,7 +83,6 @@ func (p *Plan) stopCorrections(run *interp.Result) *stopAdjust {
 	ext := p.A.Ext
 	iv := ext.Intervals
 	var adj *stopAdjust
-	var pdom *dom.Tree
 	for _, sf := range run.StopFrames {
 		if sf.Proc != name {
 			continue
@@ -66,21 +93,19 @@ func (p *Plan) stopCorrections(run *interp.Result) *stopAdjust {
 				inflight:  make(map[cfg.NodeID]float64),
 				remaining: make(map[cfg.NodeID]float64),
 			}
-			// Postdominance on the extended graph: pseudo edges make loop
-			// bodies skippable, so u pdom s says "committed at s" only for
-			// nodes in s's own iteration scope, never for bodies of loops
-			// not yet entered.
-			pdom = dom.PostDominators(ext.G)
 		}
 		for _, tr := range sf.Trips {
 			adj.inflight[tr.Test]++
 			adj.remaining[tr.Test] += float64(tr.Remaining)
 		}
-		for u := cfg.NodeID(1); u <= ext.G.MaxID(); u++ {
-			if u == sf.Node || u == ext.Stop || ext.G.Node(u) == nil {
-				continue
-			}
-			if !pdom.StrictlyDominates(u, sf.Node) {
+		pdom := p.postDominators()
+		if !pdom.InTree(sf.Node) {
+			continue
+		}
+		// The nodes u with u pdom s, u != s, are s's proper ancestors in
+		// the postdominator tree.
+		for u := pdom.Parent(sf.Node); u != cfg.None; u = pdom.Parent(u) {
+			if u == ext.Stop {
 				continue
 			}
 			// Loop-condition totals count header arrivals, and the trip

@@ -52,12 +52,12 @@ func ExactTotals(a *analysis.Proc, run *interp.Result) freq.Totals {
 func (p *Plan) SimulateReadings(run *interp.Result) Readings {
 	out := make(Readings, len(p.Counters))
 	for i, c := range p.Counters {
-		out[i] = p.counterValue(c, run)
+		out[i] = p.counterValue(i, c, run)
 	}
 	return out
 }
 
-func (p *Plan) counterValue(c Counter, run *interp.Result) float64 {
+func (p *Plan) counterValue(i int, c Counter, run *interp.Result) float64 {
 	a := p.A
 	switch c.Kind {
 	case BlockCounter:
@@ -65,14 +65,8 @@ func (p *Plan) counterValue(c Counter, run *interp.Result) float64 {
 	case TripAdd:
 		// Sum of trip counts = number of body entries = takings of the
 		// test's T edge.
-		for i := range p.rules {
-			if p.rules[i].kind == doAddTrip && p.doInitNode(p.rules[i].node) == c.Node {
-				return float64(run.LabelCount(a.P, p.rules[i].node, cfg.True))
-			}
-		}
-		// Naive plans have no rules; find the test via the init node.
-		if op, ok := initTest(a, c.Node); ok {
-			return float64(run.LabelCount(a.P, op, cfg.True))
+		if test := p.recovery().tripTest[i]; test != cfg.None {
+			return float64(run.LabelCount(a.P, test, cfg.True))
 		}
 		return 0
 	default:
@@ -109,8 +103,8 @@ type Overhead struct {
 // run, under cost model m.
 func (p *Plan) MeasureOverhead(run *interp.Result, m cost.Model) Overhead {
 	var o Overhead
-	for _, c := range p.Counters {
-		v := int64(p.counterEvents(c, run))
+	for i, c := range p.Counters {
+		v := int64(p.counterEvents(i, c, run))
 		if c.Kind == TripAdd {
 			o.TripAdds += v
 		} else {
@@ -124,11 +118,11 @@ func (p *Plan) MeasureOverhead(run *interp.Result, m cost.Model) Overhead {
 // counterEvents is the number of update operations a counter performs
 // during the run (for TripAdd that is one add per loop entry, not the
 // summed value).
-func (p *Plan) counterEvents(c Counter, run *interp.Result) float64 {
+func (p *Plan) counterEvents(i int, c Counter, run *interp.Result) float64 {
 	if c.Kind == TripAdd {
 		return float64(run.NodeCount(p.A.P, c.Node)) // one add per DoInit execution
 	}
-	return p.counterValue(c, run)
+	return p.counterValue(i, c, run)
 }
 
 // ProgramProfile profiles a whole program: per-procedure totals keyed by

@@ -164,6 +164,31 @@ type HotPath struct {
 	ToExit    bool   `json:"to_exit"`
 }
 
+// PlanExplain is one procedure's counter plan: the counters it keeps, then
+// every derived condition in recovery-schedule order with the rule that
+// recovers it and the rule's inputs.
+type PlanExplain struct {
+	Proc        string     `json:"proc"`
+	Counters    []string   `json:"counters"`
+	Derivations []PlanStep `json:"derivations"`
+	// RecoverSteps is the length of the whole recovery schedule, the
+	// exec(node) sums included.
+	RecoverSteps int `json:"recover_steps"`
+}
+
+// PlanStep is one rule application of a recovery schedule.
+type PlanStep struct {
+	Rule    string   `json:"rule"`
+	Node    int      `json:"node"`
+	Derives []string `json:"derives"`
+	Inputs  []string `json:"inputs"`
+}
+
+// String renders the step as "(4,U) by loop-identity at 3 from exec(2) (9,T)".
+func (s PlanStep) String() string {
+	return fmt.Sprintf("%s by %s at %d from %s", strings.Join(s.Derives, " "), s.Rule, s.Node, strings.Join(s.Inputs, " "))
+}
+
 // String renders the hot path as a one-liner: "PROC: path 3 ×42 [entry 1→4→7 exit]".
 func (h HotPath) String() string {
 	var b strings.Builder
@@ -219,6 +244,9 @@ type Document struct {
 	// Dataflow is the optional per-procedure dataflow fact report
 	// (ptranlint -dataflow); the element type lives with the tool.
 	Dataflow any `json:"dataflow,omitempty"`
+	// Plans is the optional counter-plan explanation (ptranlint
+	// -explain-plan).
+	Plans []PlanExplain `json:"plans,omitempty"`
 	// Spans are the pipeline phase timings of a traced run (obs.Trace).
 	Spans []Span `json:"spans,omitempty"`
 	// Metrics is a point-in-time snapshot of the process metrics registry.

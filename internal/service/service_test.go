@@ -80,14 +80,17 @@ func counter(reg *obs.Registry, name string) float64 { return reg.Snapshot()[nam
 
 // TestSingleFlightCompile slams one source with concurrent identical
 // requests and asserts the artifact compiled exactly once: one cache miss,
-// everything else a hit against the single-flighted artifact.
+// everything else a hit against the single-flighted artifact. The service
+// sizes its own queue for the burst: with the default (no queue, one worker
+// per core) a small host sheds the overlap with 503 before the requests
+// ever reach the single-flight.
 func TestSingleFlightCompile(t *testing.T) {
+	const n = 32
 	reg := &obs.Registry{}
-	svc := New(Config{Metrics: reg})
+	svc := New(Config{Workers: 2, Queue: n, Metrics: reg})
 	ts := httptest.NewServer(svc)
 	defer ts.Close()
 
-	const n = 32
 	var wg sync.WaitGroup
 	hits := make([]bool, n)
 	codes := make([]int, n)
