@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: check fmt vet lint build test benchmark-smoke test-vm test-vm-batch test-bl bench bench-json oracle oracle-bl selfcheck dataflow-selfcheck serve-smoke loadgen-smoke cache-smoke fuzz-smoke
+.PHONY: check fmt vet lint build test benchmark-smoke test-vm test-bl bench oracle oracle-bl selfcheck dataflow-selfcheck serve-smoke loadgen-smoke cache-smoke fuzz-smoke
 
 # STATICCHECK_VERSION pins the analyzer CI installs; keep in sync with
 # .github/workflows/ci.yml.
@@ -47,14 +47,11 @@ test:
 benchmark-smoke:
 	cd bench && $(GO) test -race .
 
-# test-vm and test-vm-batch re-run the tier-1 suite with the bytecode VM
-# (per-seed, then batched multi-seed) as the ambient execution engine
-# (CI's extra bench-smoke legs).
+# test-vm re-runs the tier-1 suite with the bytecode VM as the ambient
+# execution engine (CI's extra bench-smoke leg). "vm-batch" names the same
+# runner, so it needs no leg of its own.
 test-vm:
 	REPRO_ENGINE=vm $(GO) test -race ./...
-
-test-vm-batch:
-	REPRO_ENGINE=vm-batch $(GO) test -race ./...
 
 # test-bl re-runs the tier-1 suite with Ball–Larus path profiling as the
 # ambient counter-placement strategy.
@@ -63,12 +60,6 @@ test-bl:
 
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x ./...
-
-# bench-json sweeps the perf-regression harness (cmd/bench) and writes a
-# date-stamped snapshot with per-phase spans, diffing throughput against the
-# newest committed BENCH_*.json; a >25% nodes/sec drop fails the target.
-bench-json:
-	$(GO) run ./cmd/bench -out BENCH_$$(date +%Y-%m-%d).json -diff auto
 
 # selfcheck runs the in-tree static verifier over the shipped examples;
 # any error-severity finding fails the build.

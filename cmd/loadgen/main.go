@@ -1,7 +1,7 @@
 // Command loadgen drives the analysis service under concurrent load and
 // records the service-level numbers — p50/p99 latency, throughput, cache
 // hit rate, cold-compile vs warm-hit latency — as a bench/v1 snapshot
-// entry, the same schema cmd/bench writes.
+// entry (report.BenchSnapshot).
 //
 // By default it spins the service up in-process on a loopback listener
 // (so a single command measures the whole stack, HTTP included) and holds

@@ -16,7 +16,7 @@ import (
 func buildCmds(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
-	for _, name := range []string{"figures", "table1", "ptranc", "profrun", "estimate", "ptranlint", "bench", "oracle", "loadgen", "ptrand"} {
+	for _, name := range []string{"figures", "table1", "ptranc", "profrun", "estimate", "ptranlint", "oracle", "loadgen", "ptrand"} {
 		out := filepath.Join(dir, name)
 		cmd := exec.Command("go", "build", "-o", out, "./cmd/"+name)
 		cmd.Env = os.Environ()
@@ -316,59 +316,6 @@ func TestCommandLineTools(t *testing.T) {
 		}
 	})
 
-	t.Run("bench", func(t *testing.T) {
-		out := filepath.Join(dir, "BENCH_1999-01-01.json")
-		// Small/medium only (the large sweep is slow), no oracle corpus.
-		// Two reps: the per-phase profile throughput of these tiny sweeps
-		// is noisy at one rep, and the self-diff below gates on it.
-		msg := runCmd(t, filepath.Join(dir, "bench"), "-reps", "2", "-sizes", "small,medium", "-oracle-seeds", "0", "-out", out, "-diff", "auto")
-		if !strings.Contains(msg, "no previous BENCH_") {
-			t.Errorf("first run must skip the diff:\n%s", msg)
-		}
-		raw, err := os.ReadFile(out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var snap struct {
-			Schema  string `json:"schema"`
-			Entries []struct {
-				Name    string             `json:"name"`
-				Metrics map[string]float64 `json:"metrics"`
-				Spans   []struct {
-					Name string `json:"name"`
-				} `json:"spans"`
-			} `json:"entries"`
-		}
-		if err := json.Unmarshal(raw, &snap); err != nil {
-			t.Fatalf("snapshot JSON: %v\n%s", err, raw)
-		}
-		if snap.Schema != "bench/v1" || len(snap.Entries) == 0 {
-			t.Fatalf("snapshot = %+v", snap)
-		}
-		e := snap.Entries[0]
-		if e.Metrics["nodes_per_sec"] <= 0 || e.Metrics["counters_per_block"] <= 0 {
-			t.Errorf("entry %s metrics: %v", e.Name, e.Metrics)
-		}
-		phases := make(map[string]bool)
-		for _, sp := range e.Spans {
-			phases[sp.Name] = true
-		}
-		for _, want := range []string{"parse", "analyze", "plan", "profile", "estimate"} {
-			if !phases[want] {
-				t.Errorf("entry %s missing span %q in %v", e.Name, want, phases)
-			}
-		}
-		// A second run diffing against the first must pass (same machine,
-		// same workload) and exit 0. The loose threshold keeps the smoke
-		// test robust when it shares the machine with the -race suite;
-		// CI's bench-smoke job applies the real 25% gate.
-		out2 := filepath.Join(dir, "BENCH_1999-01-02.json")
-		msg = runCmd(t, filepath.Join(dir, "bench"), "-reps", "2", "-sizes", "small,medium", "-oracle-seeds", "0", "-out", out2, "-diff", out, "-threshold", "0.6")
-		if !strings.Contains(msg, "no regression") {
-			t.Errorf("self-diff must report no regression:\n%s", msg)
-		}
-	})
-
 	t.Run("hot-paths", func(t *testing.T) {
 		bin := filepath.Join(dir, "ptranlint")
 		out := runCmd(t, bin, "-hot-paths", "3", src)
@@ -403,7 +350,6 @@ func TestCommandLineTools(t *testing.T) {
 		engineTools := map[string][]string{
 			"profrun": {"-src", src, "-db", db, "-engine", "bogus"},
 			"oracle":  {"-seeds", "1", "-engine", "bogus"},
-			"bench":   {"-engines", "bogus"},
 		}
 		for name, args := range engineTools {
 			msg, err := exec.Command(filepath.Join(dir, name), args...).CombinedOutput()
@@ -419,7 +365,6 @@ func TestCommandLineTools(t *testing.T) {
 			"profrun":  {"-src", src, "-db", db, "-plan", "bogus"},
 			"estimate": {"-src", src, "-db", db, "-plan", "bogus"},
 			"oracle":   {"-seeds", "1", "-plan", "bogus"},
-			"bench":    {"-plan", "bogus"},
 		}
 		for name, args := range planTools {
 			msg, err := exec.Command(filepath.Join(dir, name), args...).CombinedOutput()
@@ -458,7 +403,7 @@ func TestCommandLineTools(t *testing.T) {
 		cacheDB := filepath.Join(dir, "cache-profile.json")
 
 		// Every tool advertises the shared flag.
-		for _, name := range []string{"figures", "table1", "ptranc", "profrun", "estimate", "ptranlint", "bench", "oracle", "loadgen", "ptrand"} {
+		for _, name := range []string{"figures", "table1", "ptranc", "profrun", "estimate", "ptranlint", "oracle", "loadgen", "ptrand"} {
 			msg, _ := exec.Command(filepath.Join(dir, name), "-h").CombinedOutput()
 			if !strings.Contains(string(msg), "cache-dir") {
 				t.Errorf("%s -h does not document -cache-dir:\n%s", name, msg)

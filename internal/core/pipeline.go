@@ -3,10 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/artifact"
@@ -231,27 +228,33 @@ func (p *Pipeline) compiledVM() (*vm.Program, error) {
 	return p.vmProg, p.vmErr
 }
 
-// runSingle executes one seed under the resolved engine. VM runs go
-// through the cached compiled program; a compile bailout or an OnNode hook
-// forces the tree-walker (forcing EngineTree rather than leaving the
-// option at EngineVM keeps interp.Run from recompiling per call). A
-// bailout-forced run is not silent: each one bumps the
-// pipeline.engine_fallbacks_total metric (the one-time compile failure
-// itself is pipeline.vm_bailout), and EngineFallback exposes the cause so
-// callers can attach a warning diagnostic to their reports.
-func (p *Pipeline) runSingle(o interp.Options) (*interp.Result, error) {
+// compiledFor resolves o's engine, or the pipeline's when o leaves it at
+// EngineDefault: the cached compiled VM program, or nil for the
+// tree-walker. A compile bailout is not silent: each resolution it forces
+// onto the tree-walker bumps the pipeline.engine_fallbacks_total metric
+// (the one-time compile failure itself is pipeline.vm_bailout), and
+// EngineFallback exposes the cause so callers can attach a warning
+// diagnostic to their reports.
+func (p *Pipeline) compiledFor(o interp.Options) interp.Compiled {
 	eng := o.Engine
 	if eng == interp.EngineDefault {
 		eng = p.Engine
 	}
-	if interp.EffectiveEngine(eng).VMBased() && o.OnNode == nil {
-		if prog, err := p.compiledVM(); err == nil {
-			return prog.Run(o)
-		}
-		obs.Default.Add("pipeline.engine_fallbacks_total", 1)
+	if !interp.EffectiveEngine(eng).VMBased() {
+		return nil
 	}
-	o.Engine = interp.EngineTree
-	return interp.Run(p.Res, o)
+	prog, err := p.compiledVM()
+	if err != nil {
+		obs.Default.Add("pipeline.engine_fallbacks_total", 1)
+		return nil
+	}
+	return prog
+}
+
+// runSingle executes one seed under the resolved engine, as a lane that
+// runs one seed.
+func (p *Pipeline) runSingle(o interp.Options) (*interp.Result, error) {
+	return interp.NewLane(p.Res, p.compiledFor(o), o).RunSeed(o.Seed)
 }
 
 // EngineFallback reports whether the pipeline's resolved engine asked for
@@ -365,19 +368,19 @@ func (p *Pipeline) recoverFunc(opts *interp.Options) (func(*interp.Result) (prof
 // profiling and returns the accumulated per-procedure TOTAL_FREQ profile
 // (the program-database content) together with the last run's result.
 //
-// Seeds run concurrently on up to Workers goroutines, each accumulating
-// into a private profile; the merge happens after the barrier, in seed
-// order, so the result is bit-identical to a sequential run (merging only
-// sums counters). Runs fall back to sequential execution when the options
-// carry an output writer or per-node hooks, which must observe runs one at
-// a time.
+// Seeds run through interp.RunBatchOn on up to Workers lanes, and each
+// seed's counters are recovered into a private profile as it completes;
+// the merge happens after the batch, in seed order, so the result is
+// bit-identical to a sequential run (merging only sums counters). Runs
+// carrying an output writer or per-node hooks use one lane, which runs
+// seeds in order.
 func (p *Pipeline) Profile(opts interp.Options, seeds ...uint64) (profiler.ProgramProfile, *interp.Result, error) {
 	return p.ProfileCtx(context.Background(), opts, seeds...)
 }
 
 // ProfileCtx is Profile under a cancellation context, checked before every
-// per-seed run: a caller whose deadline expires mid-profile stops paying
-// after the seed in flight. Individual engine runs are bounded by
+// seed on every engine: a caller whose deadline expires mid-profile stops
+// paying after the seeds in flight. Individual engine runs are bounded by
 // opts.MaxSteps, so cancellation latency is at most one seed's step
 // budget — the engines' fused dispatch loops stay free of cancellation
 // checks by design (see the twin-loop note in DESIGN §14).
@@ -392,164 +395,32 @@ func (p *Pipeline) ProfileCtx(ctx context.Context, opts interp.Options, seeds ..
 	if err != nil {
 		return nil, nil, err
 	}
-	workers := p.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(seeds) {
-		workers = len(seeds)
-	}
-	if opts.Out != nil || opts.OnNode != nil || opts.OnNodeCost != nil {
-		workers = 1
-	}
+	c := p.compiledFor(opts)
 
-	// Under the batch engine the whole seed batch goes through the VM's
-	// batch runner, which shards lanes across workers internally on
-	// arena-backed reusable frames (a compile bailout falls through to the
-	// per-seed pool below). OnNode runs need the tree-walker per seed.
-	eng := opts.Engine
-	if eng == interp.EngineDefault {
-		eng = p.Engine
-	}
-	if interp.EffectiveEngine(eng) == interp.EngineVMBatch && opts.OnNode == nil {
-		if prog, err := p.compiledVM(); err == nil {
-			return p.profileBatch(prog, recoverRun, opts, seeds, workers)
-		}
-	}
-
-	overall := p.Trace.Start("profile")
-	poolStart := time.Now()
-	var busyNanos atomic.Int64
-
-	profs := make([]profiler.ProgramProfile, len(seeds))
-	runs := make([]*interp.Result, len(seeds))
-	errs := make([]error, len(seeds))
-	oneSeed := func(i int) {
-		t0 := time.Now()
-		defer func() { busyNanos.Add(int64(time.Since(t0))) }()
-		if err := ctx.Err(); err != nil {
-			errs[i] = err
-			return
-		}
-		o := opts
-		o.Seed = seeds[i]
-		// Sub-spans split the per-seed work into the engine's hot loop
-		// (profile.run) and the engine-independent counter recovery
-		// (profile.recover); their WallMs sum busy time across seeds, so
-		// they measure per-core throughput regardless of worker count.
-		sp := p.Trace.Start("profile.run")
-		run, err := p.runSingle(o)
-		sp.End()
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		runs[i] = run
-		sp = p.Trace.Start("profile.recover")
-		profs[i], errs[i] = recoverRun(run)
-		sp.End()
-	}
-	if workers <= 1 {
-		for i := range seeds {
-			oneSeed(i)
-		}
-	} else {
-		var wg sync.WaitGroup
-		work := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range work {
-					oneSeed(i)
-				}
-			}()
-		}
-		for i := range seeds {
-			work <- i
-		}
-		close(work)
-		wg.Wait()
-	}
-
-	var steps float64
-	for _, run := range runs {
-		if run != nil {
-			steps += float64(run.Steps)
-		}
-	}
-	overall.End(obs.M("seeds", float64(len(seeds))), obs.M("steps", steps))
-	if p.Trace != nil {
-		elapsed := time.Since(poolStart)
-		vmUsed := 0.0
-		if interp.EffectiveEngine(eng).VMBased() && opts.OnNode == nil {
-			if _, err := p.compiledVM(); err == nil {
-				vmUsed = 1
-			}
-		}
-		p.Trace.SetMetric("profile", "engine_vm", vmUsed)
-		p.Trace.SetMetric("profile", "workers", float64(workers))
-		if elapsed > 0 && workers > 0 {
-			p.Trace.SetMetric("profile", "utilization",
-				float64(busyNanos.Load())/(float64(elapsed)*float64(workers)))
-		}
-	}
-
-	acc := make(profiler.ProgramProfile)
-	var last *interp.Result
-	for i := range seeds {
-		if errs[i] != nil {
-			return nil, nil, errs[i]
-		}
-		last = runs[i]
-		for name, totals := range profs[i] {
-			if acc[name] == nil {
-				acc[name] = make(freq.Totals)
-			}
-			acc[name].Add(totals)
-		}
-	}
-	return acc, last, nil
-}
-
-// profileBatch runs the whole seed batch through the VM's batch runner.
-// Each seed's counter recovery happens inside the sink, while the lane's
-// reusable result storage is still live; only the last seed's run is
-// retained, for the returned Result. The merge is identical to the
-// per-seed path — seeds are independent, so lane sharding cannot change
-// any per-seed outcome and the accumulated profile stays bit-identical.
-func (p *Pipeline) profileBatch(prog *vm.Program, recoverRun func(*interp.Result) (profiler.ProgramProfile, error),
-	opts interp.Options, seeds []uint64, lanes int) (profiler.ProgramProfile, *interp.Result, error) {
-	overall := p.Trace.Start("profile")
-	sp := p.Trace.Start("profile.batch")
+	// Counter recovery runs inside the sink, while the lane's reusable
+	// result storage is still live; only the last seed's run is retained,
+	// for the returned Result.
 	profs := make([]profiler.ProgramProfile, len(seeds))
 	errs := make([]error, len(seeds))
 	lastIdx := len(seeds) - 1
 	var last *interp.Result
-	sink := func(idx int, seed uint64, run *interp.Result, err error) bool {
-		if err != nil {
-			errs[idx] = err
-			return false
+	sink := func(idx int, _ uint64, run *interp.Result, err error) bool {
+		if err == nil {
+			profs[idx], err = recoverRun(run)
 		}
-		rsp := p.Trace.Start("profile.recover")
-		profs[idx], errs[idx] = recoverRun(run)
-		rsp.End()
-		if idx == lastIdx && errs[idx] == nil {
+		errs[idx] = err
+		if idx == lastIdx && err == nil {
 			// Exactly one lane owns the last index; the write is published
-			// to this goroutine by RunBatch's completion barrier.
+			// to this goroutine by RunBatchOn's completion barrier.
 			last = run
 			return true
 		}
 		return false
 	}
-	stats, err := prog.RunBatch(opts, seeds, lanes, sink)
-	sp.End(obs.M("seeds", float64(stats.Seeds)), obs.M("lanes", float64(stats.Lanes)),
-		obs.M("steps", float64(stats.Steps)), obs.M("exec_ms", float64(stats.ExecNanos)/1e6))
-	overall.End(obs.M("seeds", float64(len(seeds))), obs.M("steps", float64(stats.Steps)))
-	if p.Trace != nil {
-		p.Trace.SetMetric("profile", "engine_vm", 1)
-		p.Trace.SetMetric("profile", "workers", float64(stats.Lanes))
-	}
+	sp := p.Trace.Start("profile")
+	stats, err := interp.RunBatchOn(ctx, p.Res, c, opts, seeds, p.Workers, sink)
+	sp.End(obs.M("seeds", float64(stats.Seeds)), obs.M("steps", float64(stats.Steps)),
+		obs.M("lanes", float64(stats.Lanes)), obs.M("exec_ms", float64(stats.ExecNanos)/1e6))
 	if err != nil {
 		return nil, nil, err
 	}

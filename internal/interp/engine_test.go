@@ -99,9 +99,9 @@ func TestVMDispatchFromInterp(t *testing.T) {
 	}
 }
 
-// TestRunBatchDispatch drives interp.RunBatch on every engine: the batch
-// engine routes whole batches to the VM's batch runner, the others loop
-// per seed; every sink observation must match per-seed interp.Run.
+// TestRunBatchDispatch drives interp.RunBatch on every engine: every
+// engine shards the batch across the requested lanes, and every sink
+// observation must match per-seed interp.Run.
 func TestRunBatchDispatch(t *testing.T) {
 	src := `      PROGRAM P
       INTEGER I, S
@@ -128,7 +128,7 @@ func TestRunBatchDispatch(t *testing.T) {
 		}
 	}
 	for _, eng := range []interp.Engine{interp.EngineTree, interp.EngineVM, interp.EngineVMBatch} {
-		// The batch engine may call the sink concurrently from its lanes.
+		// Lanes may call the sink concurrently.
 		var calls atomic.Int64
 		stats, err := interp.RunBatch(res, interp.Options{Engine: eng}, seeds, 3,
 			func(idx int, seed uint64, r *interp.Result, rerr error) bool {
@@ -152,8 +152,8 @@ func TestRunBatchDispatch(t *testing.T) {
 		if int(calls.Load()) != len(seeds) || stats.Seeds != len(seeds) {
 			t.Fatalf("%v: %d sink calls, stats.Seeds %d, want %d", eng, calls.Load(), stats.Seeds, len(seeds))
 		}
-		if eng != interp.EngineVMBatch && stats.Lanes != 1 {
-			t.Fatalf("%v: fallback lanes = %d, want 1", eng, stats.Lanes)
+		if stats.Lanes != 3 {
+			t.Fatalf("%v: lanes = %d, want 3", eng, stats.Lanes)
 		}
 	}
 }

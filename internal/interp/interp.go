@@ -14,12 +14,15 @@
 package interp
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"os"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cfg"
@@ -117,13 +120,13 @@ const (
 	// EngineTree is the reference tree-walking interpreter in this package.
 	EngineTree
 	// EngineVM is the slot-indexed bytecode VM (internal/vm). Programs the
-	// bytecode compiler cannot handle, and runs that set OnNode, silently
-	// fall back to the tree-walker with identical results.
+	// bytecode compiler cannot handle, and runs that set OnNode or
+	// OnNodeVals, silently fall back to the tree-walker with identical
+	// results.
 	EngineVM
-	// EngineVMBatch is the bytecode VM's batched multi-seed runner: whole
-	// seed batches execute through one compiled instruction stream on
-	// per-lane reusable frames (see RunBatch). Single runs behave exactly
-	// like EngineVM.
+	// EngineVMBatch is a second name for EngineVM, kept because flags,
+	// requests and benchmark configs spell it "vm-batch". Both run every
+	// seed on reusable VM lanes (see RunBatchOn).
 	EngineVMBatch
 )
 
@@ -162,18 +165,80 @@ func ParseEngine(s string) (Engine, error) {
 	return EngineDefault, fmt.Errorf("%w: %q", ErrUnknownEngine, s)
 }
 
-// vmRun is installed by internal/vm's init; nil until that package is
+// Lane runs seeds one after another on state it may reuse across seeds.
+// Exactly one goroutine drives a lane.
+type Lane interface {
+	// RunSeed runs the program once with Options.Seed = seed. The Result
+	// belongs to the lane and stays valid until the next RunSeed, unless
+	// Detach hands it over first.
+	RunSeed(seed uint64) (*Result, error)
+	// Detach gives the last Result to the caller: the lane builds fresh
+	// result storage for its next seed.
+	Detach()
+}
+
+// Compiled is a program compiled for the bytecode VM (internal/vm's
+// *Program): the source of VM lanes.
+type Compiled interface {
+	NewLane(opt Options) Lane
+}
+
+// vmCompile is installed by internal/vm's init; nil until that package is
 // linked in. Registration happens once during package initialization, so
 // reads after init need no synchronization.
-var vmRun func(*lower.Result, Options) (*Result, error)
+var vmCompile func(*lower.Result) (Compiled, error)
 
-// RegisterVMEngine installs the bytecode engine entry point. Called from
-// internal/vm's init; not for use by other packages.
-func RegisterVMEngine(run func(*lower.Result, Options) (*Result, error)) { vmRun = run }
+// RegisterVM installs the bytecode compiler. Called from internal/vm's
+// init; not for use by other packages.
+func RegisterVM(compile func(*lower.Result) (Compiled, error)) { vmCompile = compile }
+
+// treeOnly reports whether opt needs the tree-walker on every engine:
+// OnNode's OpDoInit trip argument needs the tree's evaluation order, and
+// OnNodeVals needs name-addressable frames.
+func (o *Options) treeOnly() bool { return o.OnNode != nil || o.OnNodeVals != nil }
+
+// compile resolves opt's engine for a one-shot entry point: the freshly
+// compiled VM program, or nil for the tree-walker (the tree engine, a
+// tree-only hook, a compile bailout, or no VM linked in). Use vm.Compile,
+// or core.Pipeline, to amortize compilation over many calls.
+func compile(res *lower.Result, opt *Options) Compiled {
+	if !EffectiveEngine(opt.Engine).VMBased() || opt.treeOnly() || vmCompile == nil {
+		return nil
+	}
+	c, err := vmCompile(res)
+	if err != nil {
+		return nil
+	}
+	return c
+}
+
+// NewLane returns a lane running res under opt: one of c's when c is set
+// and opt allows the VM, a tree-walker lane otherwise.
+func NewLane(res *lower.Result, c Compiled, opt Options) Lane {
+	if c == nil || opt.treeOnly() {
+		opt.Engine = EngineTree
+		return &treeLane{res: res, opt: opt}
+	}
+	return c.NewLane(opt)
+}
+
+// treeLane runs every seed as a fresh tree-walker run. Nothing is reused,
+// so Detach has nothing to do.
+type treeLane struct {
+	res *lower.Result
+	opt Options
+}
+
+func (l *treeLane) RunSeed(seed uint64) (*Result, error) {
+	l.opt.Seed = seed
+	return Run(l.res, l.opt)
+}
+
+func (l *treeLane) Detach() {}
 
 // BatchSink receives one per-seed outcome from RunBatch: idx is the seed's
 // position in the batch, res/err mirror Run's return values. The callee owns
-// res only for the duration of the call — batch lanes reuse result storage
+// res only for the duration of the call — lanes may reuse result storage
 // across seeds — unless it returns retain=true, which transfers ownership
 // and makes the lane rebuild fresh storage for its next seed. When the
 // batch runs on more than one lane, the sink may be called concurrently
@@ -191,41 +256,71 @@ type BatchStats struct {
 	ExecNanos int64
 }
 
-// vmRunBatch is installed by internal/vm's init alongside vmRun.
-var vmRunBatch func(*lower.Result, Options, []uint64, int, BatchSink) (BatchStats, error)
-
-// RegisterVMBatchEngine installs the batched bytecode engine entry point.
-// Called from internal/vm's init; not for use by other packages.
-func RegisterVMBatchEngine(run func(*lower.Result, Options, []uint64, int, BatchSink) (BatchStats, error)) {
-	vmRunBatch = run
+// RunBatch executes one seed batch under opt's engine, compiled once for
+// the whole batch, and reports every per-seed outcome through sink (see
+// RunBatchOn).
+func RunBatch(res *lower.Result, opt Options, seeds []uint64, lanes int, sink BatchSink) (BatchStats, error) {
+	return RunBatchOn(context.Background(), res, compile(res, &opt), opt, seeds, lanes, sink)
 }
 
-// RunBatch executes one seed batch and reports every per-seed outcome
-// through sink, in seed order unless the batch engine shards the batch
-// across lanes. Under EngineVMBatch (and no OnNode hook) the whole batch
-// runs through the VM's batch runner on up to lanes lanes (≤ 0 means
-// GOMAXPROCS); any other engine falls back to a sequential per-seed loop
-// with identical sink observations. Each seed's res/err are bit-identical
-// to Run with the same Options and that seed.
-func RunBatch(res *lower.Result, opt Options, seeds []uint64, lanes int, sink BatchSink) (BatchStats, error) {
-	if EffectiveEngine(opt.Engine) == EngineVMBatch && opt.OnNode == nil && opt.OnNodeVals == nil && vmRunBatch != nil {
-		return vmRunBatch(res, opt, seeds, lanes, sink)
+// RunBatchOn is the seed loop every engine shares. Seeds run on up to
+// lanes lanes (≤ 0 means GOMAXPROCS), each a goroutine with its own Lane
+// from NewLane(res, c, opt) that takes the next seed index from a shared
+// counter. Each seed's res/err are bit-identical to Run with the same
+// Options and that seed: seeds are independent (own RNG, counters,
+// Result), so neither the engine nor the lane count can change any
+// per-seed outcome. PRINT output and per-node hooks observe runs one at a
+// time, so Out, OnNode, OnNodeCost and OnNodeVals force a single lane,
+// which runs seeds strictly in batch order. ctx is checked before every
+// seed: once it is done no further seed starts and RunBatchOn returns its
+// error. Per-seed runtime errors go to the sink and do not stop the batch.
+func RunBatchOn(ctx context.Context, res *lower.Result, c Compiled, opt Options, seeds []uint64, lanes int, sink BatchSink) (BatchStats, error) {
+	if lanes <= 0 {
+		lanes = runtime.GOMAXPROCS(0)
 	}
-	stats := BatchStats{Seeds: len(seeds), Lanes: 1}
-	o := opt
-	for i, s := range seeds {
-		o.Seed = s
-		t0 := time.Now()
-		r, err := Run(res, o)
-		stats.ExecNanos += int64(time.Since(t0))
-		if r != nil {
-			stats.Steps += r.Steps
+	if opt.Out != nil || opt.OnNodeCost != nil || opt.treeOnly() {
+		lanes = 1
+	}
+	lanes = max(1, min(lanes, len(seeds)))
+	var next, done, steps, execNanos atomic.Int64
+	runLane := func() {
+		var l Lane
+		var st, ex, n int64
+		for i := int(next.Add(1) - 1); i < len(seeds) && ctx.Err() == nil; i = int(next.Add(1) - 1) {
+			if l == nil {
+				l = NewLane(res, c, opt)
+			}
+			t0 := time.Now()
+			r, err := l.RunSeed(seeds[i])
+			ex += int64(time.Since(t0))
+			if r != nil {
+				st += r.Steps
+			}
+			n++
+			if sink != nil && sink(i, seeds[i], r, err) {
+				l.Detach()
+			}
 		}
-		if sink != nil {
-			// Fallback runs allocate a fresh Result per seed, so retain is
-			// a no-op here.
-			sink(i, s, r, err)
+		steps.Add(st)
+		execNanos.Add(ex)
+		done.Add(n)
+	}
+	if lanes == 1 {
+		runLane()
+	} else {
+		var wg sync.WaitGroup
+		for range lanes {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				runLane()
+			}()
 		}
+		wg.Wait()
+	}
+	stats := BatchStats{Seeds: len(seeds), Lanes: lanes, Steps: steps.Load(), ExecNanos: execNanos.Load()}
+	if int(done.Load()) < len(seeds) {
+		return stats, ctx.Err()
 	}
 	return stats, nil
 }
@@ -435,12 +530,8 @@ func Run(res *lower.Result, opt Options) (*Result, error) {
 	if opt.OnNodeVals != nil && opt.PathSpec != nil {
 		return nil, fmt.Errorf("interp: OnNodeVals cannot be combined with PathSpec")
 	}
-	// The VM supports Out and OnNodeCost but not OnNode (whose OpDoInit
-	// trip argument needs the tree-walker's evaluation order) or OnNodeVals
-	// (which needs name-addressable frames); runs that need either stay on
-	// the reference engine.
-	if EffectiveEngine(opt.Engine).VMBased() && opt.OnNode == nil && opt.OnNodeVals == nil && vmRun != nil {
-		return vmRun(res, opt)
+	if c := compile(res, &opt); c != nil {
+		return c.NewLane(opt).RunSeed(opt.Seed)
 	}
 	m := &machine{
 		res: res,

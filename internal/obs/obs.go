@@ -11,9 +11,10 @@
 // exists.
 //
 // Spans measure wall time (summed busy time across observations), elapsed
-// end-to-end extent (so Wall/Elapsed reveals worker-pool utilization),
-// observation counts, and heap-allocation deltas read from the cheap
-// runtime/metrics counter (not ReadMemStats, which stops the world).
+// end-to-end extent (so Wall/Elapsed reveals worker-pool utilization) and
+// observation counts. They carry no allocation figure: the only cheap heap
+// counter is process-wide, so concurrent phases and requests would charge
+// each other's allocations.
 //
 // The process-wide metrics Registry holds named atomic counters and gauges
 // (node totals, counters placed, peak RSS, ...); Snapshot flattens it into
@@ -22,7 +23,6 @@ package obs
 
 import (
 	"math"
-	"runtime/metrics"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -30,18 +30,6 @@ import (
 
 	"repro/internal/report"
 )
-
-// heapAllocSample reads the monotone total of heap bytes allocated. One
-// runtime/metrics read is a few atomic loads — cheap enough per span.
-func heapAllocBytes() uint64 {
-	var s [1]metrics.Sample
-	s[0].Name = "/gc/heap/allocs:bytes"
-	metrics.Read(s[:])
-	if s[0].Value.Kind() == metrics.KindUint64 {
-		return s[0].Value.Uint64()
-	}
-	return 0
-}
 
 // Trace aggregates span observations by phase name. The zero value is not
 // usable; construct with NewTrace. A nil *Trace is a no-op on every method.
@@ -55,7 +43,6 @@ type spanAgg struct {
 	first, last time.Time
 	busy        time.Duration
 	count       int64
-	alloc       int64
 	metrics     map[string]float64
 }
 
@@ -66,10 +53,9 @@ func NewTrace() *Trace {
 
 // Span is one in-flight observation; End folds it into the trace.
 type Span struct {
-	t      *Trace
-	name   string
-	t0     time.Time
-	alloc0 uint64
+	t    *Trace
+	name string
+	t0   time.Time
 }
 
 // Start opens a span for the named phase. Safe on a nil trace (returns a
@@ -78,7 +64,7 @@ func (t *Trace) Start(name string) Span {
 	if t == nil {
 		return Span{}
 	}
-	return Span{t: t, name: name, t0: time.Now(), alloc0: heapAllocBytes()}
+	return Span{t: t, name: name, t0: time.Now()}
 }
 
 // End folds the observation into its phase row, attaching the optional
@@ -88,7 +74,6 @@ func (s Span) End(extra ...Metric) {
 		return
 	}
 	now := time.Now()
-	alloc := int64(heapAllocBytes() - s.alloc0)
 	t := s.t
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -105,7 +90,6 @@ func (s Span) End(extra ...Metric) {
 	}
 	a.busy += now.Sub(s.t0)
 	a.count++
-	a.alloc += alloc
 	for _, m := range extra {
 		if a.metrics == nil {
 			a.metrics = make(map[string]float64)
@@ -153,12 +137,11 @@ func (t *Trace) Spans() []report.Span {
 	out := make([]report.Span, 0, len(t.agg))
 	for name, a := range t.agg {
 		sp := report.Span{
-			Name:       name,
-			StartMs:    float64(a.first.Sub(t.start)) / float64(time.Millisecond),
-			WallMs:     float64(a.busy) / float64(time.Millisecond),
-			ElapsedMs:  float64(a.last.Sub(a.first)) / float64(time.Millisecond),
-			Count:      a.count,
-			AllocBytes: a.alloc,
+			Name:      name,
+			StartMs:   float64(a.first.Sub(t.start)) / float64(time.Millisecond),
+			WallMs:    float64(a.busy) / float64(time.Millisecond),
+			ElapsedMs: float64(a.last.Sub(a.first)) / float64(time.Millisecond),
+			Count:     a.count,
 		}
 		if len(a.metrics) > 0 {
 			sp.Metrics = make(map[string]float64, len(a.metrics))

@@ -4,17 +4,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"sort"
-	"strings"
 )
 
 // BenchSchema versions the snapshot format; bump on breaking changes.
 const BenchSchema = "bench/v1"
 
-// BenchEntry is one benchmark scenario of a sweep: a generated program size,
-// a real benchmark, or the oracle corpus. Metrics whose name ends in
-// "_per_sec" are throughput rates (higher is better) and are the ones a
-// regression diff compares; everything else is recorded for inspection only.
+// BenchEntry is one measured scenario of a snapshot (cmd/loadgen writes
+// one per service load run).
 type BenchEntry struct {
 	Name string `json:"name"`
 	// WallMs is the end-to-end wall time of the best repetition.
@@ -27,8 +23,7 @@ type BenchEntry struct {
 	Spans []Span `json:"spans,omitempty"`
 }
 
-// BenchSnapshot is one full sweep, written as BENCH_<date>.json and diffed
-// against the previous snapshot to catch performance regressions.
+// BenchSnapshot is one full sweep, written as BENCH_<date>.json.
 type BenchSnapshot struct {
 	Schema string `json:"schema"`
 	Tool   string `json:"tool"`
@@ -74,77 +69,4 @@ func LoadBench(path string) (*BenchSnapshot, error) {
 		return nil, fmt.Errorf("%s: schema %q, want %q", path, s.Schema, BenchSchema)
 	}
 	return &s, nil
-}
-
-// BenchRegression is one metric that crossed the regression threshold
-// relative to the previous snapshot: a throughput rate that fell, or a
-// lower-is-better measurement that rose.
-type BenchRegression struct {
-	Entry  string
-	Metric string
-	Old    float64
-	New    float64
-	// LowerBetter marks a metric where growth is the regression
-	// (alloc_bytes_per_seed), as opposed to the "_per_sec" rates.
-	LowerBetter bool
-}
-
-// Drop is the fractional regression magnitude: throughput loss for rates
-// (0.30 = 30% slower), growth for lower-is-better metrics (0.30 = 30% more).
-func (r BenchRegression) Drop() float64 {
-	if r.LowerBetter {
-		return r.New/r.Old - 1
-	}
-	return 1 - r.New/r.Old
-}
-
-func (r BenchRegression) String() string {
-	if r.LowerBetter {
-		return fmt.Sprintf("%s %s: %.4g -> %.4g (+%.1f%%, lower is better)",
-			r.Entry, r.Metric, r.Old, r.New, 100*r.Drop())
-	}
-	return fmt.Sprintf("%s %s: %.4g -> %.4g (-%.1f%%)", r.Entry, r.Metric, r.Old, r.New, 100*r.Drop())
-}
-
-// lowerBetterMetric reports whether a metric regresses by growing rather
-// than shrinking.
-func lowerBetterMetric(name string) bool { return name == "alloc_bytes_per_seed" }
-
-// DiffBench compares every "_per_sec" rate and every lower-is-better
-// metric (alloc_bytes_per_seed) present in both snapshots, and returns the
-// ones that regressed by more than threshold (0.25 = fail when a rate
-// drops below 75% of the previous value, or an allocation figure grows
-// beyond 125%). Entries or metrics present on only one side are ignored:
-// scenarios may come and go across revisions.
-func DiffBench(prev, cur *BenchSnapshot, threshold float64) []BenchRegression {
-	var out []BenchRegression
-	for _, pe := range prev.Entries {
-		ce := cur.Entry(pe.Name)
-		if ce == nil {
-			continue
-		}
-		names := make([]string, 0, len(pe.Metrics))
-		for name := range pe.Metrics {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			lower := lowerBetterMetric(name)
-			if !strings.HasSuffix(name, "_per_sec") && !lower {
-				continue
-			}
-			old, cv := pe.Metrics[name], ce.Metrics[name]
-			if old <= 0 || cv <= 0 {
-				continue
-			}
-			if lower {
-				if cv > old*(1+threshold) {
-					out = append(out, BenchRegression{Entry: pe.Name, Metric: name, Old: old, New: cv, LowerBetter: true})
-				}
-			} else if cv < old*(1-threshold) {
-				out = append(out, BenchRegression{Entry: pe.Name, Metric: name, Old: old, New: cv})
-			}
-		}
-	}
-	return out
 }

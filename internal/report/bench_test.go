@@ -26,67 +26,6 @@ func benchPair() (*BenchSnapshot, *BenchSnapshot) {
 	return prev, cur
 }
 
-func TestDiffBench(t *testing.T) {
-	prev, cur := benchPair()
-	regs := DiffBench(prev, cur, 0.25)
-	// small dropped 10% (within threshold); large dropped 50% (regression);
-	// "nodes" is not a rate; "gone"/"added" are one-sided and ignored.
-	if len(regs) != 1 {
-		t.Fatalf("got %d regressions %v, want 1", len(regs), regs)
-	}
-	r := regs[0]
-	if r.Entry != "large" || r.Metric != "nodes_per_sec" || r.Old != 400 || r.New != 200 {
-		t.Errorf("regression = %+v", r)
-	}
-	if got := r.Drop(); got != 0.5 {
-		t.Errorf("Drop() = %v, want 0.5", got)
-	}
-	if s := r.String(); !strings.Contains(s, "large") || !strings.Contains(s, "-50.0%") {
-		t.Errorf("String() = %q", s)
-	}
-	if regs := DiffBench(prev, cur, 0.6); len(regs) != 0 {
-		t.Errorf("threshold 0.6 must tolerate a 50%% drop, got %v", regs)
-	}
-}
-
-func TestDiffBenchLowerBetter(t *testing.T) {
-	prev := &BenchSnapshot{Schema: BenchSchema, Entries: []BenchEntry{
-		{Name: "small-vm", Metrics: map[string]float64{"alloc_bytes_per_seed": 1000, "profile_batch_nodes_per_sec": 5000}},
-		{Name: "ok", Metrics: map[string]float64{"alloc_bytes_per_seed": 1000}},
-	}}
-	cur := &BenchSnapshot{Schema: BenchSchema, Entries: []BenchEntry{
-		// alloc grew 60% (regression) and the batch rate halved (regression).
-		{Name: "small-vm", Metrics: map[string]float64{"alloc_bytes_per_seed": 1600, "profile_batch_nodes_per_sec": 2500}},
-		// 20% growth stays within a 0.25 threshold.
-		{Name: "ok", Metrics: map[string]float64{"alloc_bytes_per_seed": 1200}},
-	}}
-	regs := DiffBench(prev, cur, 0.25)
-	if len(regs) != 2 {
-		t.Fatalf("got %d regressions %v, want 2", len(regs), regs)
-	}
-	var alloc, rate *BenchRegression
-	for i := range regs {
-		switch regs[i].Metric {
-		case "alloc_bytes_per_seed":
-			alloc = &regs[i]
-		case "profile_batch_nodes_per_sec":
-			rate = &regs[i]
-		}
-	}
-	if alloc == nil || !alloc.LowerBetter || alloc.Entry != "small-vm" {
-		t.Fatalf("alloc regression = %+v", alloc)
-	}
-	if got := alloc.Drop(); got < 0.59 || got > 0.61 {
-		t.Errorf("alloc Drop() = %v, want ~0.6", got)
-	}
-	if s := alloc.String(); !strings.Contains(s, "lower is better") || !strings.Contains(s, "+60.0%") {
-		t.Errorf("alloc String() = %q", s)
-	}
-	if rate == nil || rate.LowerBetter {
-		t.Fatalf("batch rate regression = %+v", rate)
-	}
-}
-
 func TestBenchSnapshotRoundTrip(t *testing.T) {
 	prev, _ := benchPair()
 	prev.Date = "2026-08-06"

@@ -223,9 +223,6 @@ type Span struct {
 	ElapsedMs float64 `json:"elapsed_ms"`
 	// Count is the number of merged observations (e.g. procedures analyzed).
 	Count int64 `json:"count"`
-	// AllocBytes is the heap allocation delta attributed to the phase
-	// (approximate under concurrency: the counter is process-wide).
-	AllocBytes int64 `json:"alloc_bytes"`
 	// Metrics carries phase-specific measurements (node counts, counters
 	// placed, utilization ratios, ...).
 	Metrics Metrics `json:"metrics,omitempty"`

@@ -22,7 +22,7 @@ func fullDocument() *Document {
 		{Proc: "MAIN", ID: 3, Count: 42, Nodes: []int{1, 4, 7}, FromEntry: true, ToExit: true},
 	}
 	doc.Spans = []Span{{
-		Name: "profile", StartMs: 1.5, WallMs: 10, ElapsedMs: 5, Count: 2, AllocBytes: 4096,
+		Name: "profile", StartMs: 1.5, WallMs: 10, ElapsedMs: 5, Count: 2,
 		Metrics: Metrics{"seeds": 2, "utilization": 0.75},
 	}}
 	doc.Metrics = Metrics{
@@ -76,7 +76,6 @@ const goldenDocument = `{
       "wall_ms": 10,
       "elapsed_ms": 5,
       "count": 2,
-      "alloc_bytes": 4096,
       "metrics": {
         "seeds": 2,
         "utilization": 0.75
@@ -118,7 +117,7 @@ func TestDocumentGoldenRoundTrip(t *testing.T) {
 		len(back.HotPaths[0].Nodes) != 3 || !back.HotPaths[0].ToExit {
 		t.Errorf("hot paths lost: %+v", back.HotPaths)
 	}
-	if len(back.Spans) != 1 || back.Spans[0].AllocBytes != 4096 ||
+	if len(back.Spans) != 1 || back.Spans[0].Count != 2 ||
 		back.Spans[0].Metrics["utilization"] != 0.75 {
 		t.Errorf("spans lost: %+v", back.Spans)
 	}

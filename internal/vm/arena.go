@@ -2,96 +2,62 @@ package vm
 
 import "repro/internal/interp"
 
-// laneArena owns all frame storage of one batch lane. Frames are carved out
-// of chunked slabs (one bulk allocation amortized over many activations)
-// and recycled through per-procedure free lists, so a lane's steady state
+// laneArena owns all frame storage of one lane. Frames are carved out of
+// chunked slabs (one bulk allocation amortized over many activations) and
+// recycled through per-procedure free lists, so a lane's steady state
 // allocates nothing per seed: the arena only grows to the deepest live call
-// chain the lane ever sees. Unlike the sync.Pool path used by single runs,
-// nothing here is synchronized or reclaimed by the GC mid-batch — a lane is
-// owned by exactly one goroutine.
+// chain the lane ever sees. Nothing here is synchronized or reclaimed by
+// the GC mid-batch — a lane is owned by exactly one goroutine.
 type laneArena struct {
 	// free[pi] is the LIFO of recycled frames for procedure pi. Calls
 	// strictly nest, so a released frame is always reusable immediately.
 	free [][]*frame
 
-	// Current chunks; carving slices forward never invalidates slots
-	// already handed out, because exhausted chunks are replaced, not grown.
-	frames []frame
-	vals   []interp.Value
-	refs   []*interp.Value
-	arrays []*interp.Array
-	trips  []int64
+	frames slab[frame]
+	vals   slab[interp.Value]
+	refs   slab[*interp.Value]
+	arrays slab[*interp.Array]
+	trips  slab[int64]
 }
 
-// arenaChunk is the slab granularity, in elements.
-const arenaChunk = 1024
+// Chunk sizes, in elements: they double from slabMin up to slabMax, so a
+// lane that runs one seed stays small while a long batch amortizes its
+// allocations.
+const (
+	slabMin = 16
+	slabMax = 1024
+)
 
 func newLaneArena(numProcs int) *laneArena {
 	return &laneArena{free: make([][]*frame, numProcs)}
 }
 
-func (a *laneArena) frameSlot() *frame {
-	if len(a.frames) == 0 {
-		a.frames = make([]frame, 64)
-	}
-	f := &a.frames[0]
-	a.frames = a.frames[1:]
-	return f
+// slab hands out slots carved forward from its current chunk. Carving
+// never invalidates slots already handed out, because an exhausted chunk
+// is replaced, not grown.
+type slab[T any] struct {
+	chunk []T
+	size  int
 }
 
-func (a *laneArena) valSlots(n int) []interp.Value {
+func (s *slab[T]) carve(n int) []T {
 	if n == 0 {
 		return nil
 	}
-	if len(a.vals) < n {
-		a.vals = make([]interp.Value, max(arenaChunk, n))
+	if len(s.chunk) < n {
+		s.size = min(max(2*s.size, slabMin), slabMax)
+		s.chunk = make([]T, max(s.size, n))
 	}
-	s := a.vals[:n:n]
-	a.vals = a.vals[n:]
-	return s
-}
-
-func (a *laneArena) refSlots(n int) []*interp.Value {
-	if n == 0 {
-		return nil
-	}
-	if len(a.refs) < n {
-		a.refs = make([]*interp.Value, max(arenaChunk, n))
-	}
-	s := a.refs[:n:n]
-	a.refs = a.refs[n:]
-	return s
-}
-
-func (a *laneArena) arraySlots(n int) []*interp.Array {
-	if n == 0 {
-		return nil
-	}
-	if len(a.arrays) < n {
-		a.arrays = make([]*interp.Array, max(arenaChunk, n))
-	}
-	s := a.arrays[:n:n]
-	a.arrays = a.arrays[n:]
-	return s
-}
-
-func (a *laneArena) tripSlots(n int) []int64 {
-	if n == 0 {
-		return nil
-	}
-	if len(a.trips) < n {
-		a.trips = make([]int64, max(arenaChunk, n))
-	}
-	s := a.trips[:n:n]
-	a.trips = a.trips[n:]
-	return s
+	out := s.chunk[:n:n]
+	s.chunk = s.chunk[n:]
+	return out
 }
 
 // getFrame returns a frame for procedure pi: locals seeded from the value
 // template, trip counters cleared. Recycled frames keep stale refs and
 // arrays (see putFrame); the call-time parameter bind and the procedure
 // prologue rewrite every one of those slots before any instruction reads
-// them, so observable state matches a frame from the sync.Pool path.
+// them, so observable state matches a freshly carved frame.
 func (a *laneArena) getFrame(pi int, pc *procCode) *frame {
 	if s := a.free[pi]; len(s) > 0 {
 		f := s[len(s)-1]
@@ -102,23 +68,22 @@ func (a *laneArena) getFrame(pi int, pc *procCode) *frame {
 		}
 		return f
 	}
-	f := a.frameSlot()
-	f.vals = a.valSlots(len(pc.valTemplate))
-	f.refs = a.refSlots(pc.numRefs)
-	f.arrays = a.arraySlots(pc.numArrays)
-	f.trips = a.tripSlots(pc.numTrips)
+	f := &a.frames.carve(1)[0]
+	f.vals = a.vals.carve(len(pc.valTemplate))
+	f.refs = a.refs.carve(pc.numRefs)
+	f.arrays = a.arrays.carve(pc.numArrays)
+	f.trips = a.trips.carve(pc.numTrips)
 	copy(f.vals, pc.valTemplate)
 	return f
 }
 
-// putFrame releases a frame back to its procedure's free list. Unlike the
-// sync.Pool path, stale refs and arrays are NOT dropped: every ref slot is
-// a scalar parameter and every array slot is a parameter or a
-// prologue-allocated local, so each one is rewritten before use on the
-// next activation, and anything a stale pointer pins lives at most until
-// the lane's arena is released at the end of the batch. Skipping the
-// clear avoids a pointer-write barrier per slot on the hottest release
-// path.
+// putFrame releases a frame back to its procedure's free list. Stale refs
+// and arrays are NOT dropped: every ref slot is a scalar parameter and
+// every array slot is a parameter or a prologue-allocated local, so each
+// one is rewritten before use on the next activation, and anything a
+// stale pointer pins lives at most until the lane's arena is released at
+// the end of the batch. Skipping the clear avoids a pointer-write barrier
+// per slot on the hottest release path.
 func (a *laneArena) putFrame(pi int, f *frame) {
 	a.free[pi] = append(a.free[pi], f)
 }

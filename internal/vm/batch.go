@@ -1,31 +1,32 @@
 package vm
 
 import (
+	"context"
 	"errors"
-	"runtime"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/cfg"
 	"repro/internal/interp"
 )
 
-// laneState is the reusable per-lane execution state of a batch run: one
-// runState whose Result, counter slices and edge slabs are built once and
-// zeroed between seeds, plus the frame arena. A lane runs its shard of the
-// seed batch sequentially; lanes never share mutable state.
+// laneState is the VM's interp.Lane: one runState, with its frame arena,
+// whose Result, counter slices and edge slabs are built once and zeroed
+// between seeds. A lane runs its seeds sequentially; lanes never share
+// mutable state. A single run is a lane that runs one seed.
 type laneState struct {
-	rs    runState
-	arena *laneArena
+	rs runState
 }
 
+// NewLane returns a lane running the compiled program under opt. opt's
+// engine and hooks are not consulted; interp.NewLane routes tree-only
+// options to the tree-walker.
+func (p *Program) NewLane(opt interp.Options) interp.Lane { return newLaneState(p, opt) }
+
 func newLaneState(p *Program, opt interp.Options) *laneState {
-	ls := &laneState{arena: newLaneArena(len(p.procs))}
+	ls := &laneState{}
 	rs := &ls.rs
 	rs.prog = p
 	rs.opt = opt
-	rs.lane = ls.arena
+	rs.arena = newLaneArena(len(p.procs))
 	rs.max = opt.MaxSteps
 	if rs.max == 0 {
 		rs.max = 500_000_000
@@ -38,8 +39,8 @@ func newLaneState(p *Program, opt interp.Options) *laneState {
 }
 
 // build allocates fresh result storage: once at lane start, and again after
-// a sink retained the previous seed's Result (which transferred ownership
-// of the whole structure, counter slices included).
+// Detach handed the previous seed's Result to the caller (which transferred
+// ownership of the whole structure, counter slices included).
 func (ls *laneState) build() {
 	rs := &ls.rs
 	p := rs.prog
@@ -99,9 +100,12 @@ func clearInt64(s []int64) {
 	}
 }
 
-// runSeed executes one seed on the lane. The returned Result is the lane's
+// Detach implements interp.Lane.
+func (ls *laneState) Detach() { ls.build() }
+
+// RunSeed executes one seed on the lane. The returned Result is the lane's
 // reusable storage: valid until the next reset.
-func (ls *laneState) runSeed(seed uint64) (*interp.Result, error) {
+func (ls *laneState) RunSeed(seed uint64) (*interp.Result, error) {
 	ls.reset(seed)
 	rs := &ls.rs
 	err := rs.runProc(rs.prog.mainIdx, nil, 0)
@@ -113,81 +117,10 @@ func (ls *laneState) runSeed(seed uint64) (*interp.Result, error) {
 	return rs.result, err
 }
 
-// runLane executes one contiguous seed shard, reporting each outcome to
-// sink with the seed's batch-global index. Returns total steps and exec
-// nanoseconds (sink time excluded).
-func (p *Program) runLane(opt interp.Options, seeds []uint64, base int, sink interp.BatchSink) (steps, execNanos int64) {
-	ls := newLaneState(p, opt)
-	for i, seed := range seeds {
-		t0 := time.Now()
-		res, err := ls.runSeed(seed)
-		execNanos += int64(time.Since(t0))
-		steps += res.Steps
-		if sink != nil && sink(base+i, seed, res, err) {
-			ls.build()
-		}
-	}
-	return steps, execNanos
-}
-
-// RunBatch executes every seed through the compiled program, sharding the
-// batch contiguously across up to lanes lanes (≤ 0 means GOMAXPROCS), each
-// with its own arena-backed reusable frames and result storage. Per-seed
-// results are bit-identical to Run with the same Options and seed — seeds
-// are independent (own RNG, counters, Result), so neither fusion nor the
-// lane count can change any per-seed outcome. Runs that need ordered
-// observation (Out, OnNodeCost) are forced onto a single lane, which
-// processes seeds strictly in batch order; OnNode runs fall back to the
-// tree-walker per seed, like Run. Per-seed runtime errors are reported
-// through the sink and do not stop the batch.
+// RunBatch executes every seed through the compiled program on up to lanes
+// lanes (≤ 0 means GOMAXPROCS), each with its own arena-backed frames and
+// reusable result storage; see interp.RunBatchOn for the sharding, the
+// single-lane rules and the sink contract.
 func (p *Program) RunBatch(opt interp.Options, seeds []uint64, lanes int, sink interp.BatchSink) (interp.BatchStats, error) {
-	if opt.OnNode != nil {
-		o := opt
-		o.Engine = interp.EngineTree
-		return interp.RunBatch(p.res, o, seeds, lanes, sink)
-	}
-	if lanes <= 0 {
-		lanes = runtime.GOMAXPROCS(0)
-	}
-	if lanes > len(seeds) {
-		lanes = len(seeds)
-	}
-	if opt.Out != nil || opt.OnNodeCost != nil {
-		lanes = 1
-	}
-	if lanes < 1 {
-		lanes = 1
-	}
-	stats := interp.BatchStats{Seeds: len(seeds), Lanes: lanes}
-	if len(seeds) == 0 {
-		return stats, nil
-	}
-	if lanes == 1 {
-		stats.Steps, stats.ExecNanos = p.runLane(opt, seeds, 0, sink)
-		return stats, nil
-	}
-	var (
-		wg         sync.WaitGroup
-		stepsTot   atomic.Int64
-		execNanos  atomic.Int64
-		batchSeeds = len(seeds)
-	)
-	for k := 0; k < lanes; k++ {
-		lo := k * batchSeeds / lanes
-		hi := (k + 1) * batchSeeds / lanes
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			st, ex := p.runLane(opt, seeds[lo:hi], lo, sink)
-			stepsTot.Add(st)
-			execNanos.Add(ex)
-		}(lo, hi)
-	}
-	wg.Wait()
-	stats.Steps = stepsTot.Load()
-	stats.ExecNanos = execNanos.Load()
-	return stats, nil
+	return interp.RunBatchOn(context.Background(), p.res, p, opt, seeds, lanes, sink)
 }

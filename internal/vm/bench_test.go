@@ -10,9 +10,9 @@ import (
 	"repro/internal/progen"
 )
 
-// benchProgram compiles the same generated program cmd/bench's "medium"
-// scenario profiles, so pprof sessions on these benchmarks look at the
-// instruction mix that the snapshot numbers come from.
+// benchProgram compiles a medium-sized generated program (80 statements,
+// nesting depth 3), so pprof sessions on these benchmarks look at a
+// typical generated instruction mix.
 func benchProgram(b *testing.B) *Program {
 	b.Helper()
 	src := progen.Generate(7, 80, 3)
@@ -31,8 +31,8 @@ func benchProgram(b *testing.B) *Program {
 	return p
 }
 
-// BenchmarkRun measures the per-seed path: one Run call per iteration,
-// fresh Result each time, pool-backed frames.
+// BenchmarkRun measures the one-shot path: one Run call per iteration, a
+// fresh one-seed lane (Result and frame arena) each time.
 func BenchmarkRun(b *testing.B) {
 	p := benchProgram(b)
 	m := cost.Optimized
@@ -51,8 +51,8 @@ func BenchmarkRun(b *testing.B) {
 	b.ReportMetric(float64(steps)/b.Elapsed().Seconds(), "nodes/s")
 }
 
-// BenchmarkRunBatch measures the batched path: arena frames, one reusable
-// lane state, results recycled between seeds.
+// BenchmarkRunBatch measures the batched path: one reusable lane state,
+// arena frames and results recycled between seeds.
 func BenchmarkRunBatch(b *testing.B) {
 	p := benchProgram(b)
 	m := cost.Optimized

@@ -793,28 +793,16 @@ func (c *procComp) patch() {
 	}
 }
 
-// init registers the engine with interp so interp.Run can dispatch
-// Options{Engine: EngineVM} here without an import cycle. One-shot runs
-// compile per call; use Compile + Program.Run (or core.Pipeline) to
-// amortize compilation over many seeds.
+// init registers the compiler with interp so interp.Run and
+// interp.RunBatch can run Options{Engine: EngineVM} here without an import
+// cycle. A compile bailout returns the error and the caller runs the
+// tree-walker.
 func init() {
-	interp.RegisterVMEngine(func(res *lower.Result, opt interp.Options) (*interp.Result, error) {
+	interp.RegisterVM(func(res *lower.Result) (interp.Compiled, error) {
 		p, err := Compile(res)
 		if err != nil {
-			opt.Engine = interp.EngineTree
-			return interp.Run(res, opt)
+			return nil, err
 		}
-		return p.Run(opt)
-	})
-	interp.RegisterVMBatchEngine(func(res *lower.Result, opt interp.Options, seeds []uint64,
-		lanes int, sink interp.BatchSink) (interp.BatchStats, error) {
-		p, err := Compile(res)
-		if err != nil {
-			// Compile bailout: the per-seed tree fallback loop makes the
-			// identical sink observations, one fresh Result per seed.
-			opt.Engine = interp.EngineTree
-			return interp.RunBatch(res, opt, seeds, lanes, sink)
-		}
-		return p.RunBatch(opt, seeds, lanes, sink)
+		return p, nil
 	})
 }

@@ -294,12 +294,7 @@ activation:
 					retErr = &interp.RuntimeError{Unit: cpc.name, Line: 0, Msg: "call stack overflow (runaway recursion?)"}
 					break activation
 				}
-				var nf *frame
-				if rs.lane != nil {
-					nf = rs.lane.getFrame(cpi, cpc)
-				} else {
-					nf = cpc.getFrame()
-				}
+				nf := rs.arena.getFrame(cpi, cpc)
 				nf.callLine = int(in.c)
 				for i, pb := range cpc.params {
 					if pb.isArray {
@@ -1108,11 +1103,7 @@ activation:
 				if len(calls) == 0 {
 					break activation
 				}
-				if rs.lane != nil {
-					rs.lane.putFrame(pi, f)
-				} else {
-					pc.putFrame(f)
-				}
+				rs.arena.putFrame(pi, f)
 				rs.depth--
 				top := calls[len(calls)-1]
 				calls = calls[:len(calls)-1]
@@ -1134,11 +1125,7 @@ activation:
 	// explicit stack; release their frames exactly as the recursive unwind
 	// did. The outermost frame belongs to runProc.
 	for len(calls) > 0 {
-		if rs.lane != nil {
-			rs.lane.putFrame(pi, f)
-		} else {
-			pc.putFrame(f)
-		}
+		rs.arena.putFrame(pi, f)
 		rs.depth--
 		top := calls[len(calls)-1]
 		calls = calls[:len(calls)-1]

@@ -7,15 +7,16 @@
 // counter, cost accumulation) is fused into the instruction stream.
 //
 // Compile once per program, then run every profiling seed against the
-// shared Program; per-activation frames are recycled through per-procedure
-// pools so the steady-state run allocates only what the program itself
-// allocates (local arrays, by-value argument cells).
+// shared Program on reusable lanes (batch.go): each lane recycles its
+// activation frames through an arena, so a lane's steady state allocates
+// only what the program itself allocates (local arrays, by-value argument
+// cells).
 //
 // The engine is bit-identical to the tree-walker in internal/interp: the
 // same step counts, node/edge counters, activation counts, float cost
 // accumulation order, RNG draw order and runtime error messages. Programs
 // the compiler cannot handle (see BailoutError) and runs that set
-// Options.OnNode fall back to the tree-walker.
+// Options.OnNode or Options.OnNodeVals fall back to the tree-walker.
 package vm
 
 import (
@@ -170,44 +171,15 @@ type procCode struct {
 	maxStack  int
 	// fused counts the instructions eliminated by superinstruction fusion.
 	fused int
-	pool  sync.Pool
 }
 
-// frame is one pooled activation record.
+// frame is one activation record, carved from a lane's arena.
 type frame struct {
 	vals     []interp.Value
 	refs     []*interp.Value
 	arrays   []*interp.Array
 	trips    []int64
 	callLine int
-}
-
-func (pc *procCode) getFrame() *frame {
-	f, _ := pc.pool.Get().(*frame)
-	if f == nil {
-		f = &frame{
-			vals:   make([]interp.Value, len(pc.valTemplate)),
-			refs:   make([]*interp.Value, pc.numRefs),
-			arrays: make([]*interp.Array, pc.numArrays),
-			trips:  make([]int64, pc.numTrips),
-		}
-	}
-	copy(f.vals, pc.valTemplate)
-	for i := range f.trips {
-		f.trips[i] = 0
-	}
-	return f
-}
-
-func (pc *procCode) putFrame(f *frame) {
-	// Drop references so pooled frames do not pin arrays or caller cells.
-	for i := range f.refs {
-		f.refs[i] = nil
-	}
-	for i := range f.arrays {
-		f.arrays[i] = nil
-	}
-	pc.pool.Put(f)
 }
 
 // Program is a compiled program, safe for concurrent Run calls.
@@ -413,9 +385,8 @@ type runState struct {
 	steps     int64
 	max       int64
 	depth     int
-	// lane, when non-nil, supplies frames from the batch lane's arena
-	// instead of the shared per-procedure sync.Pools (see batch.go).
-	lane *laneArena
+	// arena supplies the lane's frames (see arena.go).
+	arena *laneArena
 }
 
 // recordStopFrame mirrors the tree-walker's: capture an activation's frozen
@@ -433,57 +404,12 @@ func (rs *runState) recordStopFrame(pc *procCode, f *frame, node cfg.NodeID) {
 	rs.result.StopFrames = append(rs.result.StopFrames, sf)
 }
 
-// Run executes the compiled program once under opt. Results are
-// bit-identical to interp.Run on the same lowered program. Runs that set
-// OnNode are delegated to the tree-walker (the hook's OpDoInit trip
-// argument requires the tree's evaluation order).
+// Run executes the compiled program once under opt, as a lane that runs
+// one seed. Results are bit-identical to interp.Run on the same lowered
+// program. Runs that set OnNode or OnNodeVals are delegated to the
+// tree-walker (see interp.NewLane).
 func (p *Program) Run(opt interp.Options) (*interp.Result, error) {
-	if opt.OnNode != nil {
-		opt.Engine = interp.EngineTree
-		return interp.Run(p.res, opt)
-	}
-	rs := &runState{
-		prog: p,
-		opt:  opt,
-		rng:  opt.Seed*2862933555777941757 + 3037000493,
-		max:  opt.MaxSteps,
-		result: &interp.Result{
-			ByProc: make(map[string]*interp.Counts, len(p.procs)),
-		},
-		counts: make([]*interp.Counts, len(p.procs)),
-		edges:  make([][]int64, len(p.procs)),
-	}
-	if rs.max == 0 {
-		rs.max = 500_000_000
-	}
-	for i, pc := range p.procs {
-		g := pc.proc.G
-		maxID := g.MaxID()
-		flat := make([]int64, pc.numEdges)
-		ct := &interp.Counts{
-			Node: make([]int64, maxID+1),
-			Edge: make([][]int64, maxID+1),
-		}
-		for id := cfg.NodeID(1); id <= maxID; id++ {
-			off := int(pc.edgeOff[id])
-			n := len(g.OutEdges(id))
-			ct.Edge[id] = flat[off : off+n : off+n]
-		}
-		rs.result.ByProc[pc.name] = ct
-		rs.counts[i] = ct
-		rs.edges[i] = flat
-	}
-	if opt.Model != nil {
-		rs.costs = p.costTables(opt.Model)
-	}
-	rs.initPaths()
-	err := rs.runProc(p.mainIdx, nil, 0)
-	if errors.Is(err, errStop) {
-		rs.result.Stopped = true
-		err = nil
-	}
-	rs.result.Steps = rs.steps
-	return rs.result, err
+	return interp.NewLane(p.res, p, opt).RunSeed(opt.Seed)
 }
 
 // initPaths builds the run's path-profiling state from Options.PathSpec:
@@ -520,12 +446,7 @@ func (rs *runState) runProc(pi int, args []argSlot, callLine int) error {
 		rs.depth--
 		return &interp.RuntimeError{Unit: pc.name, Line: 0, Msg: "call stack overflow (runaway recursion?)"}
 	}
-	var f *frame
-	if rs.lane != nil {
-		f = rs.lane.getFrame(pi, pc)
-	} else {
-		f = pc.getFrame()
-	}
+	f := rs.arena.getFrame(pi, pc)
 	f.callLine = callLine
 	for i, pb := range pc.params {
 		if pb.isArray {
@@ -544,11 +465,7 @@ func (rs *runState) runProc(pi int, args []argSlot, callLine int) error {
 	} else {
 		err = rs.exec(pc, f, pi)
 	}
-	if rs.lane != nil {
-		rs.lane.putFrame(pi, f)
-	} else {
-		pc.putFrame(f)
-	}
+	rs.arena.putFrame(pi, f)
 	rs.depth--
 	return err
 }

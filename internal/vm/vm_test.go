@@ -254,13 +254,29 @@ func TestCompileReuse(t *testing.T) {
 	}
 }
 
+// batchFunc is one batch runner under test: the compiled VM's
+// Program.RunBatch, or interp.RunBatch on the tree-walker.
+type batchFunc func(opt interp.Options, seeds []uint64, lanes int, sink interp.BatchSink) (interp.BatchStats, error)
+
+// batchRunners returns the engines the lane-count differentials shard:
+// the compiled VM program and the tree-walker.
+func batchRunners(res *lower.Result, prog *Program) map[string]batchFunc {
+	return map[string]batchFunc{
+		"vm": prog.RunBatch,
+		"tree": func(opt interp.Options, seeds []uint64, lanes int, sink interp.BatchSink) (interp.BatchStats, error) {
+			opt.Engine = interp.EngineTree
+			return interp.RunBatch(res, opt, seeds, lanes, sink)
+		},
+	}
+}
+
 // batchAll runs a whole seed batch with a retaining sink and returns the
 // per-seed results and errors, indexed like seeds.
-func batchAll(t *testing.T, prog *Program, opt interp.Options, seeds []uint64, lanes int) ([]*interp.Result, []error) {
+func batchAll(t *testing.T, run batchFunc, opt interp.Options, seeds []uint64, lanes int) ([]*interp.Result, []error) {
 	t.Helper()
 	results := make([]*interp.Result, len(seeds))
 	errs := make([]error, len(seeds))
-	stats, err := prog.RunBatch(opt, seeds, lanes, func(idx int, seed uint64, res *interp.Result, err error) bool {
+	stats, err := run(opt, seeds, lanes, func(idx int, seed uint64, res *interp.Result, err error) bool {
 		if seeds[idx] != seed {
 			t.Errorf("sink idx %d: seed %d, want %d", idx, seed, seeds[idx])
 		}
@@ -278,8 +294,9 @@ func batchAll(t *testing.T, prog *Program, opt interp.Options, seeds []uint64, l
 }
 
 // TestDifferentialBatch is the third axis of the differential suite: the
-// same programs and seeds through tree, per-seed vm and vm-batch at lane
-// counts 1, 3 and 16, all required bit-identical.
+// same programs and seeds through per-seed tree runs and through the
+// sharded batch loop on the VM and on the tree-walker at lane counts 1, 3
+// and 16, all required bit-identical.
 func TestDifferentialBatch(t *testing.T) {
 	t.Parallel()
 	families := []struct {
@@ -317,19 +334,21 @@ func TestDifferentialBatch(t *testing.T) {
 					o.Engine = interp.EngineTree
 					want[k], wantErr[k] = interp.Run(res, o)
 				}
-				for _, lanes := range []int{1, 3, 16} {
-					got, errs := batchAll(t, prog, opt, runSeeds, lanes)
-					for k := range runSeeds {
-						if (wantErr[k] == nil) != (errs[k] == nil) ||
-							(wantErr[k] != nil && wantErr[k].Error() != errs[k].Error()) {
-							t.Fatalf("seed %d lanes %d run %d: err tree=%v batch=%v\n%s",
-								seed, lanes, runSeeds[k], wantErr[k], errs[k], src)
-						}
-						if wantErr[k] != nil {
-							continue
-						}
-						if d := diffResults(want[k], got[k]); d != "" {
-							t.Fatalf("seed %d lanes %d run %d: %s\n%s", seed, lanes, runSeeds[k], d, src)
+				for eng, run := range batchRunners(res, prog) {
+					for _, lanes := range []int{1, 3, 16} {
+						got, errs := batchAll(t, run, opt, runSeeds, lanes)
+						for k := range runSeeds {
+							if (wantErr[k] == nil) != (errs[k] == nil) ||
+								(wantErr[k] != nil && wantErr[k].Error() != errs[k].Error()) {
+								t.Fatalf("seed %d %s lanes %d run %d: err tree=%v batch=%v\n%s",
+									seed, eng, lanes, runSeeds[k], wantErr[k], errs[k], src)
+							}
+							if wantErr[k] != nil {
+								continue
+							}
+							if d := diffResults(want[k], got[k]); d != "" {
+								t.Fatalf("seed %d %s lanes %d run %d: %s\n%s", seed, eng, lanes, runSeeds[k], d, src)
+							}
 						}
 					}
 				}
@@ -341,7 +360,8 @@ func TestDifferentialBatch(t *testing.T) {
 // TestBatchErrorMidBatch builds a batch where some seeds hit a runtime
 // error: error seeds must report the tree-walker's exact error through the
 // sink, the batch must keep going, and later seeds on the same lane must be
-// unaffected by the mid-batch unwinding.
+// unaffected by the mid-batch unwinding — on the VM and on the tree-walker,
+// at every lane count.
 func TestBatchErrorMidBatch(t *testing.T) {
 	t.Parallel()
 	// IRAND(3) draws 1, 2 or 3 per seed; the division errors exactly when
@@ -383,18 +403,20 @@ func TestBatchErrorMidBatch(t *testing.T) {
 	if failing == 0 || failing == len(seeds) {
 		t.Fatalf("bad corpus: %d/%d failing seeds, need a mix", failing, len(seeds))
 	}
-	for _, lanes := range []int{1, 3, 16} {
-		got, errs := batchAll(t, prog, opt, seeds, lanes)
-		for i := range seeds {
-			if (wantErr[i] == nil) != (errs[i] == nil) ||
-				(wantErr[i] != nil && wantErr[i].Error() != errs[i].Error()) {
-				t.Fatalf("lanes %d seed %d: err tree=%v batch=%v", lanes, seeds[i], wantErr[i], errs[i])
-			}
-			if wantErr[i] != nil {
-				continue
-			}
-			if d := diffResults(want[i], got[i]); d != "" {
-				t.Fatalf("lanes %d seed %d: %s", lanes, seeds[i], d)
+	for eng, run := range batchRunners(res, prog) {
+		for _, lanes := range []int{1, 3, 16} {
+			got, errs := batchAll(t, run, opt, seeds, lanes)
+			for i := range seeds {
+				if (wantErr[i] == nil) != (errs[i] == nil) ||
+					(wantErr[i] != nil && wantErr[i].Error() != errs[i].Error()) {
+					t.Fatalf("%s lanes %d seed %d: err tree=%v batch=%v", eng, lanes, seeds[i], wantErr[i], errs[i])
+				}
+				if wantErr[i] != nil {
+					continue
+				}
+				if d := diffResults(want[i], got[i]); d != "" {
+					t.Fatalf("%s lanes %d seed %d: %s", eng, lanes, seeds[i], d)
+				}
 			}
 		}
 	}
@@ -449,17 +471,17 @@ func TestBatchArenaReuse(t *testing.T) {
 	}
 	m := cost.Optimized
 	ls := newLaneState(prog, interp.Options{MaxSteps: 2_000_000, Model: &m})
-	first, err := ls.runSeed(3)
+	first, err := ls.RunSeed(3)
 	if err != nil {
 		t.Fatalf("seed 3: %v", err)
 	}
 	snap := cloneResult(first)
 	for _, s := range []uint64{8, 1, 99} {
-		if _, err := ls.runSeed(s); err != nil {
+		if _, err := ls.RunSeed(s); err != nil {
 			t.Fatalf("seed %d: %v", s, err)
 		}
 	}
-	again, err := ls.runSeed(3)
+	again, err := ls.RunSeed(3)
 	if err != nil {
 		t.Fatalf("seed 3 again: %v", err)
 	}
