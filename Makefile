@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: check fmt vet lint build test benchmark-smoke test-vm test-bl bench oracle oracle-bl selfcheck dataflow-selfcheck serve-smoke loadgen-smoke cache-smoke fuzz-smoke
+.PHONY: check fmt vet lint build test benchmark-smoke test-vm test-bl bench bench-analysis oracle oracle-bl selfcheck dataflow-selfcheck serve-smoke loadgen-smoke cache-smoke fuzz-smoke
 
 # STATICCHECK_VERSION pins the analyzer CI installs; keep in sync with
 # .github/workflows/ci.yml.
@@ -60,6 +60,11 @@ test-bl:
 
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x ./...
+
+# bench-analysis times the middle end alone on a cold-large-sized program
+# (progen size 240, depth 4), with one and with GOMAXPROCS workers.
+bench-analysis:
+	$(GO) test ./internal/analysis -run '^$$' -bench AnalyzeProgram -benchtime 2s -count 5
 
 # selfcheck runs the in-tree static verifier over the shipped examples;
 # any error-severity finding fails the build.

@@ -60,45 +60,60 @@ func AnalyzeProc(p *lower.Proc) (*Proc, error) { return analyzeProcTraced(p, nil
 
 // analyzeProcTraced is AnalyzeProc reporting each phase into tr (nil = no
 // tracing). Same-named spans from concurrent procedures aggregate into one
-// row per phase.
+// row per phase. The dataflow pass reads only the lowered CFG, so it runs
+// in its own goroutine beside the structural chain interval → ecfg → cdg →
+// fcdg, and a one-procedure program also keeps two cores busy.
 func analyzeProcTraced(p *lower.Proc, tr *obs.Trace) (*Proc, error) {
 	a := &Proc{P: p}
-	g := p.G
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		sp := tr.Start("dataflow")
+		a.Flow = dataflow.Analyze(p)
+		sp.End(obs.M("infeasible_edges", float64(a.Flow.Stats().Infeasible)))
+	}()
+	err := a.structure(tr)
+	<-done
+	if err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
+// structure derives the interval structure, ECFG, CDG and FCDG of a.P.
+func (a *Proc) structure(tr *obs.Trace) error {
+	g := a.P.G
 	sp := tr.Start("interval")
 	iv, err := interval.Analyze(g)
-	sp.End(obs.M("cfg_nodes", float64(len(g.Nodes()))))
+	sp.End(obs.M("cfg_nodes", float64(g.NumNodes())))
 	if err != nil {
-		return nil, fmt.Errorf("analysis %s: %w", g.Name, err)
+		return fmt.Errorf("analysis %s: %w", g.Name, err)
 	}
 	a.Intervals = iv
 	sp = tr.Start("ecfg")
 	ext, err := ecfg.Build(g, iv)
 	if err != nil {
 		sp.End()
-		return nil, fmt.Errorf("analysis %s: %w", g.Name, err)
+		return fmt.Errorf("analysis %s: %w", g.Name, err)
 	}
-	sp.End(obs.M("ecfg_nodes", float64(len(ext.G.Nodes()))))
+	sp.End(obs.M("ecfg_nodes", float64(ext.G.NumNodes())))
 	a.Ext = ext
 	sp = tr.Start("cdg")
 	full, err := cdg.Build(ext)
 	sp.End()
 	if err != nil {
-		return nil, fmt.Errorf("analysis %s: %w", g.Name, err)
+		return fmt.Errorf("analysis %s: %w", g.Name, err)
 	}
 	a.CDG = full
 	sp = tr.Start("fcdg")
 	fwd, err := full.Forward()
 	if err != nil {
 		sp.End()
-		return nil, fmt.Errorf("analysis %s: %w", g.Name, err)
+		return fmt.Errorf("analysis %s: %w", g.Name, err)
 	}
 	sp.End(obs.M("conditions", float64(len(fwd.Conditions()))))
 	a.FCDG = fwd
-	sp = tr.Start("dataflow")
-	a.Flow = dataflow.Analyze(p)
-	st := a.Flow.Stats()
-	sp.End(obs.M("infeasible_edges", float64(st.Infeasible)))
-	return a, nil
+	return nil
 }
 
 // Options configures AnalyzeProgramOpts beyond the defaults.
@@ -113,8 +128,10 @@ type Options struct {
 	CheckProc func(*Proc) error
 
 	// Trace, when non-nil, receives per-phase spans (interval, ecfg, cdg,
-	// fcdg, check) plus an "analyze" summary span carrying the worker count
-	// and pool utilization. Phases of concurrent procedures aggregate.
+	// fcdg, dataflow, check) plus an "analyze" summary span carrying the
+	// worker count and pool utilization. Phases of concurrent procedures
+	// aggregate, and each procedure's dataflow span overlaps its
+	// structural ones, so the phase sums can exceed the analyze span.
 	Trace *obs.Trace
 
 	// Prebuilt supplies already-derived analyses (the artifact cache's warm

@@ -1,7 +1,7 @@
 package cdg
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/cfg"
 	"repro/internal/ecfg"
@@ -16,40 +16,35 @@ import (
 func (g *Graph) Encode(w *wire.Writer) {
 	w.Varint(int64(g.Root))
 	w.Bool(g.topo != nil) // forward graphs carry topo + dense caches
-	encodeEdgeMap(w, g.succ)
-	encodeEdgeMap(w, g.pred)
-	backs := make([]cfg.Edge, 0, len(g.fromBackEdge))
-	for e, ok := range g.fromBackEdge {
-		if ok {
-			backs = append(backs, e)
-		}
+	encodeEdgeLists(w, g.succ)
+	encodeEdgeLists(w, g.pred)
+	nb := 0
+	for _, es := range g.back {
+		nb += len(es)
 	}
-	sort.Slice(backs, func(i, j int) bool {
-		a, b := backs[i], backs[j]
-		if a.From != b.From {
-			return a.From < b.From
+	w.Uvarint(uint64(nb))
+	for _, es := range g.back {
+		for _, e := range es {
+			cfg.EncodeEdge(w, e)
 		}
-		if a.To != b.To {
-			return a.To < b.To
-		}
-		return a.Label < b.Label
-	})
-	w.Uvarint(uint64(len(backs)))
-	for _, e := range backs {
-		cfg.EncodeEdge(w, e)
 	}
 }
 
-func encodeEdgeMap(w *wire.Writer, m map[cfg.NodeID][]cfg.Edge) {
-	keys := make([]cfg.NodeID, 0, len(m))
-	for n := range m {
-		keys = append(keys, n)
+// encodeEdgeLists writes the non-empty lists of a per-node table as
+// (node, edges) records in ascending node order.
+func encodeEdgeLists(w *wire.Writer, lists [][]cfg.Edge) {
+	keys := 0
+	for _, es := range lists {
+		if len(es) > 0 {
+			keys++
+		}
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	w.Uvarint(uint64(len(keys)))
-	for _, n := range keys {
+	w.Uvarint(uint64(keys))
+	for n, es := range lists {
+		if len(es) == 0 {
+			continue
+		}
 		w.Varint(int64(n))
-		es := m[n]
 		w.Uvarint(uint64(len(es)))
 		for _, e := range es {
 			cfg.EncodeEdge(w, e)
@@ -57,8 +52,9 @@ func encodeEdgeMap(w *wire.Writer, m map[cfg.NodeID][]cfg.Edge) {
 	}
 }
 
-func decodeEdgeMap(r *wire.Reader, eg *cfg.Graph) map[cfg.NodeID][]cfg.Edge {
-	m := make(map[cfg.NodeID][]cfg.Edge)
+// decodeEdgeLists reads records written by encodeEdgeLists into lists,
+// which is indexed by the extended graph's NodeIDs.
+func decodeEdgeLists(r *wire.Reader, eg *cfg.Graph, lists [][]cfg.Edge) {
 	nk := r.Count(2)
 	for i := 0; i < nk; i++ {
 		n := cfg.DecodeNodeID(r, eg)
@@ -68,11 +64,10 @@ func decodeEdgeMap(r *wire.Reader, eg *cfg.Graph) map[cfg.NodeID][]cfg.Edge {
 			es = append(es, cfg.DecodeEdge(r, eg))
 		}
 		if r.Err() != nil {
-			return m
+			return
 		}
-		m[n] = es
+		lists[n] = es
 	}
-	return m
 }
 
 // Decode reads a Graph written by Encode, attached to ext. For forward
@@ -80,12 +75,9 @@ func decodeEdgeMap(r *wire.Reader, eg *cfg.Graph) map[cfg.NodeID][]cfg.Edge {
 // a cyclic edge set masquerading as a forward graph is rejected through
 // r.Failf (the caller treats it as a cache miss).
 func Decode(r *wire.Reader, ext *ecfg.Ext) *Graph {
-	g := &Graph{
-		Ext:          ext,
-		fromBackEdge: make(map[cfg.Edge]bool),
-	}
-	g.Root = cfg.NodeID(r.Varint())
+	root := cfg.NodeID(r.Varint())
 	forward := r.Bool()
+	g := newGraph(ext, root)
 	if r.Err() != nil {
 		return g
 	}
@@ -94,14 +86,18 @@ func Decode(r *wire.Reader, ext *ecfg.Ext) *Graph {
 		r.Failf("cdg root %d outside extended graph", g.Root)
 		return g
 	}
-	g.succ = decodeEdgeMap(r, eg)
-	g.pred = decodeEdgeMap(r, eg)
+	decodeEdgeLists(r, eg, g.succ)
+	decodeEdgeLists(r, eg, g.pred)
 	nb := r.Count(3)
 	for i := 0; i < nb; i++ {
-		g.fromBackEdge[cfg.DecodeEdge(r, eg)] = true
+		e := cfg.DecodeEdge(r, eg)
+		if r.Err() != nil {
+			return g
+		}
+		g.back[e.From] = append(g.back[e.From], e)
 	}
-	if r.Err() != nil {
-		return g
+	for _, es := range g.back {
+		slices.SortFunc(es, byTargetLabel)
 	}
 	if forward {
 		if err := g.computeTopo(); err != nil {

@@ -42,7 +42,7 @@ func checkFCDG(a *analysis.Proc, r *reporter) {
 			continue // reported by the wellformed pass
 		}
 		region := descendants(f, ph)
-		for n := range iv.Body(h) {
+		for _, n := range iv.Body(h) {
 			if n == h || region[n] {
 				continue
 			}

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/dfst"
-	"repro/internal/dom"
 	"repro/internal/report"
 )
 
@@ -19,18 +18,8 @@ import (
 func checkReducible(a *analysis.Proc, r *reporter) {
 	g := a.P.G
 	res := dfst.New(g)
-	doms := dom.Dominators(g)
-	var offending int
-	for _, e := range res.RetreatingEdges() {
-		if !doms.Dominates(e.To, e.From) {
-			offending++
-			r.errorf(int(e.From), "retreating edge %v: target does not dominate source (irreducible region survived lowering)", e)
-		}
-	}
-	if offending == 0 && !dfst.Reducible(g) {
-		// Belt and braces: the T1/T2 limit-graph test disagrees with the
-		// dominator certificate. One of the two analyses is wrong.
-		r.errorf(0, "dominator certificate holds but T1/T2 reduction does not reach a single node")
+	for _, e := range res.IrreducibleEdges(res.Dominators()) {
+		r.errorf(int(e.From), "retreating edge %v: target does not dominate source (irreducible region survived lowering)", e)
 	}
 	if a.P.Splits > 0 {
 		noun := "nodes"

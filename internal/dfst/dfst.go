@@ -11,9 +11,10 @@ package dfst
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/cfg"
+	"repro/internal/dom"
 )
 
 // EdgeKind classifies an edge with respect to a depth-first spanning tree.
@@ -56,33 +57,45 @@ type Result struct {
 	// unreachable nodes).
 	Parent []cfg.NodeID
 
-	// kinds[i] classifies G.Edges()[i]... stored as map keyed by edge.
-	kinds map[cfg.Edge]EdgeKind
+	// kinds classifies every edge: kinds[first[n]+i] is the kind of
+	// G.OutEdges(n)[i], so the table is one flat slice in G.Edges() order.
+	kinds []EdgeKind
+	first []int
 }
 
 // New runs a depth-first search over g from g.Entry and returns the
 // resulting spanning tree and edge classification. Successors are visited in
-// edge insertion order so the traversal is deterministic.
+// edge insertion order so the traversal is deterministic. It is O(N + E).
 func New(g *cfg.Graph) *Result {
+	n := int(g.MaxID())
 	r := &Result{
 		G:      g,
-		Pre:    make([]int, g.MaxID()+1),
-		Post:   make([]int, g.MaxID()+1),
-		Parent: make([]cfg.NodeID, g.MaxID()+1),
-		kinds:  make(map[cfg.Edge]EdgeKind),
+		Pre:    make([]int, n+1),
+		Post:   make([]int, n+1),
+		Parent: make([]cfg.NodeID, n+1),
+		first:  make([]int, n+2),
 	}
-	preClock, postClock := 0, 0
+	for id := 1; id <= n; id++ {
+		r.first[id+1] = r.first[id] + len(g.OutEdges(cfg.NodeID(id)))
+	}
+	r.kinds = make([]EdgeKind, r.first[n+1])
+	const unset EdgeKind = -1
+	for i := range r.kinds {
+		r.kinds[i] = unset
+	}
+	preClock := 0
+	post := make([]cfg.NodeID, 0, g.NumNodes())
 	// Iterative DFS to avoid recursion limits on large graphs.
 	type frame struct {
 		node cfg.NodeID
 		next int // index into OutEdges(node)
 	}
-	if g.Node(g.Entry) == nil {
-		return r
+	var stack []frame
+	if g.Node(g.Entry) != nil {
+		preClock++
+		r.Pre[g.Entry] = preClock
+		stack = append(stack, frame{node: g.Entry})
 	}
-	preClock++
-	r.Pre[g.Entry] = preClock
-	stack := []frame{{node: g.Entry}}
 	for len(stack) > 0 {
 		f := &stack[len(stack)-1]
 		edges := g.OutEdges(f.node)
@@ -90,7 +103,7 @@ func New(g *cfg.Graph) *Result {
 			e := edges[f.next]
 			f.next++
 			if r.Pre[e.To] == 0 {
-				r.kinds[e] = Tree
+				r.kinds[r.first[f.node]+f.next-1] = Tree
 				r.Parent[e.To] = f.node
 				preClock++
 				r.Pre[e.To] = preClock
@@ -98,39 +111,34 @@ func New(g *cfg.Graph) *Result {
 			}
 			continue
 		}
-		postClock++
-		r.Post[f.node] = postClock
+		post = append(post, f.node)
+		r.Post[f.node] = len(post)
 		stack = stack[:len(stack)-1]
 	}
 	// Classify non-tree edges now that numbering is complete.
-	for _, e := range g.Edges() {
-		if _, ok := r.kinds[e]; ok {
-			continue
-		}
-		switch {
-		case r.Pre[e.From] == 0 || r.Pre[e.To] == 0:
-			// Edge touching an unreachable node: call it cross; analyses
-			// require Validate()d graphs so this only happens in tests.
-			r.kinds[e] = Cross
-		case e.From == e.To:
-			r.kinds[e] = Retreating
-		case r.isAncestor(e.To, e.From):
-			r.kinds[e] = Retreating
-		case r.isAncestor(e.From, e.To):
-			r.kinds[e] = Forward
-		default:
-			r.kinds[e] = Cross
-		}
-	}
-	// Reverse postorder.
-	reach := make([]cfg.NodeID, 0, g.NumNodes())
 	for id := cfg.NodeID(1); id <= g.MaxID(); id++ {
-		if r.Pre[id] != 0 {
-			reach = append(reach, id)
+		for i, e := range g.OutEdges(id) {
+			k := &r.kinds[r.first[id]+i]
+			if *k != unset {
+				continue
+			}
+			switch {
+			case r.Pre[e.From] == 0 || r.Pre[e.To] == 0:
+				// Edge touching an unreachable node: call it cross;
+				// analyses require Validate()d graphs so this only
+				// happens in tests.
+				*k = Cross
+			case r.isAncestor(e.To, e.From): // self loops included
+				*k = Retreating
+			case r.isAncestor(e.From, e.To):
+				*k = Forward
+			default:
+				*k = Cross
+			}
 		}
 	}
-	sort.Slice(reach, func(i, j int) bool { return r.Post[reach[i]] > r.Post[reach[j]] })
-	r.RPO = reach
+	slices.Reverse(post)
+	r.RPO = post
 	return r
 }
 
@@ -143,98 +151,61 @@ func (r *Result) isAncestor(a, b cfg.NodeID) bool {
 // Kind returns the classification of e. The edge must belong to the graph
 // the Result was built from.
 func (r *Result) Kind(e cfg.Edge) EdgeKind {
-	k, ok := r.kinds[e]
-	if !ok {
-		panic(fmt.Sprintf("dfst: unknown edge %v", e))
+	if e.From > cfg.None && e.From <= r.G.MaxID() {
+		for i, have := range r.G.OutEdges(e.From) {
+			if have == e {
+				return r.kinds[r.first[e.From]+i]
+			}
+		}
 	}
-	return k
+	panic(fmt.Sprintf("dfst: unknown edge %v", e))
 }
 
-// RetreatingEdges returns all retreating edges in deterministic order.
+// RetreatingEdges returns all retreating edges in G.Edges() order.
 func (r *Result) RetreatingEdges() []cfg.Edge {
 	var out []cfg.Edge
-	for _, e := range r.G.Edges() {
-		if r.kinds[e] == Retreating {
+	for id := cfg.NodeID(1); id <= r.G.MaxID(); id++ {
+		for i, e := range r.G.OutEdges(id) {
+			if r.kinds[r.first[id]+i] == Retreating {
+				out = append(out, e)
+			}
+		}
+	}
+	return out
+}
+
+// Dominators returns the dominator tree of G, built over this spanning
+// tree's reverse postorder (no second depth-first search).
+func (r *Result) Dominators() *dom.Tree { return dom.DominatorsInRPO(r.G, r.RPO) }
+
+// IrreducibleEdges returns the retreating edges whose target does not
+// dominate their source, in G.Edges() order, given doms, the dominator
+// tree of G. A graph is reducible iff there are none: then every
+// retreating edge is a back edge, whatever depth-first order found it.
+func (r *Result) IrreducibleEdges(doms *dom.Tree) []cfg.Edge {
+	var out []cfg.Edge
+	for _, e := range r.RetreatingEdges() {
+		if !doms.Dominates(e.To, e.From) {
 			out = append(out, e)
 		}
 	}
 	return out
 }
 
-// Reducible reports whether g is reducible, using iterated T1/T2 interval
-// reduction: repeatedly remove self-loops (T1) and merge single-predecessor
-// nodes into their predecessor (T2); g is reducible iff the limit graph is a
-// single node. Only the subgraph reachable from g.Entry is considered.
+// Reducible reports whether g is reducible: every retreating edge of a
+// depth-first spanning tree from g.Entry has a target that dominates its
+// source. Only the subgraph reachable from g.Entry is considered. It costs
+// one depth-first search and one dominator tree, O(N + E) on reducible
+// graphs.
 func Reducible(g *cfg.Graph) bool {
-	return len(limitGraph(g)) == 1
-}
-
-// limitGraph runs T1/T2 reduction to a fixpoint and returns the surviving
-// node set (the "limit graph" vertices), represented as a map from
-// representative node ID to its predecessor-representative set.
-func limitGraph(g *cfg.Graph) map[cfg.NodeID]map[cfg.NodeID]bool {
-	reach := g.ReachableFrom(g.Entry)
-	// preds[n] = set of predecessor representatives; merged nodes are
-	// removed from the map entirely.
-	preds := make(map[cfg.NodeID]map[cfg.NodeID]bool)
-	succs := make(map[cfg.NodeID]map[cfg.NodeID]bool)
-	for id := cfg.NodeID(1); id <= g.MaxID(); id++ {
-		if !reach[id] {
-			continue
-		}
-		preds[id] = make(map[cfg.NodeID]bool)
-		succs[id] = make(map[cfg.NodeID]bool)
-	}
-	for _, e := range g.Edges() {
-		if !reach[e.From] || !reach[e.To] {
-			continue
-		}
-		if e.From != e.To { // T1 applied up front: drop self loops
-			preds[e.To][e.From] = true
-			succs[e.From][e.To] = true
-		}
-	}
-	changed := true
-	for changed {
-		changed = false
-		// Deterministic scan order.
-		ids := make([]cfg.NodeID, 0, len(preds))
-		for id := range preds {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, n := range ids {
-			ps, ok := preds[n]
-			if !ok || n == g.Entry {
-				continue
-			}
-			if len(ps) != 1 {
-				continue
-			}
-			// T2: merge n into its unique predecessor p.
-			var p cfg.NodeID
-			for q := range ps {
-				p = q
-			}
-			for s := range succs[n] {
-				delete(preds[s], n)
-				if s != p { // self-loop after merge: T1 removes it
-					preds[s][p] = true
-					succs[p][s] = true
-				}
-			}
-			delete(succs[p], n)
-			delete(preds, n)
-			delete(succs, n)
-			changed = true
-		}
-	}
-	return preds
+	r := New(g)
+	return len(r.IrreducibleEdges(r.Dominators())) == 0
 }
 
 // SplitResult reports what MakeReducible did.
 type SplitResult struct {
-	// Splits counts how many node duplications were performed.
+	// Splits counts the nodes duplicated: each region split adds the
+	// number of region members it copies.
 	Splits int
 	// Original maps each node of the output graph to the node of the input
 	// graph it copies (identity for unsplit nodes).
@@ -242,10 +213,13 @@ type SplitResult struct {
 }
 
 // MakeReducible returns a reducible graph equivalent to g, applying node
-// splitting: while the graph is irreducible, some node that survives T1/T2
-// reduction with multiple predecessors is duplicated, one copy per
-// predecessor. The input graph is not modified. For reducible inputs the
-// result is a clone with zero splits.
+// splitting: while the graph is irreducible, the T1/T2 region of some
+// limit-graph node with multiple predecessors is duplicated, one copy per
+// edge entering it from outside. Each copy then has a single entering edge
+// and collapses into its predecessor's region. Copying the region, not
+// just its entry node, keeps a second loop entry from merely moving one
+// node along the cycle. The input graph is not modified. For reducible
+// inputs the result is a clone with zero splits.
 //
 // Node splitting can blow up exponentially in the worst case; real programs
 // (and the paper's benchmarks) have tiny irreducible regions, so no effort
@@ -256,57 +230,150 @@ func MakeReducible(g *cfg.Graph) (*cfg.Graph, *SplitResult) {
 	for id := cfg.NodeID(1); id <= out.MaxID(); id++ {
 		res.Original[id] = id
 	}
-	for {
-		limit := limitGraph(out)
-		if len(limit) <= 1 {
-			return out, res
-		}
-		// Choose the smallest non-entry survivor with >1 predecessors in the
-		// limit graph; duplicate it in the real graph per incoming edge.
-		var victim cfg.NodeID
-		ids := make([]cfg.NodeID, 0, len(limit))
-		for id := range limit {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids {
-			if id != out.Entry && len(limit[id]) > 1 {
-				victim = id
-				break
-			}
-		}
-		if victim == cfg.None {
-			// Should be impossible: an irreducible limit graph must contain
-			// a multi-entry node other than the entry.
-			panic("dfst: irreducible graph with no splittable node")
-		}
-		splitNode(out, victim, res)
-		res.Splits++
+	for !Reducible(out) {
+		splitRegion(out, splitVictim(out), res)
 	}
+	return out, res
 }
 
-// splitNode duplicates node v so that each incoming edge gets a private
-// copy. The first incoming edge keeps the original node; each further edge
-// is redirected to a fresh copy that inherits all of v's out-edges.
-func splitNode(g *cfg.Graph, v cfg.NodeID, res *SplitResult) {
-	in := append([]cfg.Edge(nil), g.InEdges(v)...)
-	out := append([]cfg.Edge(nil), g.OutEdges(v)...)
-	orig := res.Original[v]
-	for i, e := range in {
-		if i == 0 {
-			continue // original keeps the first predecessor
+// splitVictim reduces the reachable part of irreducible g with T1 (drop
+// self loops) and T2 (merge a node into its unique predecessor) to the
+// limit graph. It returns the region (the nodes T1/T2 merged into one
+// limit-graph node, that node first) of the smallest non-entry survivor
+// with more than one predecessor in the limit graph. The limit graph does
+// not depend on the order the transformations are applied in, so a plain
+// sweep to a fixpoint suffices; this runs only on irreducible graphs,
+// which are rare.
+func splitVictim(g *cfg.Graph) []cfg.NodeID {
+	reach := g.ReachableFrom(g.Entry)
+	// rep is a union-find forest: a merged node points into the region it
+	// was merged into, so find(v) is v's limit-graph representative.
+	rep := make([]cfg.NodeID, g.MaxID()+1)
+	for i := range rep {
+		rep[i] = cfg.NodeID(i)
+	}
+	find := func(v cfg.NodeID) cfg.NodeID {
+		for rep[v] != v {
+			rep[v] = rep[rep[v]]
+			v = rep[v]
 		}
-		copyNode := g.AddNode(g.Node(v).Type, g.Node(v).Name)
-		copyNode.Payload = g.Node(v).Payload
-		res.Original[copyNode.ID] = orig
-		g.RemoveEdge(e.From, v, e.Label)
-		g.MustAddEdge(e.From, copyNode.ID, e.Label)
-		for _, oe := range out {
-			to := oe.To
-			if to == v {
-				to = copyNode.ID // self loop duplicates onto the copy
+		return v
+	}
+	// limitPreds returns v's distinct predecessor representatives other
+	// than v itself, stopping early at two.
+	limitPreds := func(v cfg.NodeID) (first cfg.NodeID, count int) {
+		for _, e := range g.InEdges(v) {
+			if !reach[e.From] {
+				continue
 			}
-			g.MustAddEdge(copyNode.ID, to, oe.Label)
+			p := find(e.From)
+			if p == v || p == first {
+				continue
+			}
+			if count++; count == 1 {
+				first = p
+			} else {
+				return first, count
+			}
 		}
+		return first, count
+	}
+	for changed := true; changed; {
+		changed = false
+		for v := cfg.NodeID(1); v <= g.MaxID(); v++ {
+			if !reach[v] || v == g.Entry || find(v) != v {
+				continue
+			}
+			if p, count := limitPreds(v); count == 1 {
+				rep[v] = p
+				changed = true
+			}
+		}
+	}
+	for v := cfg.NodeID(1); v <= g.MaxID(); v++ {
+		if !reach[v] || v == g.Entry || find(v) != v {
+			continue
+		}
+		if _, count := limitPreds(v); count < 2 {
+			continue
+		}
+		region := []cfg.NodeID{v}
+		for m := cfg.NodeID(1); m <= g.MaxID(); m++ {
+			if m != v && reach[m] && find(m) == v {
+				region = append(region, m)
+			}
+		}
+		return region
+	}
+	// Should be impossible: an irreducible limit graph must contain a
+	// multi-entry node other than the entry.
+	panic("dfst: irreducible graph with no splittable node")
+}
+
+// splitRegion duplicates the cyclic part of region (its entry node
+// first) so that each edge entering it from outside gets a private copy.
+// Only the entry node v has such edges: T2 merged every other member into
+// the region through its unique predecessor. Members that cannot reach v
+// (the region's exits, the procedure's exit node among them) lie on no
+// cycle through v and are not copied. The first entering edge keeps the
+// original; each further edge is redirected to a fresh copy, whose edges
+// among copied members stay inside the copy and whose other edges keep
+// their targets.
+func splitRegion(g *cfg.Graph, region []cfg.NodeID, res *SplitResult) {
+	v := region[0]
+	// reachesV marks the nodes that can reach v.
+	reachesV := make([]bool, g.MaxID()+1)
+	reachesV[v] = true
+	for stack := []cfg.NodeID{v}; len(stack) > 0; {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, e := range g.InEdges(n) {
+			if !reachesV[e.From] {
+				reachesV[e.From] = true
+				stack = append(stack, e.From)
+			}
+		}
+	}
+	// idx[m] is m's position among the copied members plus one; 0 for
+	// every other node.
+	idx := make([]int, g.MaxID()+1)
+	copied := region[:0:0]
+	for _, m := range region {
+		if reachesV[m] {
+			copied = append(copied, m)
+			idx[m] = len(copied)
+		}
+	}
+	var entries []cfg.Edge
+	for _, e := range g.InEdges(v) {
+		if idx[e.From] == 0 {
+			entries = append(entries, e)
+		}
+	}
+	outs := make([][]cfg.Edge, len(copied))
+	for i, m := range copied {
+		outs[i] = slices.Clone(g.OutEdges(m))
+	}
+	res.Splits += len(copied)
+	copies := make([]cfg.NodeID, len(copied))
+	for _, e := range entries[1:] {
+		for i, m := range copied {
+			orig := g.Node(m)
+			c := g.AddNode(orig.Type, orig.Name)
+			c.Payload = orig.Payload
+			res.Original[c.ID] = res.Original[m]
+			copies[i] = c.ID
+		}
+		for i := range copied {
+			for _, oe := range outs[i] {
+				to := oe.To
+				if k := idx[to]; k != 0 {
+					to = copies[k-1]
+				}
+				g.MustAddEdge(copies[i], to, oe.Label)
+			}
+		}
+		g.RemoveEdge(e.From, v, e.Label)
+		g.MustAddEdge(e.From, copies[0], e.Label)
 	}
 }

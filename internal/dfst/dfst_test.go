@@ -1,9 +1,12 @@
 package dfst
 
 import (
+	"math/rand/v2"
+	"sort"
 	"testing"
 
 	"repro/internal/cfg"
+	"repro/internal/dom"
 	"repro/internal/paperex"
 )
 
@@ -193,6 +196,33 @@ func TestMakeReducibleSelfLoopOnCopy(t *testing.T) {
 	}
 }
 
+// TestMakeReducibleRotatingCycle splits a cycle 2 -> 4 -> 3 -> 2 entered
+// at 2 and at 3. Copying node 2 alone only moves the second entry one node
+// along the cycle, forever; copying its T1/T2 region {2, 4} ends it.
+func TestMakeReducibleRotatingCycle(t *testing.T) {
+	g := cfg.New("rotate")
+	for i := 0; i < 5; i++ {
+		g.AddNode(cfg.Other, "n")
+	}
+	g.MustAddEdge(1, 2, cfg.True)
+	g.MustAddEdge(1, 3, cfg.False)
+	g.MustAddEdge(2, 4, cfg.Uncond)
+	g.MustAddEdge(4, 3, cfg.Uncond)
+	g.MustAddEdge(3, 2, cfg.True)
+	g.MustAddEdge(3, 5, cfg.False)
+	g.Entry, g.Exit = 1, 5
+	out, res := MakeReducible(g)
+	if !Reducible(out) || !limitReducible(out) {
+		t.Fatalf("result is still irreducible:\n%s", out)
+	}
+	if res.Splits != 2 || out.NumNodes() != 7 {
+		t.Errorf("Splits = %d, %d nodes; want region {2, 4} copied once:\n%s", res.Splits, out.NumNodes(), out)
+	}
+	if res.Original[6] != 2 || res.Original[7] != 4 {
+		t.Errorf("copies map to %d, %d; want 2, 4", res.Original[6], res.Original[7])
+	}
+}
+
 func TestKindPanicsOnForeignEdge(t *testing.T) {
 	r := New(loopGraph())
 	defer func() {
@@ -201,4 +231,190 @@ func TestKindPanicsOnForeignEdge(t *testing.T) {
 		}
 	}()
 	r.Kind(cfg.Edge{From: 9, To: 9, Label: cfg.Uncond})
+}
+
+// limitGraph is the T1/T2 interval reduction, the oracle the linear
+// Reducible test is checked against: repeatedly remove self-loops (T1) and
+// merge single-predecessor nodes into their predecessor (T2); g is
+// reducible iff the limit graph is a single node. Only the subgraph
+// reachable from g.Entry is considered. It returns the surviving node set,
+// as a map from representative node ID to its predecessor-representative
+// set.
+func limitGraph(g *cfg.Graph) map[cfg.NodeID]map[cfg.NodeID]bool {
+	reach := g.ReachableFrom(g.Entry)
+	// preds[n] = set of predecessor representatives; merged nodes are
+	// removed from the map entirely.
+	preds := make(map[cfg.NodeID]map[cfg.NodeID]bool)
+	succs := make(map[cfg.NodeID]map[cfg.NodeID]bool)
+	for id := cfg.NodeID(1); id <= g.MaxID(); id++ {
+		if !reach[id] {
+			continue
+		}
+		preds[id] = make(map[cfg.NodeID]bool)
+		succs[id] = make(map[cfg.NodeID]bool)
+	}
+	for _, e := range g.Edges() {
+		if !reach[e.From] || !reach[e.To] {
+			continue
+		}
+		if e.From != e.To { // T1 applied up front: drop self loops
+			preds[e.To][e.From] = true
+			succs[e.From][e.To] = true
+		}
+	}
+	changed := true
+	for changed {
+		changed = false
+		// Deterministic scan order.
+		ids := make([]cfg.NodeID, 0, len(preds))
+		for id := range preds {
+			ids = append(ids, id)
+		}
+		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+		for _, n := range ids {
+			ps, ok := preds[n]
+			if !ok || n == g.Entry {
+				continue
+			}
+			if len(ps) != 1 {
+				continue
+			}
+			// T2: merge n into its unique predecessor p.
+			var p cfg.NodeID
+			for q := range ps {
+				p = q
+			}
+			for s := range succs[n] {
+				delete(preds[s], n)
+				if s != p { // self-loop after merge: T1 removes it
+					preds[s][p] = true
+					succs[p][s] = true
+				}
+			}
+			delete(succs[p], n)
+			delete(preds, n)
+			delete(succs, n)
+			changed = true
+		}
+	}
+	return preds
+}
+
+// oracleVictim is the node the limit graph says to split: the smallest
+// non-entry survivor with more than one predecessor.
+func oracleVictim(g *cfg.Graph) cfg.NodeID {
+	limit := limitGraph(g)
+	victim := cfg.None
+	for id, preds := range limit {
+		if id != g.Entry && len(preds) > 1 && (victim == cfg.None || id < victim) {
+			victim = id
+		}
+	}
+	return victim
+}
+
+// limitReducible is the oracle's verdict.
+func limitReducible(g *cfg.Graph) bool { return len(limitGraph(g)) == 1 }
+
+// randomGraph builds a graph on n nodes, entry 1 and exit n, every node
+// reachable. With reducible set, the extra edges either go forward in ID
+// order or back to a dominator of their source, so the graph is reducible
+// by construction; otherwise they are arbitrary. Unless entryPreds is set,
+// no edge enters the entry node.
+func randomGraph(rng *rand.Rand, n int, reducible, entryPreds bool, maxExtra int) *cfg.Graph {
+	g := cfg.New("rand")
+	for i := 0; i < n; i++ {
+		g.AddNode(cfg.Other, "n")
+	}
+	labels := []cfg.Label{cfg.True, cfg.False, cfg.Uncond}
+	add := func(from, to cfg.NodeID) {
+		_ = g.AddEdge(from, to, labels[rng.IntN(len(labels))])
+	}
+	// A random spanning tree in ID order keeps every node reachable.
+	for id := 2; id <= n; id++ {
+		add(cfg.NodeID(1+rng.IntN(id-1)), cfg.NodeID(id))
+	}
+	extra := rng.IntN(maxExtra + 1)
+	for i := 0; i < extra; i++ {
+		a, b := cfg.NodeID(1+rng.IntN(n)), cfg.NodeID(1+rng.IntN(n))
+		if (!reducible || a < b) && (b != 1 || entryPreds) {
+			add(a, b)
+		}
+	}
+	g.Entry, g.Exit = 1, cfg.NodeID(n)
+	if reducible {
+		// Back edges to dominators leave the dominator tree unchanged.
+		doms := dom.Dominators(g)
+		for i := rng.IntN(n); i > 0; i-- {
+			a := cfg.NodeID(1 + rng.IntN(n))
+			for d := a; d != cfg.None; d = doms.Parent(d) {
+				if rng.IntN(3) == 0 {
+					add(a, d)
+					break
+				}
+			}
+		}
+	}
+	return g
+}
+
+// TestReducibleMatchesLimitGraph checks the linear dominator test against
+// T1/T2 reduction on random reducible and arbitrary graphs.
+func TestReducibleMatchesLimitGraph(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	var seen [2]int
+	for i := 0; i < 3000; i++ {
+		n := 1 + rng.IntN(10)
+		g := randomGraph(rng, n, i%2 == 0, true, 2*n)
+		want := limitReducible(g)
+		if got := Reducible(g); got != want {
+			t.Fatalf("graph %d: Reducible = %v, limit graph says %v:\n%s", i, got, want, g)
+		}
+		if i%2 == 0 && !want {
+			t.Fatalf("graph %d: generator built an irreducible graph:\n%s", i, g)
+		}
+		if want {
+			seen[0]++
+		} else {
+			seen[1]++
+		}
+	}
+	if seen[0] < 1000 || seen[1] < 300 {
+		t.Fatalf("generator coverage too thin: %d reducible, %d irreducible", seen[0], seen[1])
+	}
+}
+
+// TestMakeReducibleOutputsAreReducible splits random irreducible graphs
+// and checks every output under both reducibility tests. Each split
+// victim must be the one the limit graph picks. The graphs are sparse (at
+// most two edges beyond a spanning tree), like the GOTO regions lowering
+// meets: node splitting is exponential in the worst case, and dense
+// irreducible graphs reach it.
+func TestMakeReducibleOutputsAreReducible(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 4))
+	split := 0
+	for i := 0; i < 20000; i++ {
+		n := 1 + rng.IntN(12)
+		g := randomGraph(rng, n, false, true, 2)
+		if limitReducible(g) {
+			continue
+		}
+		split++
+		if got, want := splitVictim(g)[0], oracleVictim(g); got != want {
+			t.Fatalf("graph %d: splitVictim = %d, limit graph picks %d:\n%s", i, got, want, g)
+		}
+		out, res := MakeReducible(g)
+		if !Reducible(out) || !limitReducible(out) {
+			t.Fatalf("graph %d: MakeReducible output is irreducible:\n%s", i, out)
+		}
+		if res.Splits == 0 {
+			t.Fatalf("graph %d: irreducible input needed no split", i)
+		}
+		if err := out.Validate(); err != nil {
+			t.Fatalf("graph %d: split graph invalid: %v", i, err)
+		}
+	}
+	if split < 100 {
+		t.Fatalf("generator coverage too thin: %d irreducible graphs", split)
+	}
 }

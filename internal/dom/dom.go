@@ -1,5 +1,5 @@
-// Package dom computes dominator and postdominator trees and dominance
-// frontiers for control flow graphs.
+// Package dom computes dominator and postdominator trees for control flow
+// graphs.
 //
 // The implementation is the iterative algorithm of Cooper, Harvey and
 // Kennedy ("A Simple, Fast Dominance Algorithm") over a reverse postorder
@@ -10,7 +10,7 @@
 package dom
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/cfg"
 )
@@ -31,33 +31,35 @@ type Tree struct {
 
 // Dominators computes the dominator tree of g rooted at g.Entry.
 func Dominators(g *cfg.Graph) *Tree {
-	return build(g, g.Entry, g.Succs, g.Preds)
+	return build(g, g.Entry, reversePostorder(g, g.Entry, g.OutEdges, edgeTo), g.InEdges, edgeFrom)
+}
+
+// DominatorsInRPO is Dominators for a caller that already holds a reverse
+// postorder of the nodes reachable from g.Entry (a depth-first spanning
+// tree's RPO), so the tree is built without a second depth-first search.
+// The tree does not depend on which depth-first order is supplied.
+func DominatorsInRPO(g *cfg.Graph, rpo []cfg.NodeID) *Tree {
+	return build(g, g.Entry, rpo, g.InEdges, edgeFrom)
 }
 
 // PostDominators computes the postdominator tree of g rooted at g.Exit,
 // i.e. the dominator tree of the reversed graph.
 func PostDominators(g *cfg.Graph) *Tree {
-	return build(g, g.Exit, g.Preds, g.Succs)
+	return build(g, g.Exit, reversePostorder(g, g.Exit, g.InEdges, edgeFrom), g.OutEdges, edgeTo)
 }
 
-// build runs the CHK iterative algorithm. forward yields the successors in
-// the direction of the analysis and backward the predecessors (swap them to
-// get postdominators).
-func build(g *cfg.Graph, root cfg.NodeID, forward, backward func(cfg.NodeID) []cfg.NodeID) *Tree {
-	n := int(g.MaxID())
-	t := &Tree{
-		Root: root,
-		Idom: make([]cfg.NodeID, n+1),
-	}
-	if g.Node(root) == nil {
-		return t
-	}
+func edgeTo(e cfg.Edge) cfg.NodeID   { return e.To }
+func edgeFrom(e cfg.Edge) cfg.NodeID { return e.From }
 
-	// Reverse postorder of the subgraph reachable from root in the analysis
-	// direction, computed with an iterative DFS.
-	rpoNum := make([]int, n+1) // 0 = unreachable
-	var order []cfg.NodeID
-	visited := make([]bool, n+1)
+// reversePostorder lists the nodes reachable from root along the edges
+// next yields (far picks each edge's far end), in reverse postorder of an
+// iterative depth-first search. It is empty when root is not a node of g.
+func reversePostorder(g *cfg.Graph, root cfg.NodeID, next func(cfg.NodeID) []cfg.Edge, far func(cfg.Edge) cfg.NodeID) []cfg.NodeID {
+	if g.Node(root) == nil {
+		return nil
+	}
+	visited := make([]bool, g.MaxID()+1)
+	order := make([]cfg.NodeID, 0, g.NumNodes())
 	type frame struct {
 		node cfg.NodeID
 		next int
@@ -66,9 +68,9 @@ func build(g *cfg.Graph, root cfg.NodeID, forward, backward func(cfg.NodeID) []c
 	visited[root] = true
 	for len(stack) > 0 {
 		f := &stack[len(stack)-1]
-		succ := forward(f.node)
-		if f.next < len(succ) {
-			s := succ[f.next]
+		edges := next(f.node)
+		if f.next < len(edges) {
+			s := far(edges[f.next])
 			f.next++
 			if !visited[s] {
 				visited[s] = true
@@ -79,10 +81,25 @@ func build(g *cfg.Graph, root cfg.NodeID, forward, backward func(cfg.NodeID) []c
 		order = append(order, f.node)
 		stack = stack[:len(stack)-1]
 	}
-	// order is postorder; reverse it.
-	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-		order[i], order[j] = order[j], order[i]
+	slices.Reverse(order)
+	return order
+}
+
+// build runs the CHK iterative algorithm over order, a reverse postorder
+// of the nodes reachable from root in the direction of the analysis.
+// back yields each node's edges against that direction and near picks the
+// edge end that is the node's predecessor in it. Each pass is O(E·d) for
+// dominator-tree depth d; reducible graphs converge in two passes.
+func build(g *cfg.Graph, root cfg.NodeID, order []cfg.NodeID, back func(cfg.NodeID) []cfg.Edge, near func(cfg.Edge) cfg.NodeID) *Tree {
+	n := int(g.MaxID())
+	t := &Tree{
+		Root: root,
+		Idom: make([]cfg.NodeID, n+1),
 	}
+	if len(order) == 0 {
+		return t
+	}
+	rpoNum := make([]int, n+1) // 0 = unreachable
 	for i, id := range order {
 		rpoNum[id] = i + 1
 	}
@@ -102,12 +119,10 @@ func build(g *cfg.Graph, root cfg.NodeID, forward, backward func(cfg.NodeID) []c
 	t.Idom[root] = root
 	for changed := true; changed; {
 		changed = false
-		for _, b := range order {
-			if b == root {
-				continue
-			}
+		for _, b := range order[1:] {
 			var newIdom cfg.NodeID
-			for _, p := range backward(b) {
+			for _, e := range back(b) {
+				p := near(e)
 				if rpoNum[p] == 0 || t.Idom[p] == cfg.None {
 					continue // unreachable or not yet processed
 				}
@@ -124,16 +139,15 @@ func build(g *cfg.Graph, root cfg.NodeID, forward, backward func(cfg.NodeID) []c
 		}
 	}
 
-	// Build children lists and tree pre/post numbers for ancestor queries.
+	// Children lists in ascending ID order (IDs are visited ascending, so
+	// appending keeps each list sorted), then tree pre/post numbers for
+	// O(1) ancestor queries.
 	t.children = make([][]cfg.NodeID, n+1)
 	for id := cfg.NodeID(1); id <= cfg.NodeID(n); id++ {
 		if id == root || t.Idom[id] == cfg.None {
 			continue
 		}
 		t.children[t.Idom[id]] = append(t.children[t.Idom[id]], id)
-	}
-	for _, kids := range t.children {
-		sort.Slice(kids, func(i, j int) bool { return kids[i] < kids[j] })
 	}
 	t.pre = make([]int, n+1)
 	t.post = make([]int, n+1)
@@ -197,51 +211,4 @@ func (t *Tree) StrictlyDominates(a, b cfg.NodeID) bool {
 // part of the tree.
 func (t *Tree) InTree(n cfg.NodeID) bool {
 	return int(n) < len(t.pre) && n > cfg.None && t.pre[n] != 0
-}
-
-// Frontier computes the dominance frontier of every node, per Cytron et
-// al.: DF(n) contains the nodes m such that n dominates a predecessor of m
-// but does not strictly dominate m. succsOf must match the direction the
-// tree was built with (g.Succs for a dominator tree, g.Preds for a
-// postdominator tree — i.e. the postdominance frontier uses CFG successors'
-// reverse direction automatically when given g).
-func (t *Tree) Frontier(g *cfg.Graph, preds func(cfg.NodeID) []cfg.NodeID) [][]cfg.NodeID {
-	n := len(t.Idom) - 1
-	df := make([]map[cfg.NodeID]bool, n+1)
-	for id := cfg.NodeID(1); id <= cfg.NodeID(n); id++ {
-		if !t.InTree(id) {
-			continue
-		}
-		ps := preds(id)
-		if len(ps) < 2 {
-			continue
-		}
-		for _, p := range ps {
-			if !t.InTree(p) {
-				continue
-			}
-			runner := p
-			for runner != t.Idom[id] && runner != cfg.None {
-				if df[runner] == nil {
-					df[runner] = make(map[cfg.NodeID]bool)
-				}
-				df[runner][id] = true
-				if runner == t.Root {
-					break
-				}
-				runner = t.Idom[runner]
-			}
-		}
-	}
-	out := make([][]cfg.NodeID, n+1)
-	for id := 1; id <= n; id++ {
-		if df[id] == nil {
-			continue
-		}
-		for m := range df[id] {
-			out[id] = append(out[id], m)
-		}
-		sort.Slice(out[id], func(a, b int) bool { return out[id][a] < out[id][b] })
-	}
-	return out
 }

@@ -130,43 +130,6 @@ func TestUnreachableFromExit(t *testing.T) {
 	}
 }
 
-func TestFrontier(t *testing.T) {
-	g := diamond()
-	d := Dominators(g)
-	df := d.Frontier(g, g.Preds)
-	// DF(2) = DF(3) = {4}; DF(1) = DF(4) = {}.
-	if len(df[2]) != 1 || df[2][0] != 4 {
-		t.Errorf("DF(2) = %v, want [4]", df[2])
-	}
-	if len(df[3]) != 1 || df[3][0] != 4 {
-		t.Errorf("DF(3) = %v, want [4]", df[3])
-	}
-	if len(df[1]) != 0 {
-		t.Errorf("DF(1) = %v, want empty", df[1])
-	}
-}
-
-func TestFrontierWithLoop(t *testing.T) {
-	// 1 -> 2 -> 3 -> 2, 3 -> 4: DF(3) = {2}, DF(2) = {2}.
-	g := cfg.New("loop")
-	for i := 0; i < 4; i++ {
-		g.AddNode(cfg.Other, "n")
-	}
-	g.MustAddEdge(1, 2, cfg.Uncond)
-	g.MustAddEdge(2, 3, cfg.Uncond)
-	g.MustAddEdge(3, 2, cfg.True)
-	g.MustAddEdge(3, 4, cfg.False)
-	g.Entry, g.Exit = 1, 4
-	d := Dominators(g)
-	df := d.Frontier(g, g.Preds)
-	if len(df[3]) != 1 || df[3][0] != 2 {
-		t.Errorf("DF(3) = %v, want [2]", df[3])
-	}
-	if len(df[2]) != 1 || df[2][0] != 2 {
-		t.Errorf("DF(2) = %v, want [2]", df[2])
-	}
-}
-
 func TestDominatesOutOfRange(t *testing.T) {
 	d := Dominators(diamond())
 	if d.Dominates(1, 99) || d.Dominates(99, 1) || d.Dominates(cfg.None, 1) {

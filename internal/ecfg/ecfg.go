@@ -26,7 +26,7 @@ package ecfg
 
 import (
 	"fmt"
-	"sort"
+	"strconv"
 
 	"repro/internal/cfg"
 	"repro/internal/interval"
@@ -84,22 +84,23 @@ func Build(g *cfg.Graph, in *interval.Info) (*Ext, error) {
 	}
 
 	// hdrx extends HDR to the nodes we create: preheaders and postexits
-	// live in the parent interval of the loop they serve.
-	hdrx := make(map[cfg.NodeID]cfg.NodeID)
+	// live in the parent interval of the loop they serve. hdrx[i] is the
+	// HDR of synthetic node OrigMax+1+i.
+	var hdrx []cfg.NodeID
 	hdrOf := func(n cfg.NodeID) cfg.NodeID {
 		if n <= ext.OrigMax {
 			return in.HDR(n)
 		}
-		return hdrx[n]
+		return hdrx[n-ext.OrigMax-1]
 	}
 
 	// Step 2: preheaders. Mark headers and redirect interval entries.
 	for _, h := range in.Headers() {
 		eg.Node(h).Type = cfg.Header
-		ph := eg.AddNode(cfg.Preheader, fmt.Sprintf("PREHEADER(%d)", h))
+		ph := eg.AddNode(cfg.Preheader, "PREHEADER("+strconv.Itoa(int(h))+")")
 		ext.Preheader[h] = ph.ID
 		ext.HeaderOf[ph.ID] = h
-		hdrx[ph.ID] = in.Parent(h)
+		hdrx = append(hdrx, in.Parent(h))
 		// Snapshot in-edges before mutating.
 		entries := append([]cfg.Edge(nil), eg.InEdges(h)...)
 		for _, e := range entries {
@@ -135,8 +136,8 @@ func Build(g *cfg.Graph, in *interval.Info) (*Ext, error) {
 		if !eg.RemoveEdge(e.From, e.To, e.Label) {
 			continue
 		}
-		pe := eg.AddNode(cfg.Postexit, fmt.Sprintf("POSTEXIT(%d)", hu))
-		hdrx[pe.ID] = in.Parent(hu)
+		pe := eg.AddNode(cfg.Postexit, "POSTEXIT("+strconv.Itoa(int(hu))+")")
+		hdrx = append(hdrx, in.Parent(hu))
 		ext.Postexits = append(ext.Postexits, pe.ID)
 		ext.ExitedInterval[pe.ID] = hu
 		eg.MustAddEdge(e.From, pe.ID, e.Label)
@@ -218,13 +219,3 @@ func (ext *Ext) IsSynthetic(n cfg.NodeID) bool { return n > ext.OrigMax }
 // header; per Definition 3 the frequency of (preheader, LoopBodyLabel) is
 // the loop frequency of the interval.
 const LoopBodyLabel = cfg.Uncond
-
-// PreheadersInOrder returns the preheader nodes sorted by ID.
-func (ext *Ext) PreheadersInOrder() []cfg.NodeID {
-	out := make([]cfg.NodeID, 0, len(ext.HeaderOf))
-	for ph := range ext.HeaderOf {
-		out = append(out, ph)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}

@@ -279,13 +279,13 @@ func TestLoopAtEntry(t *testing.T) {
 	}
 }
 
-func TestPreheadersInOrderAndSynthetic(t *testing.T) {
+func TestIsSynthetic(t *testing.T) {
 	ext := mustBuild(t, paperex.CFG())
-	phs := ext.PreheadersInOrder()
-	if len(phs) != 1 || phs[0] != ext.Preheader[paperex.IfM] {
-		t.Errorf("PreheadersInOrder = %v", phs)
+	ph := ext.Preheader[paperex.IfM]
+	if ext.HeaderOf[ph] != paperex.IfM {
+		t.Errorf("HeaderOf(%d) = %d, want %d", ph, ext.HeaderOf[ph], paperex.IfM)
 	}
-	if !ext.IsSynthetic(phs[0]) || ext.IsSynthetic(paperex.Call) {
+	if !ext.IsSynthetic(ph) || ext.IsSynthetic(paperex.Call) {
 		t.Error("IsSynthetic misclassifies")
 	}
 }

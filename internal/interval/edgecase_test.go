@@ -121,7 +121,7 @@ func TestLoweredEdgeCases(t *testing.T) {
 			if tc.selfLoop && len(body) != 1 {
 				t.Errorf("self-loop body = %v, want exactly the header", body)
 			}
-			for n := range body {
+			for _, n := range body {
 				if in.HDR(n) != h {
 					t.Errorf("HDR(%d) = %d, want %d", n, in.HDR(n), h)
 				}
@@ -145,7 +145,7 @@ func TestLoweredEdgeCases(t *testing.T) {
 				}
 			}
 			for _, e := range ex {
-				if !body[e.From] || body[e.To] {
+				if !in.Contains(h, e.From) || in.Contains(h, e.To) {
 					t.Errorf("exit edge %v does not leave the interval", e)
 				}
 			}

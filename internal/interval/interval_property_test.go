@@ -1,6 +1,7 @@
 package interval
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -107,8 +108,14 @@ func TestLoopBodiesMatchBruteForce(t *testing.T) {
 				t.Logf("seed %d header %d: body size %d vs brute %d", seed, h, len(body), len(brute))
 				return false
 			}
+			for id := cfg.NodeID(1); id <= g.MaxID(); id++ {
+				if in.Contains(h, id) != brute[id] {
+					t.Logf("seed %d header %d: Contains(%d) = %v, brute %v", seed, h, id, in.Contains(h, id), brute[id])
+					return false
+				}
+			}
 			for n := range brute {
-				if !body[n] {
+				if !slices.Contains(body, n) {
 					t.Logf("seed %d header %d: missing %d", seed, h, n)
 					return false
 				}
@@ -125,19 +132,19 @@ func TestLoopBodiesMatchBruteForce(t *testing.T) {
 			h := in.HDR(id)
 			if h == cfg.None {
 				for _, h2 := range in.Headers() {
-					if in.Body(h2)[id] {
+					if slices.Contains(in.Body(h2), id) {
 						t.Logf("seed %d: HDR(%d) = None but body(%d) contains it", seed, id, h2)
 						return false
 					}
 				}
 				continue
 			}
-			if !in.Body(h)[id] {
+			if !slices.Contains(in.Body(h), id) {
 				t.Logf("seed %d: HDR(%d) = %d but body does not contain it", seed, id, h)
 				return false
 			}
 			for _, h2 := range in.Headers() {
-				if h2 != h && in.Body(h2)[id] && len(in.Body(h2)) < len(in.Body(h)) {
+				if h2 != h && slices.Contains(in.Body(h2), id) && len(in.Body(h2)) < len(in.Body(h)) {
 					t.Logf("seed %d: HDR(%d) = %d not innermost (body(%d) smaller)", seed, id, h, h2)
 					return false
 				}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cfg"
 	"repro/internal/paperex"
+	"repro/internal/wire"
 )
 
 // nested builds: 1 -> 2(outer hdr) -> 3(inner hdr) -> 4 -> 3, 4 -> 5 -> 2,
@@ -210,5 +211,142 @@ func TestHDROutOfRange(t *testing.T) {
 	}
 	if in.HDR(cfg.None) != cfg.None || in.HDR(99) != cfg.None {
 		t.Error("HDR out of range must be None")
+	}
+}
+
+// TestDenseAccessorsZeroValues queries every per-node and per-header
+// accessor with cfg.None, negative IDs, non-headers and IDs above MaxID,
+// on a computed and on a decoded Info: each must return its zero value
+// (or true for Contains(cfg.None, n)) instead of indexing out of range.
+func TestDenseAccessorsZeroValues(t *testing.T) {
+	g := nested()
+	computed, err := Analyze(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var w wire.Writer
+	computed.Encode(&w)
+	r := wire.NewReader(w.Bytes())
+	decoded := Decode(r, g)
+	if err := r.Err(); err != nil {
+		t.Fatalf("Decode: %v", err)
+	}
+	odd := []cfg.NodeID{cfg.None, -1, 1, 4, 6, g.MaxID() + 1, g.MaxID() + 100}
+	for name, in := range map[string]*Info{"computed": computed, "decoded": decoded} {
+		for _, h := range odd {
+			if in.IsHeader(h) {
+				t.Errorf("%s: IsHeader(%d) = true", name, h)
+			}
+			if p := in.Parent(h); p != cfg.None {
+				t.Errorf("%s: Parent(%d) = %d, want None", name, h, p)
+			}
+			if d := in.Depth(h); d != 0 {
+				t.Errorf("%s: Depth(%d) = %d, want 0", name, h, d)
+			}
+			if be := in.BackEdges(h); be != nil {
+				t.Errorf("%s: BackEdges(%d) = %v, want nil", name, h, be)
+			}
+			if b := in.Body(h); b != nil {
+				t.Errorf("%s: Body(%d) = %v, want nil", name, h, b)
+			}
+			if ex := in.LoopExits(h); ex != nil {
+				t.Errorf("%s: LoopExits(%d) = %v, want nil", name, h, ex)
+			}
+			if h != cfg.None && in.Contains(h, 4) {
+				t.Errorf("%s: Contains(%d, 4) = true for a non-header", name, h)
+			}
+			if lca := in.LCA(h, 3); lca != cfg.None {
+				t.Errorf("%s: LCA(%d, 3) = %d, want None", name, h, lca)
+			}
+			if !in.Contains(cfg.None, h) {
+				t.Errorf("%s: Contains(None, %d) = false", name, h)
+			}
+			if h != 1 && h != 4 && h != 6 {
+				if in.HDR(h) != cfg.None {
+					t.Errorf("%s: HDR(%d) = %d, want None", name, h, in.HDR(h))
+				}
+				for _, hd := range in.Headers() {
+					if in.Contains(hd, h) {
+						t.Errorf("%s: Contains(%d, %d) = true for an out-of-range node", name, hd, h)
+					}
+				}
+			}
+		}
+		if !in.Contains(2, 4) || !in.Contains(3, 4) || in.Contains(3, 5) || in.Depth(3) != 2 || in.Parent(3) != 2 {
+			t.Errorf("%s: in-range answers wrong", name)
+		}
+	}
+}
+
+// TestDecodeRejectsInconsistentTables corrupts one field of an encoded
+// structure at a time; Decode must fail through the reader, not panic or
+// accept tables that are not an interval structure.
+func TestDecodeRejectsInconsistentTables(t *testing.T) {
+	g := nested()
+	in, err := Analyze(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	encode := func(hdr []cfg.NodeID, parent map[cfg.NodeID]cfg.NodeID, depth map[cfg.NodeID]int) []byte {
+		var w wire.Writer
+		w.Uvarint(uint64(len(hdr)))
+		for _, h := range hdr {
+			w.Varint(int64(h))
+		}
+		w.Uvarint(uint64(len(in.Headers())))
+		for _, h := range in.Headers() {
+			w.Varint(int64(h))
+			w.Varint(int64(parent[h]))
+			w.Int(depth[h])
+			body := in.Body(h)
+			w.Uvarint(uint64(len(body)))
+			for _, n := range body {
+				w.Varint(int64(n))
+			}
+			w.Uvarint(uint64(len(in.BackEdges(h))))
+			for _, e := range in.BackEdges(h) {
+				cfg.EncodeEdge(&w, e)
+			}
+		}
+		return w.Bytes()
+	}
+	hdr := []cfg.NodeID{0, 0, 2, 3, 3, 2, 0}
+	parent := map[cfg.NodeID]cfg.NodeID{2: 0, 3: 2}
+	depth := map[cfg.NodeID]int{2: 1, 3: 2}
+	var w wire.Writer
+	in.Encode(&w)
+	if got := encode(hdr, parent, depth); string(got) != string(w.Bytes()) {
+		t.Fatal("test encoder disagrees with Encode")
+	}
+	clone := func(m map[cfg.NodeID]cfg.NodeID) map[cfg.NodeID]cfg.NodeID {
+		out := map[cfg.NodeID]cfg.NodeID{}
+		for k, v := range m {
+			out[k] = v
+		}
+		return out
+	}
+	bad := map[string][]byte{}
+	h := append([]cfg.NodeID(nil), hdr...)
+	h[4] = 5 // HDR is not a header
+	bad["hdr-not-header"] = encode(h, parent, depth)
+	h = append([]cfg.NodeID(nil), hdr...)
+	h[3] = 2 // header 3 outside its own interval
+	bad["header-outside-own"] = encode(h, parent, depth)
+	p := clone(parent)
+	p[2] = 3 // HDR_PARENT cycle 2 <-> 3
+	bad["parent-cycle"] = encode(hdr, p, depth)
+	p = clone(parent)
+	p[3] = 4 // parent is not a header
+	bad["parent-not-header"] = encode(hdr, p, depth)
+	bad["depth"] = encode(hdr, parent, map[cfg.NodeID]int{2: 1, 3: 5})
+	h = append([]cfg.NodeID(nil), hdr...)
+	h[0] = 2
+	bad["node-zero"] = encode(h, parent, depth)
+	for name, b := range bad {
+		r := wire.NewReader(b)
+		Decode(r, g)
+		if r.Err() == nil {
+			t.Errorf("%s: Decode accepted an inconsistent structure", name)
+		}
 	}
 }

@@ -13,21 +13,15 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/corpus"
 	"repro/internal/lang"
 	"repro/internal/lower"
-	"repro/internal/progen"
 	"repro/internal/wire"
 )
 
 var updateDigests = flag.Bool("update", false, "rewrite testdata/plan_digests.golden")
 
 const digestGolden = "testdata/plan_digests.golden"
-
-// digestSeeds is the size of the generated corpus the plan digests cover.
-const digestSeeds = 216
-
-// digestSizes are the progen sizes the corpus cycles through.
-var digestSizes = []int{3, 8, 16, 32, 64, 128}
 
 // digestPlanners are the placements whose encoded plans are pinned.
 var digestPlanners = []struct {
@@ -41,36 +35,11 @@ var digestPlanners = []struct {
 	{"level2", func(a *analysis.Proc) (*Plan, error) { return PlanLevel(a, LevelFull) }},
 }
 
-// digestCorpus returns the named sources the digests cover: the shipped
-// examples plus a fixed progen corpus mixing sizes, nesting depths, the
-// ConstFacts gadget family and the Stops family.
-func digestCorpus(t testing.TB) map[string]string {
-	srcs := map[string]string{}
-	files, err := filepath.Glob("../../examples/*.f")
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no example sources: %v", err)
-	}
-	for _, f := range files {
-		b, err := os.ReadFile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		srcs["examples/"+filepath.Base(f)] = string(b)
-	}
-	for i := 1; i <= digestSeeds; i++ {
-		o := progen.Opts{ConstFacts: i%3 == 2, Stops: i%4 == 1}
-		size := digestSizes[(i*7)%len(digestSizes)]
-		depth := 2 + i%3
-		srcs[fmt.Sprintf("progen/%d", i)] = progen.GenerateOpts(uint64(i), size, depth, o)
-	}
-	return srcs
-}
-
 // planDigests returns one "source proc planner sha256" line per procedure
 // and planner, sorted.
 func planDigests(t testing.TB) []string {
 	var lines []string
-	for name, src := range digestCorpus(t) {
+	for name, src := range corpus.Digest(t) {
 		prog, err := lang.Parse(src)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
