@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: check fmt vet lint build test benchmark-smoke test-vm test-bl bench bench-analysis oracle oracle-bl selfcheck dataflow-selfcheck serve-smoke loadgen-smoke cache-smoke fuzz-smoke
+.PHONY: check fmt vet lint build test benchmark-smoke test-vm test-bl bench bench-analysis bench-tree oracle oracle-bl selfcheck dataflow-selfcheck serve-smoke loadgen-smoke cache-smoke fuzz-smoke
 
 # STATICCHECK_VERSION pins the analyzer CI installs; keep in sync with
 # .github/workflows/ci.yml.
@@ -65,6 +65,11 @@ bench:
 # (progen size 240, depth 4), with one and with GOMAXPROCS workers.
 bench-analysis:
 	$(GO) test ./internal/analysis -run '^$$' -bench AnalyzeProgram -benchtime 2s -count 5
+
+# bench-tree times the tree-walker alone on the Table 1 programs (SIMPLE
+# and LOOPS at a reduced size), with allocations per run.
+bench-tree:
+	$(GO) test . -run '^$$' -bench Interpreter -benchtime 2s -count 5
 
 # selfcheck runs the in-tree static verifier over the shipped examples;
 # any error-severity finding fails the build.

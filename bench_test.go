@@ -267,21 +267,32 @@ func BenchmarkChunkScheduling(b *testing.B) {
 	b.ReportMetric(best, "makespan_sweep_best")
 }
 
-// BenchmarkInterpreter measures raw interpreter throughput on SIMPLE.
+// BenchmarkInterpreter measures raw tree-walker throughput and allocation
+// on the two Table 1 programs at a reduced size.
 func BenchmarkInterpreter(b *testing.B) {
-	p, err := core.Load(simplecfd.Source(24, 2))
-	if err != nil {
-		b.Fatal(err)
+	for _, pr := range []struct{ name, src string }{
+		{"SIMPLE", simplecfd.Source(24, 2)},
+		{"LOOPS", livermore.Source(24, 1)},
+	} {
+		b.Run(pr.name, func(b *testing.B) {
+			p, err := core.Load(pr.src)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var steps int64
+			for i := 0; i < b.N; i++ {
+				run, err := interp.Run(p.Res, interp.Options{Seed: 1, Engine: interp.EngineTree})
+				if err != nil {
+					b.Fatal(err)
+				}
+				steps = run.Steps
+			}
+			b.ReportMetric(float64(steps), "steps/run")
+			b.ReportMetric(float64(steps)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mnode/s")
+		})
 	}
-	var steps int64
-	for i := 0; i < b.N; i++ {
-		run, err := interp.Run(p.Res, interp.Options{Seed: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		steps = run.Steps
-	}
-	b.ReportMetric(float64(steps), "steps/run")
 }
 
 // BenchmarkAnalysisPipeline measures graph analysis (intervals, ECFG,

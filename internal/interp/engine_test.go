@@ -1,6 +1,7 @@
 package interp_test
 
 import (
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -155,5 +156,43 @@ func TestRunBatchDispatch(t *testing.T) {
 		if stats.Lanes != 3 {
 			t.Fatalf("%v: lanes = %d, want 3", eng, stats.Lanes)
 		}
+	}
+}
+
+// TestLocalArrayErrorDeterministic: locals are allocated in slot order, so
+// a program with two oversized local arrays fails on the same one in every
+// run on every engine — runtime errors are bit-identical across engines.
+func TestLocalArrayErrorDeterministic(t *testing.T) {
+	src := `      PROGRAM P
+      REAL A(60000000), B(60000000)
+      A(1) = 1.0
+      B(1) = 2.0
+      END
+`
+	prog, err := lang.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := lower.Lower(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ""
+	for range 50 {
+		for _, eng := range []interp.Engine{interp.EngineTree, interp.EngineVM} {
+			_, err := interp.Run(res, interp.Options{Engine: eng})
+			if err == nil {
+				t.Fatalf("%v: run succeeded, want an array-size error", eng)
+			}
+			if want == "" {
+				want = err.Error()
+			}
+			if err.Error() != want {
+				t.Fatalf("%v: error %q, want %q", eng, err, want)
+			}
+		}
+	}
+	if !strings.Contains(want, "array A too large") {
+		t.Fatalf("error %q, want it to name A, the first local array in slot order", want)
 	}
 }

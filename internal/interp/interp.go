@@ -95,18 +95,20 @@ func (a *Array) offset(subs []int64) (int64, error) {
 }
 
 // binding is one name's storage in a frame: a scalar cell or an array.
+// PARAMETER constants have the zero binding.
 type binding struct {
 	cell *Value
 	arr  *Array
 }
 
-// frame is one procedure activation. trips is indexed by DO test node ID —
-// a dense slice rather than a map so the step loop never hashes or
-// allocates while bookkeeping loop state.
+// frame is one procedure activation. vars is indexed by the slot semantic
+// analysis gave each symbol (lang.Symbol.Slot), trips by DO test node ID —
+// dense slices rather than maps so the step loop never hashes or
+// allocates while reading variables or bookkeeping loop state.
 type frame struct {
 	proc  *lower.Proc
-	vars  map[string]*binding
-	trips []int64 // remaining trips, indexed by DO test node ID
+	vars  []binding // indexed by lang.Symbol.Slot
+	trips []int64   // remaining trips, indexed by DO test node ID
 }
 
 // Engine selects the execution substrate for a run.
@@ -589,8 +591,8 @@ func (m *machine) call(p *lower.Proc, caller *frame, callStmt *lang.CallStmt) er
 	// Hook-carrying activations run a twin of this function. The frame
 	// below must never be mentioned by any value-capturing construct in
 	// this function: escape analysis is not path-sensitive, so a single
-	// closure over f (or f.vars) would push every activation's frame and
-	// binding map to the heap, hook set or not.
+	// closure over f would push every activation's frame to the heap, hook
+	// set or not.
 	if m.opt.OnNodeVals != nil {
 		return m.callVals(p, caller, callStmt)
 	}
@@ -601,7 +603,7 @@ func (m *machine) call(p *lower.Proc, caller *frame, callStmt *lang.CallStmt) er
 	}
 	f := &frame{
 		proc:  p,
-		vars:  make(map[string]*binding, len(p.Unit.Symbols)),
+		vars:  make([]binding, len(p.Unit.Slots)),
 		trips: make([]int64, p.G.MaxID()+1),
 	}
 	if err := m.bindFrame(f, p, caller, callStmt); err != nil {
@@ -677,18 +679,23 @@ func (m *machine) call(p *lower.Proc, caller *frame, callStmt *lang.CallStmt) er
 // reinterpreted with the callee's declared shape. It must not retain f
 // anywhere — both activation paths rely on the frame staying local.
 func (m *machine) bindFrame(f *frame, p *lower.Proc, caller *frame, callStmt *lang.CallStmt) error {
+	// One cell per slot holds the frame's local scalars and the copies of
+	// arguments passed by value.
+	cells := make([]Value, len(p.Unit.Slots))
 	// Bind parameters by reference.
 	if callStmt != nil {
 		for i, name := range p.Unit.Params {
-			b, err := m.argBinding(caller, callStmt.Args[i], p.Unit.Symbols[name], callStmt.Line)
+			sym := p.Unit.Symbols[name]
+			b, err := m.argBinding(caller, callStmt.Args[i], sym, &cells[sym.Slot], callStmt.Line)
 			if err != nil {
 				return err
 			}
-			f.vars[name] = b
+			f.vars[sym.Slot] = b
 		}
 	}
-	// Allocate locals: every non-param, non-const symbol.
-	for name, sym := range p.Unit.Symbols {
+	// Allocate locals, every non-param, non-const symbol, in slot order:
+	// the first failing allocation is the one the VM reports too.
+	for _, sym := range p.Unit.Slots {
 		if sym.IsParam || sym.Kind == lang.SymConst {
 			continue
 		}
@@ -697,9 +704,10 @@ func (m *machine) bindFrame(f *frame, p *lower.Proc, caller *frame, callStmt *la
 			if err != nil {
 				return err
 			}
-			f.vars[name] = &binding{arr: arr}
+			f.vars[sym.Slot] = binding{arr: arr}
 		} else {
-			f.vars[name] = &binding{cell: &Value{T: sym.Type}}
+			cells[sym.Slot].T = sym.Type
+			f.vars[sym.Slot] = binding{cell: &cells[sym.Slot]}
 		}
 	}
 	// Reinterpret passed arrays with the callee's declared shape (Fortran
@@ -707,7 +715,7 @@ func (m *machine) bindFrame(f *frame, p *lower.Proc, caller *frame, callStmt *la
 	if callStmt != nil {
 		for _, name := range p.Unit.Params {
 			sym := p.Unit.Symbols[name]
-			b := f.vars[name]
+			b := f.vars[sym.Slot]
 			if sym.Kind != lang.SymArray {
 				continue
 			}
@@ -729,7 +737,7 @@ func (m *machine) bindFrame(f *frame, p *lower.Proc, caller *frame, callStmt *la
 				return &RuntimeError{Unit: p.G.Name, Line: callStmt.Line,
 					Msg: fmt.Sprintf("array parameter %s needs %d elements, argument has %d", name, total, len(b.arr.Elems))}
 			}
-			f.vars[name] = &binding{arr: &Array{Type: b.arr.Type, Dims: dims, Elems: b.arr.Elems}}
+			f.vars[sym.Slot] = binding{arr: &Array{Type: b.arr.Type, Dims: dims, Elems: b.arr.Elems}}
 		}
 	}
 	return nil
@@ -737,9 +745,9 @@ func (m *machine) bindFrame(f *frame, p *lower.Proc, caller *frame, callStmt *la
 
 // callVals is machine.call's twin for OnNodeVals-instrumented runs: the
 // same activation protocol, but the frame is built here — in a different
-// function — so the hook's closure over the binding map only taints this
-// path's escape analysis, and it dispatches to loopVals. PathSpec never
-// reaches here (Run rejects the combination).
+// function — so the hook's closure over the frame's bindings only taints
+// this path's escape analysis, and it dispatches to loopVals. PathSpec
+// never reaches here (Run rejects the combination).
 func (m *machine) callVals(p *lower.Proc, caller *frame, callStmt *lang.CallStmt) error {
 	m.depth++
 	defer func() { m.depth-- }()
@@ -748,7 +756,7 @@ func (m *machine) callVals(p *lower.Proc, caller *frame, callStmt *lang.CallStmt
 	}
 	f := &frame{
 		proc:  p,
-		vars:  make(map[string]*binding, len(p.Unit.Symbols)),
+		vars:  make([]binding, len(p.Unit.Slots)),
 		trips: make([]int64, p.G.MaxID()+1),
 	}
 	if err := m.bindFrame(f, p, caller, callStmt); err != nil {
@@ -756,7 +764,7 @@ func (m *machine) callVals(p *lower.Proc, caller *frame, callStmt *lang.CallStmt
 	}
 	counts := m.result.ByProc[p.G.Name]
 	counts.Activations++
-	return m.loopVals(p, f, counts, m.costs[p.G.Name], varsGetter(f.vars))
+	return m.loopVals(p, f, counts, m.costs[p.G.Name], varsGetter(p.Unit, f.vars))
 }
 
 // loopVals is the dispatch loop of an OnNodeVals-instrumented activation.
@@ -896,15 +904,16 @@ func (m *machine) loopPaths(p *lower.Proc, f *frame, counts *Counts, costs []flo
 
 // varsGetter builds the per-activation scalar accessor OnNodeVals
 // receives: one closure per activation, not per node. It captures the
-// binding map, never the frame, and is only ever called from callVals —
-// mentioning it from machine.call would leak every activation's frame or
-// binding map to the heap, hook set or not (escape analysis is not
+// slot-indexed bindings, never the frame, and maps a name to its slot
+// through u.Symbols only when the hook asks. It is only ever called from
+// callVals — mentioning it from machine.call would leak every
+// activation's frame to the heap, hook set or not (escape analysis is not
 // path-sensitive), and uninstrumented tree throughput pays for that in
 // allocation and GC pressure.
-func varsGetter(vars map[string]*binding) func(name string) (Value, bool) {
+func varsGetter(u *lang.Unit, vars []binding) func(name string) (Value, bool) {
 	return func(name string) (Value, bool) {
-		if b, ok := vars[name]; ok && b.cell != nil {
-			return *b.cell, true
+		if sym, ok := u.Symbols[name]; ok && vars[sym.Slot].cell != nil {
+			return *vars[sym.Slot].cell, true
 		}
 		return Value{}, false
 	}
@@ -980,7 +989,7 @@ func (m *machine) exec(f *frame, pc cfg.NodeID, op lower.Op) (cfg.Label, bool, e
 		if err != nil {
 			return "", false, err
 		}
-		if err := m.setScalar(f, o.L.Var, Int(lo.I)); err != nil {
+		if err := m.setScalar(f, o.L.VarSym, Int(lo.I)); err != nil {
 			return "", false, err
 		}
 		f.trips[o.Test] = trip
@@ -999,11 +1008,11 @@ func (m *machine) exec(f *frame, pc cfg.NodeID, op lower.Op) (cfg.Label, bool, e
 			}
 			step = v.I
 		}
-		cur, err := m.scalar(f, o.L.Var)
+		cur, err := m.scalar(f, o.L.VarSym)
 		if err != nil {
 			return "", false, err
 		}
-		if err := m.setScalar(f, o.L.Var, Int(cur.I+step)); err != nil {
+		if err := m.setScalar(f, o.L.VarSym, Int(cur.I+step)); err != nil {
 			return "", false, err
 		}
 		f.trips[o.Test]--
@@ -1077,51 +1086,53 @@ func (m *machine) allocArray(f *frame, sym *lang.Symbol) (*Array, error) {
 	return &Array{Type: sym.Type, Dims: dims, Elems: elems}, nil
 }
 
-// argBinding prepares the binding a callee parameter receives.
-func (m *machine) argBinding(caller *frame, arg lang.Expr, paramSym *lang.Symbol, line int) (*binding, error) {
+// argBinding prepares the binding a callee parameter receives. An argument
+// passed by value is copied into spill, the callee's cell for the
+// parameter.
+func (m *machine) argBinding(caller *frame, arg lang.Expr, paramSym *lang.Symbol, spill *Value, line int) (binding, error) {
 	switch a := arg.(type) {
 	case *lang.Var:
-		if b, ok := caller.vars[a.Name]; ok {
-			// Whole array or scalar by reference.
-			if b.arr != nil || paramSym.Kind != lang.SymArray {
-				return b, nil
-			}
-		}
-		// PARAMETER constant passed by value-copy.
-		if sym, ok := caller.proc.Unit.Symbols[a.Name]; ok && sym.Kind == lang.SymConst {
-			v, err := m.eval(caller, a)
-			if err != nil {
-				return nil, err
-			}
-			return &binding{cell: &v}, nil
-		}
-		if b, ok := caller.vars[a.Name]; ok {
+		b := caller.vars[a.Sym.Slot]
+		// Whole array or scalar by reference.
+		if b.arr != nil || (b.cell != nil && paramSym.Kind != lang.SymArray) {
 			return b, nil
 		}
-		return nil, &RuntimeError{Unit: caller.proc.G.Name, Line: line,
+		// PARAMETER constant passed by value-copy.
+		if a.Sym.Kind == lang.SymConst {
+			*spill = constValue(a.Sym)
+			return binding{cell: spill}, nil
+		}
+		if b.cell != nil {
+			return b, nil
+		}
+		return binding{}, &RuntimeError{Unit: caller.proc.G.Name, Line: line,
 			Msg: fmt.Sprintf("undefined argument %s", a.Name)}
 	case *lang.Index:
 		cellPtr, err := m.elemPtr(caller, a)
 		if err != nil {
-			return nil, err
+			return binding{}, err
 		}
-		return &binding{cell: cellPtr}, nil
+		return binding{cell: cellPtr}, nil
 	default:
 		v, err := m.eval(caller, arg)
 		if err != nil {
-			return nil, err
+			return binding{}, err
 		}
-		return &binding{cell: &v}, nil
+		*spill = v
+		return binding{cell: spill}, nil
 	}
 }
 
 func (m *machine) elemPtr(f *frame, ix *lang.Index) (*Value, error) {
-	b, ok := f.vars[ix.Name]
-	if !ok || b.arr == nil {
+	arr := f.vars[ix.Sym.Slot].arr
+	if arr == nil {
 		return nil, &RuntimeError{Unit: f.proc.G.Name, Line: 0,
 			Msg: fmt.Sprintf("%s is not an array", ix.Name)}
 	}
-	subs := make([]int64, len(ix.Subs))
+	// Sema bounds the subscript count by lang.MaxDims, so the subscripts
+	// fit a stack array.
+	var buf [lang.MaxDims]int64
+	subs := buf[:len(ix.Subs)]
 	for i, se := range ix.Subs {
 		v, err := m.eval(f, se)
 		if err != nil {
@@ -1129,12 +1140,12 @@ func (m *machine) elemPtr(f *frame, ix *lang.Index) (*Value, error) {
 		}
 		subs[i] = v.I
 	}
-	off, err := b.arr.offset(subs)
+	off, err := arr.offset(subs)
 	if err != nil {
 		return nil, &RuntimeError{Unit: f.proc.G.Name, Line: 0,
 			Msg: fmt.Sprintf("%s: %v", ix.Name, err)}
 	}
-	return &b.arr.Elems[off], nil
+	return &arr.Elems[off], nil
 }
 
 func (m *machine) assign(f *frame, s *lang.Assign) error {
@@ -1144,7 +1155,7 @@ func (m *machine) assign(f *frame, s *lang.Assign) error {
 	}
 	switch lhs := s.LHS.(type) {
 	case *lang.Var:
-		return m.setScalar(f, lhs.Name, v)
+		return m.setScalar(f, lhs.Sym, v)
 	case *lang.Index:
 		cell, err := m.elemPtr(f, lhs)
 		if err != nil {
@@ -1156,24 +1167,24 @@ func (m *machine) assign(f *frame, s *lang.Assign) error {
 	return &RuntimeError{Unit: f.proc.G.Name, Line: s.Line, Msg: "bad assignment target"}
 }
 
-func (m *machine) scalar(f *frame, name string) (Value, error) {
-	if b, ok := f.vars[name]; ok && b.cell != nil {
-		return *b.cell, nil
+func (m *machine) scalar(f *frame, sym *lang.Symbol) (Value, error) {
+	if cell := f.vars[sym.Slot].cell; cell != nil {
+		return *cell, nil
 	}
-	if sym, ok := f.proc.Unit.Symbols[name]; ok && sym.Kind == lang.SymConst {
+	if sym.Kind == lang.SymConst {
 		return constValue(sym), nil
 	}
 	return Value{}, &RuntimeError{Unit: f.proc.G.Name, Line: 0,
-		Msg: fmt.Sprintf("no scalar %s", name)}
+		Msg: fmt.Sprintf("no scalar %s", sym.Name)}
 }
 
-func (m *machine) setScalar(f *frame, name string, v Value) error {
-	b, ok := f.vars[name]
-	if !ok || b.cell == nil {
+func (m *machine) setScalar(f *frame, sym *lang.Symbol, v Value) error {
+	cell := f.vars[sym.Slot].cell
+	if cell == nil {
 		return &RuntimeError{Unit: f.proc.G.Name, Line: 0,
-			Msg: fmt.Sprintf("cannot assign to %s", name)}
+			Msg: fmt.Sprintf("cannot assign to %s", sym.Name)}
 	}
-	*b.cell = convert(v, b.cell.T)
+	*cell = convert(v, cell.T)
 	return nil
 }
 
@@ -1249,7 +1260,7 @@ func (m *machine) eval(f *frame, e lang.Expr) (Value, error) {
 	case *lang.StrLit:
 		return Value{}, &RuntimeError{Unit: f.proc.G.Name, Line: 0, Msg: "string used as value"}
 	case *lang.Var:
-		return m.scalar(f, x.Name)
+		return m.scalar(f, x.Sym)
 	case *lang.Index:
 		cell, err := m.elemPtr(f, x)
 		if err != nil {
@@ -1382,13 +1393,16 @@ func ipow(base, exp int64) int64 {
 }
 
 func (m *machine) evalIntrinsic(f *frame, x *lang.Intrinsic) (Value, error) {
-	args := make([]Value, len(x.Args))
-	for i, a := range x.Args {
+	// Only MIN and MAX take more than two arguments; only a call with more
+	// than the buffer holds allocates.
+	var buf [4]Value
+	args := buf[:0]
+	for _, a := range x.Args {
 		v, err := m.eval(f, a)
 		if err != nil {
 			return Value{}, err
 		}
-		args[i] = v
+		args = append(args, v)
 	}
 	allInt := true
 	for _, a := range args {

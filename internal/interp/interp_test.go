@@ -9,8 +9,8 @@ import (
 	"repro/internal/lower"
 )
 
-// runSrc parses, lowers and runs a program, returning its PRINT output.
-func runSrc(t *testing.T, src string, opt Options) (string, *Result) {
+// lowerSrc parses and lowers a program.
+func lowerSrc(t *testing.T, src string) *lower.Result {
 	t.Helper()
 	prog, err := lang.Parse(src)
 	if err != nil {
@@ -20,6 +20,13 @@ func runSrc(t *testing.T, src string, opt Options) (string, *Result) {
 	if err != nil {
 		t.Fatalf("lower: %v", err)
 	}
+	return res
+}
+
+// runSrc parses, lowers and runs a program, returning its PRINT output.
+func runSrc(t *testing.T, src string, opt Options) (string, *Result) {
+	t.Helper()
+	res := lowerSrc(t, src)
 	var out strings.Builder
 	opt.Out = &out
 	r, err := Run(res, opt)
@@ -32,15 +39,7 @@ func runSrc(t *testing.T, src string, opt Options) (string, *Result) {
 // runErr expects a runtime error containing want.
 func runErr(t *testing.T, src, want string) {
 	t.Helper()
-	prog, err := lang.Parse(src)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	res, err := lower.Lower(prog)
-	if err != nil {
-		t.Fatalf("lower: %v", err)
-	}
-	_, err = Run(res, Options{MaxSteps: 100000})
+	_, err := Run(lowerSrc(t, src), Options{MaxSteps: 100000})
 	if err == nil {
 		t.Fatalf("run succeeded, want error %q\n%s", want, src)
 	}
@@ -108,8 +107,10 @@ func TestIntrinsics(t *testing.T) {
       PRINT *, X
       X = SQRT(16.0)
       PRINT *, X
+      I = MAX(4, 9, 2, 7, 5, 1)
+      PRINT *, I
 `), Options{})
-	want := []string{"2", "-2", "1.5", "3", "2.5", "1", "3", "1.5", "3", "-3", "-2", "4"}
+	want := []string{"2", "-2", "1.5", "3", "2.5", "1", "3", "1.5", "3", "-3", "-2", "4", "9"}
 	got := strings.Split(out, "\n")
 	for i := range want {
 		if got[i] != want[i] {

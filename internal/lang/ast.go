@@ -64,6 +64,9 @@ type Unit struct {
 
 	// Symbols is filled by semantic analysis.
 	Symbols map[string]*Symbol
+	// Slots lists Symbols by Symbol.Slot, which is sorted-name order; also
+	// filled by semantic analysis.
+	Slots []*Symbol
 }
 
 // Decl declares one or more names with a type and optional array bounds.
@@ -109,7 +112,15 @@ type Symbol struct {
 	IsParam bool   // appears in the SUBROUTINE parameter list
 	// ConstValue holds the folded PARAMETER value (IntVal or RealVal).
 	ConstValue any
+	// Slot is the symbol's dense index in its unit, 0..len(Symbols)-1 in
+	// sorted-name order: engines index activation frames by it.
+	Slot int
 }
+
+// MaxDims is the most dimensions an array may declare (the Fortran 77
+// limit); sema rejects more, so engines may keep subscripts in a fixed
+// array.
+const MaxDims = 7
 
 // ---------------------------------------------------------------------------
 // Statements. Every statement carries its source line and optional label.
@@ -185,6 +196,7 @@ type ArithIf struct {
 type DoLoop struct {
 	StmtBase
 	Var      string
+	VarSym   *Symbol // Var's symbol, resolved by semantic analysis
 	Lo, Hi   Expr
 	Step     Expr // nil means 1
 	EndLabel int  // 0 for DO/ENDDO form
@@ -299,12 +311,19 @@ type LogLit struct{ Val bool }
 type StrLit struct{ Val string }
 
 // Var references a scalar variable (or whole array in a CALL argument).
-type Var struct{ Name string }
+// Sym is Name's symbol in the enclosing unit, resolved by semantic
+// analysis.
+type Var struct {
+	Name string
+	Sym  *Symbol
+}
 
-// Index references an array element: Name(Subs...).
+// Index references an array element: Name(Subs...). Sym is Name's symbol
+// in the enclosing unit, resolved by semantic analysis.
 type Index struct {
 	Name string
 	Subs []Expr
+	Sym  *Symbol
 }
 
 // Intrinsic is a call to a builtin function: ABS, MOD, MIN, MAX, SQRT, EXP,

@@ -3,6 +3,7 @@ package lang
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 )
 
@@ -11,7 +12,8 @@ import (
 // typing: undeclared I–N names are INTEGER, the rest REAL), type-checks
 // every statement and expression, verifies label usage (targets exist, no
 // jumps into DO bodies or IF arms from outside), and checks CALL sites
-// against subroutine signatures.
+// against subroutine signatures. It resolves every name once: each symbol
+// gets its Slot, and every Var, Index and DoLoop its Sym/VarSym.
 func Analyze(prog *Program) error {
 	mains := 0
 	seen := map[string]bool{}
@@ -28,7 +30,7 @@ func Analyze(prog *Program) error {
 		return fmt.Errorf("program must have exactly one PROGRAM unit, found %d", mains)
 	}
 	for _, u := range prog.Units {
-		a := &analyzer{prog: prog, unit: u}
+		a := &analyzer{prog: prog, unit: u, resolve: true}
 		if err := a.run(); err != nil {
 			return err
 		}
@@ -39,6 +41,10 @@ func Analyze(prog *Program) error {
 type analyzer struct {
 	prog *Program
 	unit *Unit
+	// resolve makes foldConst stamp the Vars it folds. Only Analyze sets
+	// it: FoldInt and FoldLogical run on analyzed ASTs that other
+	// goroutines may be reading.
+	resolve bool
 	// labels maps a statement label to the block path where it is defined;
 	// paths are dot-joined block IDs so prefix testing detects illegal
 	// inward jumps.
@@ -75,6 +81,9 @@ func (a *analyzer) run() error {
 	// Declarations. DIMENSION (Type == TNone) keeps the implicit type.
 	for _, d := range u.Decls {
 		for _, item := range d.Items {
+			if len(item.Dims) > MaxDims {
+				return errf(d.Line, d.Col, "array %s has %d dimensions, at most %d allowed", item.Name, len(item.Dims), MaxDims)
+			}
 			ty := d.Type
 			if ty == TNone {
 				ty = implicitType(item.Name)
@@ -157,6 +166,16 @@ func (a *analyzer) run() error {
 		if !strings.HasPrefix(g.path+".", defPath+".") {
 			return errf(g.line, g.col, "GOTO %d jumps into a nested block", g.target)
 		}
+	}
+
+	// Number the symbols densely in sorted-name order.
+	u.Slots = make([]*Symbol, 0, len(u.Symbols))
+	for _, sym := range u.Symbols {
+		u.Slots = append(u.Slots, sym)
+	}
+	slices.SortFunc(u.Slots, func(x, y *Symbol) int { return strings.Compare(x.Name, y.Name) })
+	for i, sym := range u.Slots {
+		sym.Slot = i
 	}
 	return nil
 }
@@ -244,6 +263,7 @@ func (a *analyzer) checkStmt(s Stmt, path string) error {
 		return nil
 	case *DoLoop:
 		sym := a.lookup(st.Var)
+		st.VarSym = sym
 		if sym.Kind != SymScalar || sym.Type != TInt {
 			return errf(st.Line, st.Col, "DO variable %s must be an INTEGER scalar", st.Var)
 		}
@@ -324,11 +344,13 @@ func (a *analyzer) checkAssign(st *Assign) error {
 	switch lhs := st.LHS.(type) {
 	case *Var:
 		sym = a.lookup(lhs.Name)
+		lhs.Sym = sym
 		if sym.Kind == SymArray {
 			return errf(st.Line, st.Col, "cannot assign to whole array %s", lhs.Name)
 		}
 	case *Index:
 		sym = a.lookup(lhs.Name)
+		lhs.Sym = sym
 		if sym.Kind != SymArray {
 			return errf(st.Line, st.Col, "%s is not an array", lhs.Name)
 		}
@@ -376,6 +398,7 @@ func (a *analyzer) typeOf(e Expr) (Type, error) {
 		return TNone, nil // only legal in PRINT; callers needing a value reject TNone
 	case *Var:
 		sym := a.lookup(x.Name)
+		x.Sym = sym
 		if sym.Kind == SymArray {
 			// Whole-array reference: legal only as a CALL argument; typeOf
 			// is also used there, so return the element type.
@@ -384,6 +407,7 @@ func (a *analyzer) typeOf(e Expr) (Type, error) {
 		return sym.Type, nil
 	case *Index:
 		sym := a.lookup(x.Name)
+		x.Sym = sym
 		if sym.Kind != SymArray {
 			return TNone, fmt.Errorf("%s is not an array (or undeclared array use)", x.Name)
 		}
@@ -516,6 +540,9 @@ func (a *analyzer) foldConst(e Expr) (any, Type, error) {
 		sym, ok := a.unit.Symbols[x.Name]
 		if !ok || sym.Kind != SymConst {
 			return nil, TNone, fmt.Errorf("%s is not a PARAMETER constant", x.Name)
+		}
+		if a.resolve {
+			x.Sym = sym
 		}
 		return sym.ConstValue, sym.Type, nil
 	case *Un:

@@ -224,3 +224,12 @@ func TestWalkVisitsNestedBodies(t *testing.T) {
 		t.Errorf("Walk saw %d assignments, want 3", assigns)
 	}
 }
+
+func TestArrayDimensionLimit(t *testing.T) {
+	u := parseBody(t, "      REAL A(2,2,2,2,2,2,2)\n      A(1,1,1,1,1,1,2) = 1.0\n")
+	if got := len(u.Symbols["A"].Dims); got != MaxDims {
+		t.Fatalf("A has %d dimensions, want %d", got, MaxDims)
+	}
+	semaErr(t, "      REAL A(2,2,2,2,2,2,2,2)\n      X = 1.0\n", "at most 7 allowed")
+	semaErr(t, "      REAL A\n      DIMENSION A(2,2,2,2,2,2,2,2)\n      X = 1.0\n", "at most 7 allowed")
+}
