@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: check fmt vet lint build test benchmark-smoke test-vm test-bl bench bench-analysis bench-tree oracle oracle-bl selfcheck dataflow-selfcheck serve-smoke loadgen-smoke cache-smoke fuzz-smoke
+.PHONY: check fmt vet lint build test benchmark-smoke test-vm test-bl bench bench-analysis bench-tree oracle oracle-bl selfcheck dataflow-selfcheck serve-smoke cache-smoke fuzz-smoke bench-cache
 
 # STATICCHECK_VERSION pins the analyzer CI installs; keep in sync with
 # .github/workflows/ci.yml.
@@ -71,6 +71,12 @@ bench-analysis:
 bench-tree:
 	$(GO) test . -run '^$$' -bench Interpreter -benchtime 2s -count 5
 
+# bench-cache times each artifact-cache section on LOOPS and SIMPLE:
+# decoding it against re-deriving it. A section earns its place in the
+# blob only while its decode is the faster of the two.
+bench-cache:
+	$(GO) test ./internal/artifact -run '^$$' -bench CacheSections -benchtime 2s -count 5
+
 # selfcheck runs the in-tree static verifier over the shipped examples;
 # any error-severity finding fails the build.
 selfcheck:
@@ -102,12 +108,6 @@ oracle-bl:
 # scrape. Any failure (or a cache miss on the warm request) exits non-zero.
 serve-smoke:
 	$(GO) run ./cmd/ptrand -smoke
-
-# loadgen-smoke drives a short concurrent load through the in-process
-# service and writes the latency numbers (p50/p99, cold vs hot, hit rate)
-# as a bench/v1 snapshot; CI uploads it as an artifact.
-loadgen-smoke:
-	$(GO) run ./cmd/loadgen -n 400 -c 200 -pad 40 -out BENCH_loadgen_ci.json
 
 # cache-smoke proves the on-disk artifact cache is transparent end to end:
 # a profiling run populates the cache, estimates are regenerated warm from

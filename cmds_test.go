@@ -16,7 +16,7 @@ import (
 func buildCmds(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
-	for _, name := range []string{"figures", "table1", "ptranc", "profrun", "estimate", "ptranlint", "oracle", "loadgen", "ptrand"} {
+	for _, name := range []string{"figures", "table1", "ptranc", "profrun", "estimate", "ptranlint", "oracle", "ptrand"} {
 		out := filepath.Join(dir, name)
 		cmd := exec.Command("go", "build", "-o", out, "./cmd/"+name)
 		cmd.Env = os.Environ()
@@ -403,7 +403,7 @@ func TestCommandLineTools(t *testing.T) {
 		cacheDB := filepath.Join(dir, "cache-profile.json")
 
 		// Every tool advertises the shared flag.
-		for _, name := range []string{"figures", "table1", "ptranc", "profrun", "estimate", "ptranlint", "oracle", "loadgen", "ptrand"} {
+		for _, name := range []string{"figures", "table1", "ptranc", "profrun", "estimate", "ptranlint", "oracle", "ptrand"} {
 			msg, _ := exec.Command(filepath.Join(dir, name), "-h").CombinedOutput()
 			if !strings.Contains(string(msg), "cache-dir") {
 				t.Errorf("%s -h does not document -cache-dir:\n%s", name, msg)

@@ -10,9 +10,7 @@ import (
 	"repro/internal/ecfg"
 	"repro/internal/interval"
 	"repro/internal/lower"
-	"repro/internal/pathprof"
 	"repro/internal/profiler"
-	"repro/internal/vm"
 	"repro/internal/wire"
 )
 
@@ -30,32 +28,19 @@ import (
 // bytes (typed error, no panic) because the fuzz harness — and a hash
 // collision, in principle — can hand them unchecked input.
 const (
-	secAnalysis  = 1 // interval + ecfg + cdg + fcdg + dataflow
-	secSarkar    = 2 // profiler.Plan
-	secBL        = 3 // pathprof.Plan (plan=ball-larus only)
-	secVM        = 4 // vm bytecode (VM engines only)
-	secVMBailout = 5 // vm.BailoutError marker (only in the bailing procedure's own artifact, mutually exclusive with secVM)
+	secAnalysis = 1 // interval + ecfg + cdg + fcdg + dataflow
+	secSarkar   = 2 // profiler.Plan
 )
 
 var magic = []byte("PTAF")
 
 // ProcArtifact is the decoded (or to-be-encoded) middle-end of one
-// procedure. An is always present in a usable artifact; Sarkar likewise.
-// BL is present iff the blob was written under plan=ball-larus. At most
-// one of VMCode/Bailout may be set, and only under a VM engine: VMCode
-// holds the procedure's bytecode; Bailout records that program
-// compilation bailed out on THIS procedure's body, so a warm load can
-// skip re-attempting it — the bailout lives only in the bailing
-// procedure's own artifact, whose key covers the body that caused it.
-// Under a VM engine a blob may carry neither (it was written while the
-// program bailed in some other procedure): the analysis and plans are
-// still reusable, and the pipeline recompiles the missing bytecode.
+// procedure. A usable artifact always carries both parts, whatever engine
+// and counter strategy wrote it: everything downstream of them (Ball–Larus
+// numberings, VM bytecode) is cheaper to re-derive than to decode.
 type ProcArtifact struct {
-	An      *analysis.Proc
-	Sarkar  *profiler.Plan
-	BL      *pathprof.Plan
-	VMCode  []byte
-	Bailout *vm.BailoutError
+	An     *analysis.Proc
+	Sarkar *profiler.Plan
 }
 
 // Encode renders the artifact as a self-checking blob.
@@ -63,12 +48,7 @@ func (pa *ProcArtifact) Encode() []byte {
 	var body wire.Writer
 	var sec wire.Writer
 
-	a := pa.An
-	a.Intervals.Encode(&sec)
-	a.Ext.Encode(&sec)
-	a.CDG.Encode(&sec)
-	a.FCDG.Encode(&sec)
-	a.Flow.Encode(&sec)
+	encodeAnalysis(&sec, pa.An)
 	body.U8(secAnalysis)
 	body.BytesPrefixed(sec.Bytes())
 
@@ -76,25 +56,6 @@ func (pa *ProcArtifact) Encode() []byte {
 	pa.Sarkar.Encode(&sec)
 	body.U8(secSarkar)
 	body.BytesPrefixed(sec.Bytes())
-
-	if pa.BL != nil {
-		sec = wire.Writer{}
-		pa.BL.Encode(&sec)
-		body.U8(secBL)
-		body.BytesPrefixed(sec.Bytes())
-	}
-	if pa.VMCode != nil {
-		body.U8(secVM)
-		body.BytesPrefixed(pa.VMCode)
-	} else if pa.Bailout != nil {
-		sec = wire.Writer{}
-		sec.String(pa.Bailout.Proc)
-		sec.Int(pa.Bailout.Line)
-		sec.String(pa.Bailout.Construct)
-		sec.String(pa.Bailout.Reason)
-		body.U8(secVMBailout)
-		body.BytesPrefixed(sec.Bytes())
-	}
 
 	var out wire.Writer
 	out.Raw(magic)
@@ -143,58 +104,19 @@ func decodeSections(body []byte, p *lower.Proc) (*ProcArtifact, error) {
 		if r.Err() != nil {
 			break
 		}
-		if tag <= prev || tag > secVMBailout {
+		if tag <= prev || tag > secSarkar {
 			return nil, fmt.Errorf("artifact: unexpected section tag %d after %d", tag, prev)
 		}
 		prev = tag
-		if tag == secVM {
-			// Kept opaque here: vm.ComposeProgram validates the bytecode
-			// against the whole program (callee indices are global).
-			pa.VMCode = payload
-			continue
-		}
 		sr := wire.NewReader(payload)
 		switch tag {
 		case secAnalysis:
-			a := &analysis.Proc{P: p}
-			a.Intervals = interval.Decode(sr, p.G)
-			if sr.Err() == nil {
-				a.Ext = ecfg.Decode(sr, p.G)
-			}
-			if sr.Err() == nil {
-				a.CDG = cdg.Decode(sr, a.Ext)
-			}
-			if sr.Err() == nil {
-				a.FCDG = cdg.Decode(sr, a.Ext)
-			}
-			if sr.Err() == nil {
-				a.Flow = dataflow.Decode(sr, p)
-			}
-			if sr.Err() == nil {
-				pa.An = a
-			}
+			pa.An = decodeAnalysis(sr, p)
 		case secSarkar:
 			if pa.An == nil {
 				return nil, fmt.Errorf("artifact: plan section without analysis section")
 			}
 			pa.Sarkar = profiler.DecodePlan(sr, pa.An)
-		case secBL:
-			if pa.Sarkar == nil {
-				return nil, fmt.Errorf("artifact: path-plan section without Sarkar section")
-			}
-			pa.BL = pathprof.DecodePlan(sr, pa.An, pa.Sarkar)
-		case secVMBailout:
-			if pa.VMCode != nil {
-				return nil, fmt.Errorf("artifact: blob carries both bytecode and bailout sections")
-			}
-			be := &vm.BailoutError{}
-			be.Proc = sr.String()
-			be.Line = sr.Int()
-			be.Construct = sr.String()
-			be.Reason = sr.String()
-			if sr.Err() == nil {
-				pa.Bailout = be
-			}
 		}
 		if err := sr.Err(); err != nil {
 			return nil, fmt.Errorf("artifact: section %d: %w", tag, err)
@@ -210,4 +132,36 @@ func decodeSections(body []byte, p *lower.Proc) (*ProcArtifact, error) {
 		return nil, fmt.Errorf("artifact: blob missing required sections")
 	}
 	return pa, nil
+}
+
+// encodeAnalysis writes the analysis section's payload.
+func encodeAnalysis(w *wire.Writer, a *analysis.Proc) {
+	a.Intervals.Encode(w)
+	a.Ext.Encode(w)
+	a.CDG.Encode(w)
+	a.FCDG.Encode(w)
+	a.Flow.Encode(w)
+}
+
+// decodeAnalysis reads an analysis section's payload attached to p; nil
+// when r fails.
+func decodeAnalysis(r *wire.Reader, p *lower.Proc) *analysis.Proc {
+	a := &analysis.Proc{P: p}
+	a.Intervals = interval.Decode(r, p.G)
+	if r.Err() == nil {
+		a.Ext = ecfg.Decode(r, p.G)
+	}
+	if r.Err() == nil {
+		a.CDG = cdg.Decode(r, a.Ext)
+	}
+	if r.Err() == nil {
+		a.FCDG = cdg.Decode(r, a.Ext)
+	}
+	if r.Err() == nil {
+		a.Flow = dataflow.Decode(r, p)
+	}
+	if r.Err() != nil {
+		return nil
+	}
+	return a
 }

@@ -6,15 +6,12 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/lang"
 	"repro/internal/lower"
-	"repro/internal/pathprof"
 	"repro/internal/profiler"
-	"repro/internal/vm"
-	"repro/internal/wire"
 )
 
 // fuzzSrc is a compact two-procedure program covering every section an
-// artifact can carry: control flow rich enough for real counter plans and
-// path numberings, a call, and VM-compilable bodies.
+// artifact can carry: control flow rich enough for real analyses and
+// counter plans, and a call.
 const fuzzSrc = `      PROGRAM FZ
       INTEGER I, K
       REAL X, S
@@ -63,21 +60,9 @@ func fuzzProcs(tb testing.TB) (map[string]*lower.Proc, map[string][]byte) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	paths, err := pathprof.BuildPlansWith(an, plans, pathprof.Options{})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	vmProg, err := vm.Compile(res)
-	if err != nil {
-		tb.Fatal(err)
-	}
 	blobs := make(map[string][]byte, len(res.Procs))
 	for name := range res.Procs {
-		var w wire.Writer
-		pa := &ProcArtifact{An: an.Procs[name], Sarkar: plans[name], BL: paths.ByProc[name]}
-		if vmProg.EncodeProc(name, &w) {
-			pa.VMCode = w.Bytes()
-		}
+		pa := &ProcArtifact{An: an.Procs[name], Sarkar: plans[name]}
 		blobs[name] = pa.Encode()
 	}
 	return res.Procs, blobs

@@ -1,9 +1,10 @@
 // Package artifact is the on-disk compiled-artifact cache: a versioned,
 // self-describing binary format for the expensive per-procedure middle-end
 // products (interval structure, extended CFG, control dependence, dataflow
-// facts, Sarkar and Ball–Larus counter plans, VM bytecode), keyed by
-// content hash so an edited source file re-derives only the procedures it
-// actually changed.
+// facts, Sarkar counter plan), keyed by content hash so an edited source
+// file re-derives only the procedures it actually changed. Ball–Larus
+// numberings and VM bytecode are not cached: re-deriving them from the
+// decoded analysis costs less than decoding them would.
 //
 // The cache stores the middle-end only. A warm load still re-parses and
 // re-lowers the source — that phase is cheap, deterministic, and restores
@@ -26,16 +27,15 @@ import (
 
 // FormatVersion is bumped whenever any encoded structure changes shape —
 // including changes to the encodings in other packages' codec files (cfg,
-// interval, ecfg, cdg, dataflow, profiler, pathprof, vm) — or when a
-// section's placement semantics change. Blobs written by any other
-// version are rejected wholesale; there is no migration, the cache just
-// goes cold. See DESIGN.md §17 for the bump policy.
+// interval, ecfg, cdg, dataflow, profiler) — or when the section set
+// changes. Blobs written by any other version are rejected wholesale;
+// there is no migration, the cache just goes cold. See DESIGN.md §17 for
+// the bump policy.
 //
-// Version 2: the VM bailout section is recorded only in the bailing
-// procedure's own artifact (v1 wrote it into every missed procedure's
-// entry, which outlived edits to the bailing body), and signature hashes
-// cover dimension extents and PARAMETER values.
-const FormatVersion = 2
+// Version 3: a blob carries exactly the analysis and Sarkar-plan
+// sections; the Ball–Larus, VM-bytecode and VM-bailout sections of
+// version 2 are gone.
+const FormatVersion = 3
 
 // UnitHash is the content hash of one unit's full canonical dump:
 // identical iff the unit parses to the same AST at the same positions.
@@ -46,16 +46,12 @@ func UnitHash(u *lang.Unit) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// sigDump renders the unit's interface — everything a *caller's* compiled
-// artifacts can depend on: name, kind, parameter list, and the
-// declarations/constants that give parameters their types and array
-// shapes. Dimension extents and PARAMETER values are hashed in canonical
-// expression form, so a shape or constant-value change invalidates
-// callers even though today's cross-procedure compile checks only look
-// at kind/arity/type — slightly coarser invalidation is cheap insurance
-// against argument staging ever growing an extent check. Bodies are
-// excluded, so a body-only edit leaves every other procedure's key
-// intact.
+// sigDump renders the unit's interface — everything a caller can see:
+// name, kind, parameter list, and the declarations/constants that give
+// parameters their types and array shapes. Dimension extents and
+// PARAMETER values are hashed in canonical expression form, so a shape or
+// constant-value change invalidates callers too. Bodies are excluded, so
+// a body-only edit leaves every other procedure's key intact.
 func sigDump(u *lang.Unit) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s|%t|%s\n", u.Name, u.IsMain, strings.Join(u.Params, ","))
@@ -75,14 +71,12 @@ func sigDump(u *lang.Unit) string {
 	return b.String()
 }
 
-// LinkHash hashes the program-level linkage every procedure's artifacts
-// implicitly depend on: the sorted set of (unit name, signature) pairs
-// plus which unit is main. VM bytecode bakes global callee indices (the
-// rank of each name in the sorted name set) into opCall operands, and
-// compilation checks cross-procedure argument binding against callee
-// signatures — so adding, removing, renaming, or re-signaturing any unit
-// must invalidate everything, while body edits must invalidate nothing
-// but the edited unit.
+// LinkHash hashes the program-level linkage: the sorted set of (unit
+// name, signature) pairs plus which unit is main. Adding, removing,
+// renaming, or re-signaturing any unit invalidates everything, while body
+// edits invalidate nothing but the edited unit. The cached sections are
+// derived from one unit's body alone, so this is conservative: it keeps a
+// section that ever comes to read a callee's interface from going stale.
 func LinkHash(prog *lang.Program) string {
 	sigs := make([]string, 0, len(prog.Units))
 	main := ""
@@ -102,10 +96,13 @@ func LinkHash(prog *lang.Program) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// ProcKey is the cache key of one procedure's artifact blob. Engine and
-// plan are part of the key because they change which sections a usable
-// blob must carry (VM bytecode, Ball–Larus tables); the format version is
-// part of the key so a version bump never even reads stale files.
+// ProcKey is the cache key of one procedure's artifact blob. The format
+// version is part of the key so a version bump never even reads stale
+// files. Engine and plan no longer change a blob's contents, so a program
+// loaded under several of them stores identical blobs under separate
+// keys; they stay in the key because bench/cacheedit.go computes keys
+// from the same four inputs, so dropping them is a change to the
+// benchmark.
 func ProcKey(unitHash, linkHash, engine, plan string) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "v%d\n%s\n%s\n%s\n%s\n", FormatVersion, unitHash, linkHash, engine, plan)

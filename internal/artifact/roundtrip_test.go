@@ -2,19 +2,14 @@ package artifact_test
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"strings"
 	"testing"
 
 	"repro/internal/analysis"
 	"repro/internal/artifact"
-	"repro/internal/interp"
 	"repro/internal/lang"
 	"repro/internal/lower"
-	"repro/internal/pathprof"
 	"repro/internal/profiler"
-	"repro/internal/vm"
-	"repro/internal/wire"
 )
 
 // src exercises every statement family the middle-end serializes: nested
@@ -59,8 +54,6 @@ type built struct {
 	res   *lower.Result
 	an    *analysis.Program
 	plans profiler.Plans
-	paths *pathprof.Plans
-	prog  *vm.Program
 }
 
 func buildAll(t *testing.T) *built {
@@ -81,29 +74,12 @@ func buildAll(t *testing.T) *built {
 	if err != nil {
 		t.Fatal(err)
 	}
-	paths, err := pathprof.BuildPlansWith(an, plans, pathprof.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := vm.Compile(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &built{res: res, an: an, plans: plans, paths: paths, prog: prog}
+	return &built{res: res, an: an, plans: plans}
 }
 
 func encodeProc(t *testing.T, b *built, name string) []byte {
 	t.Helper()
-	var w wire.Writer
-	if !b.prog.EncodeProc(name, &w) {
-		t.Fatalf("no compiled proc %s", name)
-	}
-	pa := &artifact.ProcArtifact{
-		An:     b.an.Procs[name],
-		Sarkar: b.plans[name],
-		BL:     b.paths.ByProc[name],
-		VMCode: w.Bytes(),
-	}
+	pa := &artifact.ProcArtifact{An: b.an.Procs[name], Sarkar: b.plans[name]}
 	return pa.Encode()
 }
 
@@ -132,52 +108,6 @@ func TestRoundTripBitStable(t *testing.T) {
 		blob2 := pa.Encode()
 		if !bytes.Equal(blob, blob2) {
 			t.Fatalf("%s: re-encoded blob differs (%d vs %d bytes)", name, len(blob), len(blob2))
-		}
-	}
-}
-
-// TestComposedVMIdenticalRun: a program assembled from decoded bytecode
-// blobs runs bit-identically to the directly compiled one.
-func TestComposedVMIdenticalRun(t *testing.T) {
-	b := buildAll(t)
-	blobs := make(map[string][]byte)
-	for name := range b.res.Procs {
-		var w wire.Writer
-		if b.prog.EncodeProc(name, &w) {
-			blobs[name] = w.Bytes()
-		}
-	}
-	p2, _ := lang.Parse(src)
-	res2, err := lower.Lower(p2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog2, missed, err := vm.ComposeProgram(res2, blobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(missed) != 0 {
-		t.Fatalf("compose rejected blobs: %v", missed)
-	}
-	for seed := uint64(1); seed <= 5; seed++ {
-		r1, err1 := b.prog.Run(interp.Options{Seed: seed})
-		r2, err2 := prog2.Run(interp.Options{Seed: seed})
-		if err1 != nil || err2 != nil {
-			t.Fatalf("seed %d: run errors %v / %v", seed, err1, err2)
-		}
-		if r1.Steps != r2.Steps {
-			t.Fatalf("seed %d: steps %d vs %d", seed, r1.Steps, r2.Steps)
-		}
-		for name, c1 := range r1.ByProc {
-			c2 := r2.ByProc[name]
-			if c2 == nil {
-				t.Fatalf("seed %d: composed run missing proc %s", seed, name)
-			}
-			for id := range c1.Node {
-				if c1.Node[id] != c2.Node[id] {
-					t.Fatalf("seed %d: %s node %d count %d vs %d", seed, name, id, c1.Node[id], c2.Node[id])
-				}
-			}
 		}
 	}
 }
@@ -220,54 +150,6 @@ func TestVersionSkewRejected(t *testing.T) {
 		t.Fatal("version skew accepted")
 	}
 }
-
-// TestBailoutMarkerRoundTrip: a bailout marker survives encode/decode.
-func TestBailoutMarkerRoundTrip(t *testing.T) {
-	b := buildAll(t)
-	pa := &artifact.ProcArtifact{
-		An:      b.an.Procs["ART"],
-		Sarkar:  b.plans["ART"],
-		Bailout: &vm.BailoutError{Proc: "ART", Line: 7, Construct: "X", Reason: "test"},
-	}
-	got, err := artifact.DecodeProc(pa.Encode(), b.res.Procs["ART"])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Bailout == nil || *got.Bailout != *pa.Bailout {
-		t.Fatalf("bailout marker mangled: %+v", got.Bailout)
-	}
-}
-
-// TestBothVMSectionsRejected: a blob carrying both the bytecode and the
-// bailout section violates the at-most-one invariant and must reject,
-// even though its tags are strictly ascending and its checksum is valid.
-func TestBothVMSectionsRejected(t *testing.T) {
-	b := buildAll(t)
-	blob := encodeProc(t, b, "TWIST") // sections 1,2,3,4 (analysis..VM code)
-	// Append a tag-5 bailout section to the body and re-sign the blob.
-	hdr := len(magicAndVersion(blob)) + sha256.Size
-	var sec wire.Writer
-	sec.String("TWIST")
-	sec.Int(3)
-	sec.String("X")
-	sec.String("test")
-	var body wire.Writer
-	body.Raw(blob[hdr:])
-	body.U8(5)
-	body.BytesPrefixed(sec.Bytes())
-	var out wire.Writer
-	out.Raw(magicAndVersion(blob))
-	sum := sha256.Sum256(body.Bytes())
-	out.Raw(sum[:])
-	out.Raw(body.Bytes())
-	if _, err := artifact.DecodeProc(out.Bytes(), b.res.Procs["TWIST"]); err == nil {
-		t.Fatal("blob with both VM code and bailout sections accepted")
-	}
-}
-
-// magicAndVersion returns the blob's 8-byte prefix: 4-byte magic plus the
-// little-endian u32 format version.
-func magicAndVersion(blob []byte) []byte { return blob[:8] }
 
 // TestKeyStability: body edits change only the edited unit's hash; any
 // signature change moves the link hash.

@@ -1,23 +1,18 @@
 package core
 
 import (
-	"errors"
-
 	"repro/internal/analysis"
 	"repro/internal/artifact"
 	"repro/internal/interp"
 	"repro/internal/lang"
 	"repro/internal/lower"
 	"repro/internal/obs"
-	"repro/internal/pathprof"
 	"repro/internal/profiler"
-	"repro/internal/vm"
-	"repro/internal/wire"
 )
 
 // cacheState is a Pipeline's connection to the on-disk artifact cache:
-// what was decoded on load (the warm half, consumed by the lazy plan/VM
-// builders) and what must be written back once the missed procedures have
+// what was decoded on load (the warm half, consumed by the lazy plan
+// builder) and what must be written back once the missed procedures have
 // been re-derived.
 type cacheState struct {
 	store *artifact.Store
@@ -27,24 +22,12 @@ type cacheState struct {
 	// missed names the procedures whose artifacts must be freshly derived
 	// and saved (absent, version-skewed, or corrupt entries).
 	missed map[string]bool
-	// Warm halves, one entry per hit procedure.
-	sarkar  map[string]*profiler.Plan
-	bl      map[string]*pathprof.Plan
-	vmBlobs map[string][]byte
-	// bailout, when non-nil, is the VM compile bailout decoded from the
-	// bailing procedure's OWN hit artifact: that body — the input that
-	// caused the bailout — is unchanged, so the program is still outside
-	// the VM subset and a warm load skips re-attempting compilation.
-	// Editing the bailing procedure changes its key, the entry misses,
-	// and the bailout disappears with it.
-	bailout *vm.BailoutError
-	// Section requirements under the load's engine and plan.
-	wantBL bool
-	wantVM bool
+	// sarkar holds the decoded counter plan of every hit procedure.
+	sarkar map[string]*profiler.Plan
 }
 
-// engineKeyPart collapses the engine to what the artifact contents depend
-// on: vm and vm-batch run the same bytecode, so they share cache entries.
+// engineKeyPart collapses the engine to its key part: vm and vm-batch
+// share cache entries.
 func engineKeyPart(eng interp.Engine) string {
 	if interp.EffectiveEngine(eng).VMBased() {
 		return "vm"
@@ -61,14 +44,10 @@ func loadCache(store *artifact.Store, prog *lang.Program, res *lower.Result,
 	eng interp.Engine, plan Strategy, tr *obs.Trace) (*cacheState, map[string]*analysis.Proc) {
 	sp := tr.Start("cache.load")
 	st := &cacheState{
-		store:   store,
-		keys:    make(map[string]string, len(res.Procs)),
-		missed:  make(map[string]bool),
-		sarkar:  make(map[string]*profiler.Plan),
-		bl:      make(map[string]*pathprof.Plan),
-		vmBlobs: make(map[string][]byte),
-		wantBL:  EffectiveStrategy(plan) == StrategyBallLarus,
-		wantVM:  interp.EffectiveEngine(eng).VMBased(),
+		store:  store,
+		keys:   make(map[string]string, len(res.Procs)),
+		missed: make(map[string]bool),
+		sarkar: make(map[string]*profiler.Plan),
 	}
 	linkHash := artifact.LinkHash(prog)
 	engPart := engineKeyPart(eng)
@@ -78,7 +57,7 @@ func loadCache(store *artifact.Store, prog *lang.Program, res *lower.Result,
 	for name, proc := range res.Procs {
 		key := artifact.ProcKey(artifact.UnitHash(proc.Unit), linkHash, engPart, planPart)
 		st.keys[name] = key
-		pa := decodeUsable(st, store.Get(key), name, proc)
+		pa := decode(store.Get(key), proc)
 		if pa == nil {
 			st.missed[name] = true
 			misses++
@@ -87,18 +66,6 @@ func loadCache(store *artifact.Store, prog *lang.Program, res *lower.Result,
 		hits++
 		prebuilt[name] = pa.An
 		st.sarkar[name] = pa.Sarkar
-		if pa.BL != nil {
-			st.bl[name] = pa.BL
-		}
-		if pa.VMCode != nil {
-			st.vmBlobs[name] = pa.VMCode
-		}
-		if pa.Bailout != nil && st.bailout == nil {
-			// Honored only because this is the bailing procedure's own hit
-			// (decodeUsable rejects foreign bailouts): the body that bailed
-			// is covered by this entry's key, so it still bails.
-			st.bailout = pa.Bailout
-		}
 	}
 	obs.Default.Add("artifact.hit", hits)
 	obs.Default.Add("artifact.miss", misses)
@@ -106,16 +73,8 @@ func loadCache(store *artifact.Store, prog *lang.Program, res *lower.Result,
 	return st, prebuilt
 }
 
-// decodeUsable decodes a blob and checks it carries every section the
-// load's engine and plan require. nil means miss. Under a VM engine a
-// blob may legitimately carry neither bytecode nor a bailout (it was
-// written while the program bailed in some other procedure): its
-// analysis and plans are still reusable, and compiledVM recompiles the
-// missing bytecode. A bailout is trusted only from the bailing
-// procedure's own artifact — the bailout is a fact about that body,
-// which only its own key covers — so a blob carrying some other
-// procedure's bailout is stale by construction and rejected.
-func decodeUsable(st *cacheState, blob []byte, name string, proc *lower.Proc) *artifact.ProcArtifact {
+// decode decodes a blob; nil means miss.
+func decode(blob []byte, proc *lower.Proc) *artifact.ProcArtifact {
 	if blob == nil {
 		return nil
 	}
@@ -124,23 +83,14 @@ func decodeUsable(st *cacheState, blob []byte, name string, proc *lower.Proc) *a
 		obs.Default.Add("artifact.reject", 1)
 		return nil
 	}
-	if st.wantBL && pa.BL == nil {
-		obs.Default.Add("artifact.reject", 1)
-		return nil
-	}
-	if pa.Bailout != nil && pa.Bailout.Proc != name {
-		obs.Default.Add("artifact.reject", 1)
-		return nil
-	}
 	return pa
 }
 
-// warmAndSave re-derives the plans (and, under a VM engine, the bytecode)
-// through the Pipeline's normal lazy builders — seeded with the decoded
-// warm halves, so hits are not recomputed — and writes one blob per missed
-// procedure. Build failures are not load failures: they resurface on the
-// first Profile/Estimate exactly as without a cache; nothing is saved for
-// the affected load.
+// warmAndSave re-derives the counter plans through the Pipeline's normal
+// lazy builder — seeded with the decoded warm half, so hits are not
+// recomputed — and writes one blob per missed procedure. A planning
+// failure is not a load failure: it resurfaces on the first
+// Profile/Estimate exactly as without a cache, and nothing is saved.
 func (p *Pipeline) warmAndSave() {
 	st := p.cache
 	if st == nil {
@@ -150,47 +100,10 @@ func (p *Pipeline) warmAndSave() {
 	if err != nil {
 		return
 	}
-	var pp *pathprof.Plans
-	if st.wantBL {
-		if pp, err = p.pathProfPlans(); err != nil {
-			return
-		}
-	}
-	var prog *vm.Program
-	var bail *vm.BailoutError
-	if st.wantVM {
-		vp, vmErr := p.compiledVM()
-		if vmErr == nil {
-			prog = vp
-		} else if !errors.As(vmErr, &bail) {
-			// Not a recordable bailout: leave the VM sections out. The
-			// entry would be rejected on read, so skip saving entirely.
-			if len(st.missed) > 0 {
-				obs.Default.Add("artifact.write_skipped", int64(len(st.missed)))
-			}
-			return
-		}
-	}
 	sp := p.Trace.Start("cache.save")
 	var writes int64
 	for name := range st.missed {
 		pa := &artifact.ProcArtifact{An: p.An.Procs[name], Sarkar: plans[name]}
-		if st.wantBL {
-			pa.BL = pp.ByProc[name]
-		}
-		if prog != nil {
-			var w wire.Writer
-			if prog.EncodeProc(name, &w) {
-				pa.VMCode = w.Bytes()
-			}
-		} else if bail != nil && bail.Proc == name {
-			// The bailout is a fact about the bailing procedure's body, so
-			// it is recorded only in that procedure's own artifact — the
-			// only key that covers the body that caused it. Other
-			// procedures' entries carry no VM section; ComposeProgram
-			// recompiles them on a warm load that no longer bails.
-			pa.Bailout = bail
-		}
 		if err := st.store.Put(st.keys[name], pa.Encode()); err != nil {
 			obs.Default.Add("artifact.write_errors", 1)
 			continue

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -165,12 +166,10 @@ const bailSrc = `      PROGRAM BMAIN
       END
 `
 
-// TestCacheBailoutInvalidatedByEdit: a recorded VM bailout lives only in
-// the bailing procedure's own artifact, so a warm load honors it, but
-// editing that procedure to be VM-compatible misses its key, drops the
-// bailout with it, and the reload compiles for the VM — the cache can
-// never pin a program to the tree-walker after the offending code is
-// gone.
+// TestCacheBailoutInvalidatedByEdit: the cache records nothing about VM
+// compilation, so a warm load of a program that bails re-attempts the
+// compile and falls back exactly like a cold load, and once an edit
+// removes the construct that bailed, the reload runs on the VM.
 func TestCacheBailoutInvalidatedByEdit(t *testing.T) {
 	store := openStore(t)
 	opts := LoadOptions{Cache: store, Engine: interp.EngineVM, Plan: StrategySarkar}
@@ -179,14 +178,14 @@ func TestCacheBailoutInvalidatedByEdit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fb, fbErr := cold.EngineFallback(); !fb {
+	fb, coldErr := cold.EngineFallback()
+	if !fb {
 		t.Fatal("cold load of bailing program did not fall back")
-	} else if !strings.Contains(fbErr.Error(), "BSUB") {
-		t.Fatalf("bailout does not name BSUB: %v", fbErr)
+	}
+	if !strings.Contains(coldErr.Error(), "BSUB") {
+		t.Fatalf("bailout does not name BSUB: %v", coldErr)
 	}
 
-	// Warm reload: both procedures hit, and the bailout is honored from
-	// BSUB's own artifact without re-attempting compilation.
 	hitBefore := metric("artifact.hit")
 	warm, err := LoadOpts(bailSrc, opts)
 	if err != nil {
@@ -195,13 +194,14 @@ func TestCacheBailoutInvalidatedByEdit(t *testing.T) {
 	if got := metric("artifact.hit") - hitBefore; got != 2 {
 		t.Fatalf("warm load: %d hits, want 2", got)
 	}
-	if fb, _ := warm.EngineFallback(); !fb {
-		t.Fatal("warm load lost the recorded bailout")
+	if fb, warmErr := warm.EngineFallback(); !fb {
+		t.Fatal("warm load of bailing program did not fall back")
+	} else if warmErr.Error() != coldErr.Error() {
+		t.Fatalf("warm bailout %q, cold %q", warmErr, coldErr)
 	}
 
 	// Edit the bailing procedure to be VM-compatible: exactly its entry
-	// misses, no surviving artifact carries a bailout, and the program
-	// compiles — the VM engine is used.
+	// misses, and the program runs on the VM.
 	edited := strings.Replace(bailSrc, "A(1) = 'AB'", "A(1) = 2.0", 1)
 	hitBefore, missBefore := metric("artifact.hit"), metric("artifact.miss")
 	fixed, err := LoadOpts(edited, opts)
@@ -215,7 +215,7 @@ func TestCacheBailoutInvalidatedByEdit(t *testing.T) {
 		t.Fatalf("edited reload: %d hits, want exactly 1 (BMAIN)", got)
 	}
 	if fb, fbErr := fixed.EngineFallback(); fb {
-		t.Fatalf("edited program still pinned to tree-walker by stale bailout: %v", fbErr)
+		t.Fatalf("edited program fell back to the tree-walker: %v", fbErr)
 	}
 	fixedTime, fixedVar := estimateAll(t, fixed)
 	ref, err := LoadOpts(edited, LoadOptions{Engine: interp.EngineVM, Plan: StrategySarkar})
@@ -227,23 +227,39 @@ func TestCacheBailoutInvalidatedByEdit(t *testing.T) {
 		t.Fatalf("cached estimates differ from uncached: TIME %v vs %v, VAR %v vs %v",
 			fixedTime, refTime, fixedVar, refVar)
 	}
+}
 
-	// The recompile wrote fresh bytecode back for BOTH procedures (BMAIN's
-	// bailing-era entry had none), so a further reload composes entirely
-	// from the cache: full hits, no rejects, still the VM.
-	hitBefore, rejBefore := metric("artifact.hit"), metric("artifact.reject")
-	again, err := LoadOpts(edited, opts)
-	if err != nil {
-		t.Fatal(err)
+// TestCacheBlobsIndependentOfEngineAndPlan: a blob holds only what every
+// engine and counter strategy share, so loading the same program under
+// (vm-batch, ball-larus) and under (tree, sarkar) stores byte-identical
+// blobs for every procedure.
+func TestCacheBlobsIndependentOfEngineAndPlan(t *testing.T) {
+	type config struct {
+		eng  interp.Engine
+		plan Strategy
 	}
-	if got := metric("artifact.hit") - hitBefore; got != 2 {
-		t.Fatalf("re-reload: %d hits, want 2", got)
+	blobs := func(c config) map[string][]byte {
+		store := openStore(t)
+		p, err := LoadOpts(cacheSrc, LoadOptions{Cache: store, Engine: c.eng, Plan: c.plan})
+		if err != nil {
+			t.Fatal(err)
+		}
+		link := artifact.LinkHash(p.Prog)
+		out := make(map[string][]byte)
+		for name, proc := range p.Res.Procs {
+			key := artifact.ProcKey(artifact.UnitHash(proc.Unit), link, engineKeyPart(c.eng), c.plan.String())
+			if out[name] = store.Get(key); out[name] == nil {
+				t.Fatalf("%v/%v: no blob stored for %s", c.eng, c.plan, name)
+			}
+		}
+		return out
 	}
-	if got := metric("artifact.reject") - rejBefore; got != 0 {
-		t.Fatalf("re-reload: %d rejects, want 0", got)
-	}
-	if fb, _ := again.EngineFallback(); fb {
-		t.Fatal("re-reload fell back despite cached bytecode")
+	a := blobs(config{interp.EngineVMBatch, StrategyBallLarus})
+	b := blobs(config{interp.EngineTree, StrategySarkar})
+	for name := range a {
+		if !bytes.Equal(a[name], b[name]) {
+			t.Errorf("%s: blob differs across engine/plan (%d vs %d bytes)", name, len(a[name]), len(b[name]))
+		}
 	}
 }
 

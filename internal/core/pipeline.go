@@ -71,7 +71,7 @@ type Pipeline struct {
 	vmErr  error
 
 	// cache, when non-nil, is the on-disk artifact cache this load was
-	// keyed against: decoded warm halves seed the lazy builders above, and
+	// keyed against: decoded plans seed the lazy plan builder above, and
 	// missed procedures are written back after re-derivation (see cache.go).
 	cache *cacheState
 }
@@ -171,9 +171,9 @@ func LoadCtx(ctx context.Context, src string, opts LoadOptions) (*Pipeline, erro
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		// Eagerly drive the lazy builders so misses are re-derived and
+		// Eagerly drive the plan builder so misses are re-derived and
 		// written back now, while the load still owns the wall clock —
-		// hits make this cheap, and the first Profile pays nothing.
+		// hits make this cheap, and the first Profile pays no planning.
 		p.warmAndSave()
 	}
 	return p, nil
@@ -185,41 +185,7 @@ func LoadCtx(ctx context.Context, src string, opts LoadOptions) (*Pipeline, erro
 func (p *Pipeline) compiledVM() (*vm.Program, error) {
 	p.vmOnce.Do(func() {
 		sp := p.Trace.Start("compile")
-		switch {
-		case p.cache != nil && p.cache.bailout != nil:
-			// The bailing procedure's own artifact hit, so its body still
-			// puts the program outside the VM subset; skip re-attempting
-			// compilation. Metric parity with the cold path below.
-			p.vmErr = p.cache.bailout
-			obs.Default.Add("vm.compile_bailouts", 1)
-		case p.cache != nil:
-			var missed []string
-			p.vmProg, missed, p.vmErr = vm.ComposeProgram(p.Res, p.cache.vmBlobs)
-			if p.vmErr != nil {
-				obs.Default.Add("vm.compile_bailouts", 1)
-			} else {
-				obs.Default.Add("vm.superinstructions", int64(p.vmProg.FusedInstructions()))
-				// Hit entries that carried no usable bytecode — decode
-				// rejections, or blobs written while the program bailed —
-				// were recompiled by ComposeProgram just now. Mark them
-				// missed so warmAndSave overwrites the stale entries with
-				// the fresh bytecode instead of leaving them to pay this
-				// recompile on every future load. Only a present-but-
-				// rejected VM section counts as artifact.reject; an absent
-				// one is a legitimate bailing-era blob.
-				for _, name := range missed {
-					if p.cache.missed[name] {
-						continue
-					}
-					if _, had := p.cache.vmBlobs[name]; had {
-						obs.Default.Add("artifact.reject", 1)
-					}
-					p.cache.missed[name] = true
-				}
-			}
-		default:
-			p.vmProg, p.vmErr = vm.Compile(p.Res)
-		}
+		p.vmProg, p.vmErr = vm.Compile(p.Res)
 		sp.End()
 		if p.vmErr != nil {
 			obs.Default.Add("pipeline.vm_bailout", 1)
@@ -319,11 +285,7 @@ func (p *Pipeline) pathProfPlans() (*pathprof.Plans, error) {
 			return
 		}
 		sp := p.Trace.Start("plan.paths")
-		var prebuilt map[string]*pathprof.Plan
-		if p.cache != nil {
-			prebuilt = p.cache.bl
-		}
-		p.pathPlans, p.pathErr = pathprof.BuildPlansPrebuilt(p.An, sk, pathprof.Options{}, prebuilt)
+		p.pathPlans, p.pathErr = pathprof.BuildPlansWith(p.An, sk, pathprof.Options{})
 		if p.pathErr == nil {
 			var fallbacks int64
 			for _, pl := range p.pathPlans.ByProc {

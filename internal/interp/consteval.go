@@ -17,7 +17,7 @@ type ConstEnv func(name string) (Value, bool)
 // array access, and any expression whose runtime evaluation could fail
 // (division by zero, MOD by zero, SQRT/LOG domain errors) all yield
 // ok=false. It must stay semantically identical to machine.eval — integer
-// arithmetic stays integer with truncating division and ipow, mixed
+// arithmetic stays integer with truncating division and lang.IntPow, mixed
 // arithmetic promotes through Float, relationals compare as float64 — so
 // that a static "constant" claim can never disagree with an actual run.
 func EvalConst(u *lang.Unit, e lang.Expr, env ConstEnv) (Value, bool) {
@@ -122,7 +122,7 @@ func evalConstBin(u *lang.Unit, x *lang.Bin, env ConstEnv) (Value, bool) {
 			}
 			return Int(l.I / r.I), true
 		case lang.OpPow:
-			return Int(ipow(l.I, r.I)), true
+			return Int(lang.IntPow(l.I, r.I)), true
 		}
 	}
 	a, b := l.Float(), r.Float()

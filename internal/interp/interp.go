@@ -1202,9 +1202,6 @@ func constValue(sym *lang.Symbol) Value {
 // the bytecode engine shares the exact store semantics of the tree-walker.
 func Convert(v Value, t lang.Type) Value { return convert(v, t) }
 
-// Ipow is F77 integer exponentiation, shared with the bytecode engine.
-func Ipow(base, exp int64) int64 { return ipow(base, exp) }
-
 // ConstSymbolValue returns the runtime value of a folded PARAMETER symbol.
 func ConstSymbolValue(sym *lang.Symbol) Value { return constValue(sym) }
 
@@ -1346,7 +1343,7 @@ func (m *machine) evalBin(f *frame, x *lang.Bin) (Value, error) {
 			}
 			return Int(l.I / r.I), nil
 		case lang.OpPow:
-			return Int(ipow(l.I, r.I)), nil
+			return Int(lang.IntPow(l.I, r.I)), nil
 		}
 	}
 	a, b := l.Float(), r.Float()
@@ -1367,29 +1364,6 @@ func (m *machine) evalBin(f *frame, x *lang.Bin) (Value, error) {
 	}
 	return Value{}, &RuntimeError{Unit: f.proc.G.Name, Line: 0,
 		Msg: fmt.Sprintf("bad operator %v", x.Op)}
-}
-
-// ipow is F77 integer exponentiation: negative exponents yield 0 except for
-// bases 1 and -1.
-func ipow(base, exp int64) int64 {
-	if exp < 0 {
-		switch base {
-		case 1:
-			return 1
-		case -1:
-			if exp%2 == 0 {
-				return 1
-			}
-			return -1
-		default:
-			return 0
-		}
-	}
-	out := int64(1)
-	for ; exp > 0; exp-- {
-		out *= base
-	}
-	return out
 }
 
 func (m *machine) evalIntrinsic(f *frame, x *lang.Intrinsic) (Value, error) {

@@ -628,11 +628,7 @@ func (a *analyzer) foldConst(e Expr) (any, Type, error) {
 				if r < 0 {
 					return nil, TNone, fmt.Errorf("negative integer exponent in constant")
 				}
-				out := int64(1)
-				for i := int64(0); i < r; i++ {
-					out *= l
-				}
-				return out, TInt, nil
+				return IntPow(l, r), TInt, nil
 			}
 			return nil, TNone, fmt.Errorf("cannot fold operator %s", x.Op)
 		}
@@ -655,6 +651,34 @@ func (a *analyzer) foldConst(e Expr) (any, Type, error) {
 		return nil, TNone, fmt.Errorf("cannot fold operator %s", x.Op)
 	}
 	return nil, TNone, fmt.Errorf("not a constant expression: %s", e)
+}
+
+// IntPow is F77 integer exponentiation with wrapping int64 arithmetic:
+// negative exponents yield 0 except for bases 1 and -1. It squares and
+// multiplies, so the work is logarithmic in exp; wrapping multiplication
+// is associative, so the result equals exp repeated multiplications.
+func IntPow(base, exp int64) int64 {
+	if exp < 0 {
+		switch base {
+		case 1:
+			return 1
+		case -1:
+			if exp%2 == 0 {
+				return 1
+			}
+			return -1
+		default:
+			return 0
+		}
+	}
+	out := int64(1)
+	for ; exp > 0; exp >>= 1 {
+		if exp&1 == 1 {
+			out *= base
+		}
+		base *= base
+	}
+	return out
 }
 
 func toF(v any) float64 {

@@ -3,6 +3,7 @@ package lang
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 func semaErr(t *testing.T, body, want string) {
@@ -232,4 +233,41 @@ func TestArrayDimensionLimit(t *testing.T) {
 	}
 	semaErr(t, "      REAL A(2,2,2,2,2,2,2,2)\n      X = 1.0\n", "at most 7 allowed")
 	semaErr(t, "      REAL A\n      DIMENSION A(2,2,2,2,2,2,2,2)\n      X = 1.0\n", "at most 7 allowed")
+}
+
+// TestIntPowMatchesRepeatedMultiplication pins square-and-multiply to the
+// repeated-multiplication loop it replaced, wrapping included.
+func TestIntPowMatchesRepeatedMultiplication(t *testing.T) {
+	for base := int64(-3); base <= 3; base++ {
+		want := int64(1)
+		for exp := int64(0); exp <= 130; exp++ {
+			if got := IntPow(base, exp); got != want {
+				t.Fatalf("IntPow(%d, %d) = %d, want %d", base, exp, got, want)
+			}
+			want *= base
+		}
+	}
+	for _, c := range []struct{ base, exp, want int64 }{
+		{1, -3, 1}, {-1, -3, -1}, {-1, -4, 1}, {2, -1, 0}, {0, -2, 0},
+	} {
+		if got := IntPow(c.base, c.exp); got != c.want {
+			t.Errorf("IntPow(%d, %d) = %d, want %d", c.base, c.exp, got, c.want)
+		}
+	}
+}
+
+// TestHugeExponentFoldsQuickly: folding a PARAMETER with a huge integer
+// exponent takes logarithmic work, so a parse cannot be made to spin.
+func TestHugeExponentFoldsQuickly(t *testing.T) {
+	start := time.Now()
+	u := parseBody(t, `      INTEGER K
+      PARAMETER (K = 1**2000000000)
+      PRINT *, K
+`)
+	if d := time.Since(start); d > 100*time.Millisecond {
+		t.Errorf("parse took %v, want under 100ms", d)
+	}
+	if got := u.Symbols["K"].ConstValue; got != int64(1) {
+		t.Errorf("K folds to %v, want 1", got)
+	}
 }

@@ -137,17 +137,7 @@ type Plans map[string]*Plan
 
 // BuildPlans computes the flow-aware smart placement of every procedure
 // once (PlanFlow: the smart scheme plus dataflow-derived counter drops).
-func BuildPlans(prog *analysis.Program) (Plans, error) {
-	out := make(Plans, len(prog.Procs))
-	for name, a := range prog.Procs {
-		plan, err := PlanFlow(a)
-		if err != nil {
-			return nil, err
-		}
-		out[name] = plan
-	}
-	return out, nil
-}
+func BuildPlans(prog *analysis.Program) (Plans, error) { return BuildPlansPrebuilt(prog, nil) }
 
 // Profile recovers full per-procedure totals from the simulated counter
 // readings of one run. The run must come from the same lowered program

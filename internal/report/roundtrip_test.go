@@ -133,7 +133,7 @@ func TestDocumentGoldenRoundTrip(t *testing.T) {
 }
 
 // TestMetricsBackCompat parses the pre-Metrics plain-number encoding —
-// committed BENCH_*.json snapshots must keep loading.
+// metrics files written by older tools must keep loading.
 func TestMetricsBackCompat(t *testing.T) {
 	var m Metrics
 	if err := json.Unmarshal([]byte(`{"nodes_per_sec": 1.5e6, "lanes": 8}`), &m); err != nil {

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	artstore "repro/internal/artifact"
 	"repro/internal/obs"
 	"repro/internal/report"
 )
@@ -404,5 +405,47 @@ func TestLRUEviction(t *testing.T) {
 	}
 	if got := svc.cache.len(); got != 4 {
 		t.Errorf("cache entries = %d, want 4 (LRU bound)", got)
+	}
+}
+
+// TestServiceRestartWarmFromDisk: a restarted daemon (a fresh Service on
+// the same disk cache) serves a request warm from the artifacts its
+// predecessor wrote — artifact hits rise, its in-memory cache is not
+// what served it, and the response is the one the first service sent.
+func TestServiceRestartWarmFromDisk(t *testing.T) {
+	disk, err := artstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := AnalyzeRequest{Source: srcOK, Engine: "vm", Plan: "ball-larus", Seeds: []uint64{1, 2, 3}}
+	serve := func() *AnalyzeResponse {
+		ts := httptest.NewServer(New(Config{Metrics: &obs.Registry{}, DiskCache: disk}))
+		defer ts.Close()
+		resp, out := postAnalyze(t, ts.URL, req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d", resp.StatusCode)
+		}
+		if out.CacheHit {
+			t.Fatal("a fresh service reported an in-memory cache hit")
+		}
+		out.Spans = nil // timings differ run to run
+		return out
+	}
+	first := serve()
+	hitsBefore := obs.Default.Snapshot()["artifact.hit"]
+	second := serve()
+	if got := obs.Default.Snapshot()["artifact.hit"] - hitsBefore; got != 2 {
+		t.Errorf("restarted service: artifact.hit rose by %v, want one per procedure (2)", got)
+	}
+	a, err := json.Marshal(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Errorf("restarted service answered differently:\n%s\nvs\n%s", a, b)
 	}
 }

@@ -691,9 +691,9 @@ func (c *procComp) compilePrologue() error {
 	return nil
 }
 
-// dims compiles array extent expressions. The tree-walker evaluates local
-// allocations in map-iteration order, so only order-insensitive dimension
-// expressions (constants, parameters — no locals, no RNG) are compilable.
+// dims compiles array extent expressions. Both engines allocate locals in
+// slot (sorted-name) order; only extents built from constants and
+// parameters (no locals, no RNG) are compilable.
 func (c *procComp) dims(sym *lang.Symbol) error {
 	c.inDims = true
 	defer func() { c.inDims = false }()

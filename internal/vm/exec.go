@@ -1215,7 +1215,7 @@ func binop(op lang.BinOp, l, r interp.Value, unit string) (interp.Value, error) 
 			}
 			return interp.Int(l.I / r.I), nil
 		case lang.OpPow:
-			return interp.Int(interp.Ipow(l.I, r.I)), nil
+			return interp.Int(lang.IntPow(l.I, r.I)), nil
 		case lang.OpLT:
 			return interp.Logical(float64(l.I) < float64(r.I)), nil
 		case lang.OpLE:
