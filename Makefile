@@ -62,9 +62,11 @@ bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x ./...
 
 # bench-analysis times the middle end alone on a cold-large-sized program
-# (progen size 240, depth 4), with one and with GOMAXPROCS workers.
+# (progen size 240, depth 4), with one and with GOMAXPROCS workers, then
+# its dataflow pass alone on the same program (time and allocations).
 bench-analysis:
 	$(GO) test ./internal/analysis -run '^$$' -bench AnalyzeProgram -benchtime 2s -count 5
+	$(GO) test ./internal/dataflow -run '^$$' -bench Dataflow -benchtime 2s -count 5
 
 # bench-tree times the tree-walker alone on the Table 1 programs (SIMPLE
 # and LOOPS at a reduced size), with allocations per run.

@@ -257,7 +257,11 @@ func distinctTargets(edges []Edge, pick func(Edge) NodeID) []NodeID {
 // Edges returns every edge in the graph, ordered by source node ID and then
 // insertion order.
 func (g *Graph) Edges() []Edge {
-	var out []Edge
+	n := 0
+	for id := NodeID(1); id <= g.MaxID(); id++ {
+		n += len(g.succ[id])
+	}
+	out := make([]Edge, 0, n)
 	for id := NodeID(1); id <= g.MaxID(); id++ {
 		out = append(out, g.succ[id]...)
 	}
@@ -324,15 +328,36 @@ func (g *Graph) ReachableFrom(start NodeID) []bool {
 }
 
 // Clone returns a deep copy of the graph structure. Node Payload pointers
-// are shared (payloads are immutable statements).
+// are shared (payloads are immutable statements). The copy carves its
+// nodes from one slab and its edge lists from two more (successors and
+// predecessors), each list capped at its length so a later AddEdge
+// reallocates that list instead of overwriting its neighbor's.
 func (g *Graph) Clone() *Graph {
-	out := New(g.Name)
-	out.Entry, out.Exit = g.Entry, g.Exit
-	for _, n := range g.nodes[1:] {
-		c := *n
-		out.nodes = append(out.nodes, &c)
-		out.succ = append(out.succ, append([]Edge(nil), g.succ[n.ID]...))
-		out.pred = append(out.pred, append([]Edge(nil), g.pred[n.ID]...))
+	n := len(g.nodes)
+	out := &Graph{
+		Name:  g.Name,
+		nodes: make([]*Node, n),
+		succ:  make([][]Edge, n),
+		pred:  make([][]Edge, n),
+		Entry: g.Entry,
+		Exit:  g.Exit,
+	}
+	edges := 0
+	for id := 1; id < n; id++ {
+		edges += len(g.succ[id])
+	}
+	nodes := make([]Node, n)
+	succ := make([]Edge, 0, edges)
+	pred := make([]Edge, 0, edges)
+	for id := 1; id < n; id++ {
+		nodes[id] = *g.nodes[id]
+		out.nodes[id] = &nodes[id]
+		k := len(succ)
+		succ = append(succ, g.succ[id]...)
+		out.succ[id] = succ[k:len(succ):len(succ)]
+		k = len(pred)
+		pred = append(pred, g.pred[id]...)
+		out.pred[id] = pred[k:len(pred):len(pred)]
 	}
 	return out
 }

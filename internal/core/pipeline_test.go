@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/dfst"
 	"repro/internal/interp"
 )
 
@@ -37,5 +38,46 @@ func TestProfileCtxCancelsBetweenSeeds(t *testing.T) {
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("%v: err = %v, want context.Canceled", eng, err)
 		}
+	}
+}
+
+// gotoSpaghetti is eight labeled statements whose conditional GOTOs form
+// irreducible regions that node splitting would copy exponentially.
+const gotoSpaghetti = `      PROGRAM T
+      INTEGER I
+      I = 0
+   10 I = I + 1
+      IF (I .GT. 1) GOTO 30
+      IF (I .GT. 2) GOTO 50
+   20 I = I + 1
+      IF (I .GT. 4) GOTO 70
+      IF (I .GT. 5) GOTO 40
+   30 I = I + 1
+      IF (I .GT. 7) GOTO 20
+      IF (I .GT. 8) GOTO 40
+   40 I = I + 1
+      IF (I .GT. 10) GOTO 20
+      IF (I .GT. 11) GOTO 60
+   50 I = I + 1
+      IF (I .GT. 13) GOTO 30
+      IF (I .GT. 14) GOTO 10
+   60 I = I + 1
+      IF (I .GT. 16) GOTO 80
+      IF (I .GT. 17) GOTO 30
+   70 I = I + 1
+      IF (I .GT. 19) GOTO 70
+      IF (I .GT. 20) GOTO 10
+   80 I = I + 1
+      IF (I .GT. 22) GOTO 40
+      IF (I .GT. 23) GOTO 80
+      END
+`
+
+// TestLoadSurfacesSplitBudget: a load whose lowering would split nodes past
+// the budget fails with dfst.ErrSplitBudget instead of running away.
+func TestLoadSurfacesSplitBudget(t *testing.T) {
+	_, err := LoadOpts(gotoSpaghetti, LoadOptions{Workers: 1})
+	if !errors.Is(err, dfst.ErrSplitBudget) {
+		t.Fatalf("LoadOpts = %v, want %v", err, dfst.ErrSplitBudget)
 	}
 }

@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/cfg"
@@ -10,8 +11,11 @@ import (
 	"repro/internal/wire"
 )
 
-// Encode serializes the facts (sans Proc, re-attached on decode). Maps are
-// written in sorted key order for deterministic bytes.
+// Encode serializes the facts (sans Proc, re-attached on decode). Each
+// binding is written under its name, a scalar's source name or a trip
+// register's "\x00trip@<test>", in name order: the trip registers (the
+// tail of an Env) sort first. Maps are written in sorted key order for
+// deterministic bytes.
 func (f *Facts) Encode(w *wire.Writer) {
 	w.Uvarint(uint64(len(f.Env)))
 	for _, env := range f.Env {
@@ -20,15 +24,12 @@ func (f *Facts) Encode(w *wire.Writer) {
 			continue
 		}
 		w.Bool(true)
-		names := make([]string, 0, len(env))
-		for name := range env {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		w.Uvarint(uint64(len(names)))
-		for _, name := range names {
-			w.String(name)
-			encodeValue(w, env[name])
+		w.Uvarint(uint64(len(env)))
+		split, _ := slices.BinarySearchFunc(env, f.nslots(), cmpIndex)
+		for j := range env { // the tail env[split:] first
+			b := env[(split+j)%len(env)]
+			w.String(f.name(b.Index))
+			encodeValue(w, b.Val)
 		}
 	}
 	w.Uvarint(uint64(len(f.Reached)))
@@ -101,19 +102,26 @@ func Decode(r *wire.Reader, p *lower.Proc) *Facts {
 		r.Failf("dataflow env table has %d entries, graph wants %d", ne, g.MaxID()+1)
 		return f
 	}
+	f.tripNames, _ = tripNames(g, f.nslots())
 	f.Env = make([]Env, ne)
 	for i := 0; i < ne; i++ {
 		if !r.Bool() {
 			continue
 		}
-		nv := r.Count(2)
-		env := make(Env, nv)
-		for j := 0; j < nv; j++ {
-			name := r.String()
-			env[name] = decodeValue(r)
+		env := make(Env, r.Count(2))
+		for j := range env {
+			env[j] = Binding{f.decodeIndex(r), decodeValue(r)}
 		}
 		if r.Err() != nil {
 			return f
+		}
+		// Names sort trip registers first; indices put them last.
+		slices.SortFunc(env, func(a, b Binding) int { return int(a.Index - b.Index) })
+		for j := 1; j < len(env); j++ {
+			if env[j].Index == env[j-1].Index {
+				r.Failf("dataflow env binds %q twice", f.name(env[j].Index))
+				return f
+			}
 		}
 		f.Env[i] = env
 	}
@@ -155,6 +163,27 @@ func Decode(r *wire.Reader, p *lower.Proc) *Facts {
 	f.DeadStores = decodeFindings(r, g)
 	f.UseBeforeDef = decodeFindings(r, g)
 	return f
+}
+
+// decodeIndex reads a binding name and resolves it to its Env index.
+func (f *Facts) decodeIndex(r *wire.Reader) int32 {
+	name := r.String()
+	if k, ok := slices.BinarySearch(f.tripNames, name); ok {
+		return f.nslots() + int32(k)
+	}
+	if u := f.Proc.Unit; u != nil && isScalar(u.Symbols[name]) {
+		return int32(u.Symbols[name].Slot)
+	}
+	r.Failf("dataflow env binds unknown variable %q", name)
+	return -1
+}
+
+// name is the name Encode writes for Env index i; decodeIndex inverts it.
+func (f *Facts) name(i int32) string {
+	if ns := f.nslots(); i >= ns {
+		return f.tripNames[i-ns]
+	}
+	return f.Proc.Unit.Slots[i].Name
 }
 
 func decodeFindings(r *wire.Reader, g *cfg.Graph) []Finding {

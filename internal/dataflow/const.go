@@ -1,9 +1,8 @@
 package dataflow
 
 import (
-	"fmt"
-	"sort"
-	"strings"
+	"slices"
+	"strconv"
 
 	"repro/internal/cfg"
 	"repro/internal/interp"
@@ -11,30 +10,136 @@ import (
 	"repro/internal/lower"
 )
 
-// Env maps scalar names to their proven-constant runtime value at a program
-// point. Absence means "varying"; a nil Env means the point is unreached.
-// Besides source scalars the map carries one pseudo variable per DO loop —
-// the hidden trip register the interpreter keys by the test node — under a
-// name TripKey produces (never a legal identifier).
-type Env map[string]interp.Value
+// Env is the constant environment at a program point: only the proven
+// constants, as bindings sorted by index. Absence means "varying"; a nil Env
+// means the point is unreached. Index i < nslots (the unit's symbol count)
+// is the scalar of Symbol.Slot i; index nslots+k is the hidden trip register
+// of the k-th DO loop key (see tripNames), which the interpreter keys by the
+// loop's test node. Environments are copy-on-write: an operation that
+// changes nothing returns its input, so nodes share them by pointer.
+type Env []Binding
 
-// tripKeyPrefix starts every pseudo-variable name; '\x00' cannot occur in a
-// Fortran identifier.
+// Binding is one proven-constant entry of an Env.
+type Binding struct {
+	Index int32
+	Val   interp.Value
+}
+
+// get binary-searches e for index i.
+func (e Env) get(i int32) (interp.Value, bool) {
+	k, ok := slices.BinarySearchFunc(e, i, cmpIndex)
+	if !ok {
+		return interp.Value{}, false
+	}
+	return e[k].Val, true
+}
+
+func cmpIndex(b Binding, i int32) int { return int(b.Index - i) }
+
+// with returns e with index i bound to v, copying on write.
+func (e Env) with(i int32, v interp.Value) Env {
+	k, ok := slices.BinarySearchFunc(e, i, cmpIndex)
+	if ok && ValueEq(e[k].Val, v) {
+		return e
+	}
+	out := make(Env, 0, len(e)+1)
+	out = append(out, e[:k]...)
+	out = append(out, Binding{i, v})
+	if ok {
+		k++
+	}
+	return append(out, e[k:]...)
+}
+
+// without returns e with index i unbound, copying on write.
+func (e Env) without(i int32) Env {
+	if k, ok := slices.BinarySearchFunc(e, i, cmpIndex); ok {
+		return slices.Delete(slices.Clone(e), k, k+1)
+	}
+	return e
+}
+
+// meetEnv intersects two environments by a merge over their sorted
+// bindings, keeping only those present and equal in both. A nil old
+// environment (unreached) adopts the incoming one.
+func meetEnv(old, in Env) (Env, bool) {
+	if old == nil {
+		if in == nil {
+			in = Env{}
+		}
+		return in, true
+	}
+	var out Env // allocated at the first dropped binding
+	j := 0
+	for k, b := range old {
+		for j < len(in) && in[j].Index < b.Index {
+			j++
+		}
+		if j < len(in) && in[j].Index == b.Index && ValueEq(in[j].Val, b.Val) {
+			if out != nil {
+				out = append(out, b)
+			}
+			continue
+		}
+		if out == nil {
+			out = make(Env, k, len(old)-1)
+			copy(out, old[:k])
+		}
+	}
+	if out == nil {
+		return old, false
+	}
+	return out, true
+}
+
+// tripKeyPrefix starts the name a trip register is encoded under; '\x00'
+// cannot occur in a Fortran identifier.
 const tripKeyPrefix = "\x00trip@"
 
-// TripKey names the pseudo variable tracking the hidden trip register of
-// the DO loop whose test node is test.
-func TripKey(test cfg.NodeID) string { return fmt.Sprintf("%s%d", tripKeyPrefix, test) }
+// tripNames returns the distinct encoded names of g's DO trip registers,
+// "\x00trip@<test node>", sorted, and nodeTrip: for each node with a DO op,
+// base plus its register's position in names; -1 for other nodes.
+func tripNames(g *cfg.Graph, base int32) (names []string, nodeTrip []int32) {
+	nodeTrip = make([]int32, g.MaxID()+1)
+	nodeName := make([]string, g.MaxID()+1)
+	for id := cfg.NodeID(1); id <= g.MaxID(); id++ {
+		nodeTrip[id] = -1
+		if key, ok := doKey(g.Node(id).Payload); ok {
+			nodeName[id] = tripKeyPrefix + strconv.Itoa(int(key))
+			names = append(names, nodeName[id])
+		}
+	}
+	slices.Sort(names)
+	names = slices.Compact(names)
+	for id, name := range nodeName {
+		if name != "" {
+			k, _ := slices.BinarySearch(names, name)
+			nodeTrip[id] = base + int32(k)
+		}
+	}
+	return names, nodeTrip
+}
 
-// IsTripKey reports whether name denotes a trip pseudo variable rather than
-// a source scalar (callers observing real frames must skip these).
-func IsTripKey(name string) bool { return strings.HasPrefix(name, tripKeyPrefix) }
+// doKey returns the trip key of a DO op payload.
+func doKey(payload any) (cfg.NodeID, bool) {
+	switch o := payload.(type) {
+	case lower.OpDoInit:
+		return o.Test, true
+	case lower.OpDoTest:
+		return o.Key, true
+	case lower.OpDoIncr:
+		return o.Test, true
+	}
+	return cfg.None, false
+}
 
 // constProp is the conditional constant propagation state: an SCCP-style
-// client of the framework that interleaves constant tracking with edge
-// feasibility, so constants are only merged over edges that can execute.
+// analysis that interleaves constant tracking with edge feasibility, so
+// constants are only merged over edges that can execute.
 type constProp struct {
 	p *lower.Proc
+	// trip[n] is the env index of node n's DO trip register, or -1.
+	trip []int32
 	// env[n] is the constant environment at node entry; nil = unreached.
 	env []Env
 	// feasible[n][k] marks the k-th out-edge of n (OutEdges order) as
@@ -42,21 +147,22 @@ type constProp struct {
 	feasible [][]bool
 }
 
-// runConstProp computes the SCCP fixpoint for p. The iteration order is the
-// same deterministic reverse-postorder priority the generic solver uses;
-// the edge-level worklist is what makes the propagation *conditional*:
-// successors are only (re)visited through edges proven executable.
-func runConstProp(p *lower.Proc) *constProp {
+// runConstProp computes the SCCP fixpoint for p in the forward worklist's
+// priority order; the edge-level feasibility is what makes the propagation
+// *conditional*: successors are only (re)visited through edges proven
+// executable. nodeTrip maps each DO node to its trip register's env index.
+func runConstProp(p *lower.Proc, nodeTrip []int32, wl *worklist) *constProp {
 	g := p.G
-	c := &constProp{
-		p:        p,
-		env:      make([]Env, g.MaxID()+1),
-		feasible: make([][]bool, g.MaxID()+1),
-	}
+	c := &constProp{p: p, trip: nodeTrip, env: make([]Env, g.MaxID()+1), feasible: make([][]bool, g.MaxID()+1)}
+	edges := 0
 	for id := cfg.NodeID(1); id <= g.MaxID(); id++ {
-		c.feasible[id] = make([]bool, len(g.OutEdges(id)))
+		edges += len(g.OutEdges(id))
 	}
-	wl := newWorklist(priorities(g, Forward))
+	flags := make([]bool, edges)
+	for id := cfg.NodeID(1); id <= g.MaxID(); id++ {
+		k := len(g.OutEdges(id))
+		c.feasible[id], flags = flags[:k:k], flags[k:]
+	}
 	c.env[g.Entry] = c.boundary()
 	wl.push(g.Entry)
 	for {
@@ -66,9 +172,9 @@ func runConstProp(p *lower.Proc) *constProp {
 		}
 		in := c.env[n]
 		out := c.transfer(n, in)
-		labels := c.feasibleLabels(n, in)
+		taken, decided := c.decided(n, in)
 		for k, e := range g.OutEdges(n) {
-			if labels != nil && !hasLabel(labels, e.Label) {
+			if decided && e.Label != taken {
 				continue
 			}
 			newlyFeasible := !c.feasible[n][k]
@@ -88,27 +194,30 @@ func runConstProp(p *lower.Proc) *constProp {
 // &Value{T: sym.Type}), parameters are bound by reference to caller state
 // and therefore unknown, arrays are not tracked.
 func (c *constProp) boundary() Env {
-	env := make(Env)
 	if c.p.Unit == nil { // hand-built test graphs carry no symbol table
-		return env
+		return Env{}
 	}
-	for name, sym := range c.p.Unit.Symbols {
-		if sym.Kind == lang.SymScalar && !sym.IsParam {
-			env[name] = interp.Value{T: sym.Type}
+	env := make(Env, 0, len(c.p.Unit.Slots))
+	for _, sym := range c.p.Unit.Slots {
+		if isScalar(sym) && !sym.IsParam {
+			env = append(env, Binding{int32(sym.Slot), interp.Value{T: sym.Type}})
 		}
 	}
 	return env
 }
 
-// lookup adapts an Env to interp.ConstEnv.
-func (e Env) lookup(name string) (interp.Value, bool) {
-	v, ok := e[name]
-	return v, ok
+// slot is the env index of a scalar, or -1 for anything no constant is
+// ever bound to.
+func slot(sym *lang.Symbol) int32 {
+	if isScalar(sym) {
+		return int32(sym.Slot)
+	}
+	return -1
 }
 
 // transfer computes the node-exit environment, mirroring machine.exec's
-// state effects (including the Convert each store applies). The input map
-// is never mutated; an unchanged environment is returned as-is.
+// state effects (including the Convert each store applies). The input is
+// never mutated; an unchanged environment is returned as-is.
 func (c *constProp) transfer(n cfg.NodeID, in Env) Env {
 	op, _ := c.p.G.Node(n).Payload.(lower.Op)
 	switch o := op.(type) {
@@ -117,44 +226,22 @@ func (c *constProp) transfer(n cfg.NodeID, in Env) Env {
 		if !ok {
 			return in // array element stores are not tracked
 		}
-		if v, ok := c.eval(in, o.S.RHS); ok {
-			if cv, ok := c.stored(lhs.Name, v); ok {
-				return in.with(lhs.Name, cv)
-			}
-		}
-		return in.without(lhs.Name)
+		v, ok := c.eval(in, o.S.RHS)
+		return store(in, lhs.Sym, v, ok)
 	case lower.OpDoInit:
-		out := in
-		if lo, ok := c.eval(in, o.L.Lo); ok {
-			// machine.exec stores Int(lo.I) through setScalar's Convert.
-			if cv, ok := c.stored(o.L.Var, interp.Int(lo.I)); ok {
-				out = out.with(o.L.Var, cv)
-			} else {
-				out = out.without(o.L.Var)
-			}
-		} else {
-			out = out.without(o.L.Var)
+		// machine.exec stores Int(lo.I) through setScalar's Convert.
+		lo, ok := c.eval(in, o.L.Lo)
+		out := store(in, o.L.VarSym, interp.Int(lo.I), ok)
+		if trip, ok := c.tripCount(in, o.L); ok {
+			return out.with(c.trip[n], interp.Int(trip))
 		}
-		if trip, ok := c.trip(in, o.L); ok {
-			return out.with(TripKey(o.Test), interp.Int(trip))
-		}
-		return out.without(TripKey(o.Test))
+		return out.without(c.trip[n])
 	case lower.OpDoIncr:
-		out := in
-		cur, okCur := in[o.L.Var]
+		cur, okCur := in.get(slot(o.L.VarSym))
 		step, okStep := c.step(in, o.L)
-		if okCur && okStep {
-			if cv, ok := c.stored(o.L.Var, interp.Int(cur.I+step)); ok {
-				out = out.with(o.L.Var, cv)
-			} else {
-				out = out.without(o.L.Var)
-			}
-		} else {
-			out = out.without(o.L.Var)
-		}
-		key := TripKey(o.Test)
-		if t, ok := out[key]; ok {
-			return out.with(key, interp.Int(t.I-1))
+		out := store(in, o.L.VarSym, interp.Int(cur.I+step), okCur && okStep)
+		if t, ok := out.get(c.trip[n]); ok {
+			return out.with(c.trip[n], interp.Int(t.I-1))
 		}
 		return out
 	case lower.OpCall:
@@ -164,9 +251,7 @@ func (c *constProp) transfer(n cfg.NodeID, in Env) Env {
 		out := in
 		for _, arg := range o.S.Args {
 			if v, ok := arg.(*lang.Var); ok {
-				if sym := c.sym(v.Name); sym != nil && sym.Kind == lang.SymScalar {
-					out = out.without(v.Name)
-				}
+				out = out.without(slot(v.Sym))
 			}
 		}
 		return out
@@ -174,71 +259,67 @@ func (c *constProp) transfer(n cfg.NodeID, in Env) Env {
 	return in
 }
 
-// feasibleLabels returns the out-edge labels node n can take under the
-// environment in, or nil when every label remains possible. It mirrors the
-// dispatch of machine.exec for each multi-way op.
-func (c *constProp) feasibleLabels(n cfg.NodeID, in Env) []cfg.Label {
+// store binds the scalar sym to v converted as a runtime store converts it
+// when known is set, and unbinds it otherwise. Stores to by-reference
+// parameters land in a caller cell whose type is not visible here, so no
+// constant survives them.
+func store(in Env, sym *lang.Symbol, v interp.Value, known bool) Env {
+	if !isScalar(sym) {
+		return in
+	}
+	if known && !sym.IsParam {
+		return in.with(int32(sym.Slot), interp.Convert(v, sym.Type))
+	}
+	return in.without(int32(sym.Slot))
+}
+
+// decided returns the one out-edge label node n can take under the
+// environment in, or decided=false when every label remains possible. It
+// mirrors the dispatch of machine.exec for each multi-way op.
+func (c *constProp) decided(n cfg.NodeID, in Env) (cfg.Label, bool) {
 	op, _ := c.p.G.Node(n).Payload.(lower.Op)
 	switch o := op.(type) {
 	case lower.OpBranch:
 		if v, ok := c.eval(in, o.Cond); ok {
 			if v.B {
-				return []cfg.Label{cfg.True}
+				return cfg.True, true
 			}
-			return []cfg.Label{cfg.False}
+			return cfg.False, true
 		}
 	case lower.OpArithIf:
 		if v, ok := c.eval(in, o.E); ok {
 			x := v.Float()
 			switch {
 			case x < 0:
-				return []cfg.Label{lower.LabelNeg}
+				return lower.LabelNeg, true
 			case x == 0:
-				return []cfg.Label{lower.LabelZero}
+				return lower.LabelZero, true
 			default:
-				return []cfg.Label{lower.LabelPos}
+				return lower.LabelPos, true
 			}
 		}
 	case lower.OpComputedGoto:
 		if v, ok := c.eval(in, o.E); ok {
 			if v.I >= 1 && v.I <= int64(o.N) {
-				return []cfg.Label{lower.GotoCase(int(v.I))}
+				return lower.GotoCase(int(v.I)), true
 			}
-			return []cfg.Label{lower.LabelDefault}
+			return lower.LabelDefault, true
 		}
 	case lower.OpDoTest:
-		if t, ok := in[TripKey(o.Key)]; ok {
+		if t, ok := in.get(c.trip[n]); ok {
 			if t.I > 0 {
-				return []cfg.Label{cfg.True}
+				return cfg.True, true
 			}
-			return []cfg.Label{cfg.False}
+			return cfg.False, true
 		}
 	}
-	return nil
+	return "", false
 }
 
 func (c *constProp) eval(in Env, e lang.Expr) (interp.Value, bool) {
-	return interp.EvalConst(c.p.Unit, e, in.lookup)
-}
-
-// stored applies the conversion a runtime store to name performs. Stores to
-// by-reference parameters land in a caller cell whose type is not visible
-// here, so no constant survives them.
-func (c *constProp) stored(name string, v interp.Value) (interp.Value, bool) {
-	sym := c.sym(name)
-	if sym == nil || sym.Kind != lang.SymScalar || sym.IsParam {
-		return interp.Value{}, false
-	}
-	return interp.Convert(v, sym.Type), true
-}
-
-// sym looks name up in the unit's symbol table, tolerating hand-built
-// procedures without one.
-func (c *constProp) sym(name string) *lang.Symbol {
-	if c.p.Unit == nil {
-		return nil
-	}
-	return c.p.Unit.Symbols[name]
+	return interp.EvalConst(c.p.Unit, e, func(x *lang.Var) (interp.Value, bool) {
+		return in.get(slot(x.Sym))
+	})
 }
 
 // step folds the DO step expression (nil means 1), mirroring the .I read
@@ -248,87 +329,27 @@ func (c *constProp) step(in Env, l *lang.DoLoop) (int64, bool) {
 		return 1, true
 	}
 	v, ok := c.eval(in, l.Step)
-	if !ok {
-		return 0, false
-	}
-	return v.I, true
+	return v.I, ok
 }
 
-// trip folds the F77 trip count of l under in, mirroring machine.tripCount:
-// MAX(0, (hi.I-lo.I+step)/step). A zero step is a runtime error, so no trip
-// is claimed for it.
-func (c *constProp) trip(in Env, l *lang.DoLoop) (int64, bool) {
+// tripCount folds the F77 trip count of l under in, mirroring
+// machine.tripCount: MAX(0, (hi.I-lo.I+step)/step). A zero step is a
+// runtime error, so no trip is claimed for it.
+func (c *constProp) tripCount(in Env, l *lang.DoLoop) (int64, bool) {
 	lo, okLo := c.eval(in, l.Lo)
 	hi, okHi := c.eval(in, l.Hi)
 	step, okStep := c.step(in, l)
 	if !okLo || !okHi || !okStep || step == 0 {
 		return 0, false
 	}
-	trip := (hi.I - lo.I + step) / step
-	if trip < 0 {
-		trip = 0
-	}
-	return trip, true
+	return max(0, (hi.I-lo.I+step)/step), true
 }
 
-// with returns e extended/updated with name=v, copying on write.
-func (e Env) with(name string, v interp.Value) Env {
-	if old, ok := e[name]; ok && valueEq(old, v) {
-		return e
-	}
-	out := make(Env, len(e)+1)
-	for k, val := range e {
-		out[k] = val
-	}
-	out[name] = v
-	return out
-}
-
-// without returns e with name removed, copying on write.
-func (e Env) without(name string) Env {
-	if _, ok := e[name]; !ok {
-		return e
-	}
-	out := make(Env, len(e))
-	for k, val := range e {
-		if k != name {
-			out[k] = val
-		}
-	}
-	return out
-}
-
-// meetEnv intersects two environments, keeping only bindings present and
-// equal in both. A nil old environment (unreached) adopts the incoming one.
-func meetEnv(old, in Env) (Env, bool) {
-	if old == nil {
-		if in == nil {
-			in = Env{}
-		}
-		return in, true
-	}
-	changed := false
-	out := old
-	for k, v := range old {
-		nv, ok := in[k]
-		if !ok || !valueEq(nv, v) {
-			if !changed {
-				out = make(Env, len(old))
-				for k2, v2 := range old {
-					out[k2] = v2
-				}
-				changed = true
-			}
-			delete(out, k)
-		}
-	}
-	return out, changed
-}
-
-// valueEq is runtime value identity with NaN treated as equal to itself
+// ValueEq is runtime value identity with NaN treated as equal to itself
 // (two executions computing NaN through the same expression agree bit-wise
-// for this interpreter's operations; Go's == would needlessly drop them).
-func valueEq(a, b interp.Value) bool {
+// for this interpreter's operations; Go's == would needlessly drop them). It
+// also reports whether a statically proven value matches an observed one.
+func ValueEq(a, b interp.Value) bool {
 	if a.T != b.T {
 		return false
 	}
@@ -338,35 +359,8 @@ func valueEq(a, b interp.Value) bool {
 	return a == b
 }
 
-func hasLabel(labels []cfg.Label, l cfg.Label) bool {
-	for _, x := range labels {
-		if x == l {
-			return true
-		}
-	}
-	return false
-}
-
-// ConstsAt returns the proven (name, value) pairs of env in sorted name
-// order, trip pseudo variables excluded.
-func ConstsAt(env Env) []Const {
-	out := make([]Const, 0, len(env))
-	for name, v := range env {
-		if IsTripKey(name) {
-			continue
-		}
-		out = append(out, Const{Name: name, Val: v})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
 // Const is one proven constant binding.
 type Const struct {
 	Name string
 	Val  interp.Value
 }
-
-// ValueEq reports whether a statically proven value matches an observed
-// runtime value (exact identity; NaN matches NaN).
-func ValueEq(a, b interp.Value) bool { return valueEq(a, b) }

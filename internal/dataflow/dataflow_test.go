@@ -2,6 +2,8 @@ package dataflow
 
 import (
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/cfg"
@@ -9,6 +11,7 @@ import (
 	"repro/internal/lang"
 	"repro/internal/lower"
 	"repro/internal/paperex"
+	"repro/internal/wire"
 )
 
 // mainFacts parses src, lowers it and analyzes the main program.
@@ -301,5 +304,35 @@ func TestNilUnitProcIsSafe(t *testing.T) {
 	st := f.Stats()
 	if st.ReachedNodes == 0 {
 		t.Error("reachability must still run on a nil-Unit proc")
+	}
+}
+
+// TestDecodeRejectsRepeatedBinding feeds Decode an environment that names
+// one variable twice. Decode must fail instead of accepting an Env with two
+// bindings at one index.
+func TestDecodeRejectsRepeatedBinding(t *testing.T) {
+	f := mainFacts(t, `      PROGRAM P
+      INTEGER K
+      K = 3
+      PRINT *, K
+      END
+`)
+	decode := func() error {
+		var w wire.Writer
+		f.Encode(&w)
+		r := wire.NewReader(w.Bytes())
+		Decode(r, f.Proc)
+		return r.Err()
+	}
+	if err := decode(); err != nil {
+		t.Fatalf("well-formed facts: %v", err)
+	}
+	n := slices.IndexFunc(f.Env, func(e Env) bool { return len(e) > 0 })
+	if n < 0 {
+		t.Fatal("no node has a proven constant")
+	}
+	f.Env[n] = append(Env{f.Env[n][0]}, f.Env[n]...)
+	if err := decode(); err == nil || !strings.Contains(err.Error(), "twice") {
+		t.Fatalf("an env binding %q twice must not decode, got %v", f.name(f.Env[n][0].Index), err)
 	}
 }

@@ -2,6 +2,7 @@ package dataflow
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/cfg"
 	"repro/internal/lang"
@@ -27,6 +28,8 @@ type Facts struct {
 	// Env[n] is the constant environment at entry to node n; nil marks a
 	// node the conditional constant propagation proved unreachable.
 	Env []Env
+	// tripNames are the DO trip registers' encoded names, in Env index order.
+	tripNames []string
 	// Reached[n] reports whether n is reachable under propagated constants.
 	Reached []bool
 
@@ -54,14 +57,18 @@ type Facts struct {
 // Analyze runs all client analyses over p's lowered CFG and assembles their
 // facts. It is deterministic: identical procedures yield identical Facts.
 func Analyze(p *lower.Proc) *Facts {
-	c := runConstProp(p)
 	f := &Facts{
 		Proc:        p,
-		Env:         c.env,
-		Reached:     make([]bool, len(c.env)),
 		ConstBranch: make(map[cfg.NodeID]cfg.Label),
 		ConstTrips:  make(map[cfg.NodeID]int64),
 	}
+	o := newOrder(p.G)
+	forward := newWorklist(o, false)
+	names, nodeTrip := tripNames(p.G, f.nslots())
+	f.tripNames = names
+	c := runConstProp(p, nodeTrip, forward)
+	f.Env = c.env
+	f.Reached = make([]bool, len(c.env))
 	for n := range c.env {
 		f.Reached[n] = c.env[n] != nil
 	}
@@ -69,9 +76,23 @@ func Analyze(p *lower.Proc) *Facts {
 	f.deriveTrips(c)
 	f.deriveDeadNodes()
 	v := newVars(p)
-	f.deriveDeadStores(v)
-	f.deriveUseBeforeDef(v)
+	// Backward may-liveness: a scalar is live where some path reaches a use
+	// before a must-def; parameters stay live at exit (stores through a
+	// by-reference parameter are visible to the caller).
+	f.deriveDeadStores(v, v.solveBits(newWorklist(o, true), v.use, v.def, v.param))
+	// Forward definite assignment: the scalars assigned on every path from
+	// entry, none at entry; nothing kills an assignment.
+	f.deriveUseBeforeDef(v, v.solveBits(forward, v.gen, nil, nil))
 	return f
+}
+
+// nslots is the number of env indices scalars take before the trip
+// registers start.
+func (f *Facts) nslots() int32 {
+	if f.Proc.Unit == nil {
+		return 0
+	}
+	return int32(len(f.Proc.Unit.Slots))
 }
 
 // deriveEdges collects infeasible edges and single-successor branches from
@@ -107,13 +128,8 @@ func (f *Facts) deriveTrips(c *constProp) {
 		if !ok || !f.Reached[id] {
 			continue
 		}
-		trip, folded := c.trip(c.env[id], o.L)
-		if bad[o.Test] || !folded {
-			bad[o.Test] = true
-			delete(f.ConstTrips, o.Test)
-			continue
-		}
-		if prev, seen := f.ConstTrips[o.Test]; seen && prev != trip {
+		trip, folded := c.tripCount(c.env[id], o.L)
+		if prev, seen := f.ConstTrips[o.Test]; bad[o.Test] || !folded || seen && prev != trip {
 			bad[o.Test] = true
 			delete(f.ConstTrips, o.Test)
 			continue
@@ -123,75 +139,77 @@ func (f *Facts) deriveTrips(c *constProp) {
 }
 
 // deriveDeadNodes lists flow-unreached statement nodes on the reachability
-// frontier. Node splitting may duplicate a statement; its source is only
-// dead when no copy is reached, and is reported once.
+// frontier (at least one reached predecessor). Node splitting may duplicate
+// a statement; its source is only dead when no copy is reached, and is
+// reported once, at its first frontier copy.
 func (f *Facts) deriveDeadNodes() {
 	g := f.Proc.G
-	reachedStmt := make(map[lang.Stmt]bool)
+	var frontier []cfg.NodeID
 	for id := cfg.NodeID(1); id <= g.MaxID(); id++ {
-		if f.Reached[id] && f.Proc.Stmt[id] != nil {
-			reachedStmt[f.Proc.Stmt[id]] = true
-		}
-	}
-	seen := make(map[lang.Stmt]bool)
-	for id := cfg.NodeID(1); id <= g.MaxID(); id++ {
-		s := f.Proc.Stmt[id]
-		if f.Reached[id] || g.Node(id) == nil || s == nil || reachedStmt[s] || seen[s] {
+		if f.Reached[id] || f.Proc.Stmt[id] == nil {
 			continue
 		}
-		frontier := false
 		for _, e := range g.InEdges(id) {
 			if f.Reached[e.From] {
-				frontier = true
+				frontier = append(frontier, id)
 				break
 			}
 		}
-		if frontier {
-			seen[s] = true
-			f.DeadNodes = append(f.DeadNodes, id)
-		}
 	}
+	f.DeadNodes = f.onceUnless(frontier, func(id cfg.NodeID) bool { return f.Reached[id] })
 }
 
-// deriveDeadStores runs the backward liveness analysis and flags reached
-// source-level scalar assignments whose target is dead after the store. A
+// onceUnless returns the first of candidates (in order) for each source
+// statement none of whose nodes satisfies keep.
+func (f *Facts) onceUnless(candidates []cfg.NodeID, keep func(cfg.NodeID) bool) []cfg.NodeID {
+	if len(candidates) == 0 {
+		return nil
+	}
+	// open[s] reports whether statement s may still be reported.
+	open := make(map[lang.Stmt]bool, len(candidates))
+	for _, id := range candidates {
+		open[f.Proc.Stmt[id]] = true
+	}
+	for id, s := range f.Proc.Stmt {
+		if open[s] && keep(id) {
+			open[s] = false
+		}
+	}
+	var out []cfg.NodeID
+	for _, id := range candidates {
+		if s := f.Proc.Stmt[id]; open[s] {
+			open[s] = false
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
+// deriveDeadStores flags reached source-level scalar assignments whose
+// target is dead after the store (live holds each node's live-out row). A
 // node-split statement is flagged only when the store is dead at every
 // reached copy, and reported once.
-func (f *Facts) deriveDeadStores(v *vars) {
-	sol := Solve(f.Proc.G, liveness{v: v})
+func (f *Facts) deriveDeadStores(v *vars, live []uint64) {
 	g := f.Proc.G
-	liveStmt := make(map[lang.Stmt]bool)
+	stored := func(id cfg.NodeID) bool { return f.Reached[id] && v.lintable[id] }
+	isLive := func(id cfg.NodeID) bool { return hasBit(v.row(live, id), int(v.defVar[id])) }
+	var dead []cfg.NodeID
 	for id := cfg.NodeID(1); id <= g.MaxID(); id++ {
-		if !f.Reached[id] || !v.lintable[id] {
-			continue
-		}
-		// sol.In is the fact flowing into the node along the analysis
-		// direction; for a backward analysis that is the live-out set.
-		if i := v.defVar[id]; i >= 0 && sol.In[id][i] {
-			liveStmt[f.Proc.Stmt[id]] = true
+		if stored(id) && !isLive(id) {
+			dead = append(dead, id)
 		}
 	}
-	seen := make(map[lang.Stmt]bool)
-	for id := cfg.NodeID(1); id <= g.MaxID(); id++ {
-		if !f.Reached[id] || !v.lintable[id] {
-			continue
-		}
-		i := v.defVar[id]
-		s := f.Proc.Stmt[id]
-		if i < 0 || sol.In[id][i] || liveStmt[s] || seen[s] {
-			continue
-		}
-		seen[s] = true
-		f.DeadStores = append(f.DeadStores, f.finding(id, v.names[i],
-			fmt.Sprintf("value assigned to %s is never read", v.names[i])))
+	for _, id := range f.onceUnless(dead, func(id cfg.NodeID) bool { return stored(id) && isLive(id) }) {
+		name := f.Proc.Unit.Slots[v.defVar[id]].Name
+		f.DeadStores = append(f.DeadStores, f.finding(id, name,
+			fmt.Sprintf("value assigned to %s is never read", name)))
 	}
 }
 
-// deriveUseBeforeDef runs the forward definite-assignment analysis and flags
-// reads of locals not assigned on every path from entry, once per
-// (statement, variable) pair.
-func (f *Facts) deriveUseBeforeDef(v *vars) {
-	sol := Solve(f.Proc.G, defassign{v: v})
+// deriveUseBeforeDef flags reads of locals not assigned on every path from
+// entry (assigned holds each node's entry row), once per (statement,
+// variable) pair.
+func (f *Facts) deriveUseBeforeDef(v *vars, assigned []uint64) {
 	g := f.Proc.G
 	type key struct {
 		s lang.Stmt
@@ -202,17 +220,17 @@ func (f *Facts) deriveUseBeforeDef(v *vars) {
 		if !f.Reached[id] {
 			continue
 		}
-		for i, used := range v.use[id] {
-			if !used || !v.local[i] || sol.In[id][i] {
-				continue
+		use, in := v.row(v.use, id), v.row(assigned, id)
+		for w := range use {
+			for word := use[w] & v.local[w] &^ in[w]; word != 0; word &= word - 1 {
+				i := w*64 + bits.TrailingZeros64(word)
+				if k := (key{f.Proc.Stmt[id], i}); !seen[k] {
+					seen[k] = true
+					name := f.Proc.Unit.Slots[i].Name
+					f.UseBeforeDef = append(f.UseBeforeDef, f.finding(id, name,
+						fmt.Sprintf("%s may be used before being assigned (reads as zero)", name)))
+				}
 			}
-			k := key{f.Proc.Stmt[id], i}
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			f.UseBeforeDef = append(f.UseBeforeDef, f.finding(id, v.names[i],
-				fmt.Sprintf("%s may be used before being assigned (reads as zero)", v.names[i])))
 		}
 	}
 }
@@ -227,12 +245,20 @@ func (f *Facts) finding(n cfg.NodeID, name, msg string) Finding {
 }
 
 // ConstsAtNode returns the proven constants at entry to node n in sorted
-// name order (empty for unreached nodes), trip pseudo variables excluded.
+// name order (empty for unreached nodes), trip registers excluded.
 func (f *Facts) ConstsAtNode(n cfg.NodeID) []Const {
 	if int(n) >= len(f.Env) || f.Env[n] == nil {
 		return nil
 	}
-	return ConstsAt(f.Env[n])
+	env := f.Env[n]
+	out := make([]Const, 0, len(env))
+	for _, b := range env {
+		if b.Index >= f.nslots() {
+			break
+		}
+		out = append(out, Const{Name: f.Proc.Unit.Slots[b.Index].Name, Val: b.Val})
+	}
+	return out
 }
 
 // InfeasibleSet returns the infeasible edges keyed for O(1) lookup.

@@ -1,81 +1,97 @@
 package dataflow
 
 import (
-	"sort"
-
 	"repro/internal/cfg"
 	"repro/internal/lang"
 	"repro/internal/lower"
 )
 
-// varSet is a dense bit-vector fact over the procedure's tracked scalars.
-type varSet []bool
-
-// vars enumerates a procedure's tracked scalar names in sorted order and
-// per-node use/def events. Uses are may-uses; defs are must-defs (a CALL
-// never defs for liveness — the callee might not write — and array element
-// stores never def the array).
+// vars holds a procedure's per-node scalar use/def events as bit vectors:
+// bit Symbol.Slot of a node's w-word row. Only scalars ever get a bit, so
+// bit order is sorted-name order. Uses are may-uses; defs are must-defs (a
+// CALL never defs for liveness — the callee might not write — and array
+// element stores never def the array).
 type vars struct {
 	p     *lower.Proc
-	names []string
-	index map[string]int
-	param []bool
-	local []bool
-	use   []varSet // per node
-	def   []varSet // per node
-	// defVar[n] is the single scalar a node must-defs, or -1. Only
-	// OpAssign defs are source-level stores (candidates for the dead-store
-	// lint); DO machinery defs are marked but not lintable.
-	defVar   []int
+	w     int      // words per row
+	use   []uint64 // per node, row n at [n*w, n*w+w)
+	def   []uint64
+	gen   []uint64 // definite-assignment gen: def plus scalars passed bare to a CALL
+	param []uint64 // one row: parameter scalars
+	local []uint64 // one row: non-parameter scalars
+	// defVar[n] is the slot of the single scalar a node must-defs, or -1.
+	// Only OpAssign defs are source-level stores (candidates for the
+	// dead-store lint); DO machinery defs are marked but not lintable.
+	defVar   []int32
 	lintable []bool
 }
 
 func newVars(p *lower.Proc) *vars {
-	v := &vars{p: p, index: make(map[string]int)}
+	v := &vars{p: p}
+	var slots []*lang.Symbol
 	if p.Unit != nil {
-		for name, sym := range p.Unit.Symbols {
-			if sym.Kind == lang.SymScalar {
-				v.names = append(v.names, name)
-			}
+		slots = p.Unit.Slots
+	}
+	v.w = (len(slots) + 63) / 64
+	n := int(p.G.MaxID()) + 1
+	words := make([]uint64, (3*n+2)*v.w)
+	v.use, words = words[:n*v.w], words[n*v.w:]
+	v.def, words = words[:n*v.w], words[n*v.w:]
+	v.gen, words = words[:n*v.w], words[n*v.w:]
+	v.param, v.local = words[:v.w], words[v.w:]
+	for _, sym := range slots {
+		if isScalar(sym) && sym.IsParam {
+			setBit(v.param, sym.Slot)
+		} else if isScalar(sym) {
+			setBit(v.local, sym.Slot)
 		}
 	}
-	sort.Strings(v.names)
-	v.param = make([]bool, len(v.names))
-	v.local = make([]bool, len(v.names))
-	for i, name := range v.names {
-		v.index[name] = i
-		sym := p.Unit.Symbols[name]
-		v.param[i] = sym.IsParam
-		v.local[i] = !sym.IsParam
-	}
-	g := p.G
-	v.use = make([]varSet, g.MaxID()+1)
-	v.def = make([]varSet, g.MaxID()+1)
-	v.defVar = make([]int, g.MaxID()+1)
-	v.lintable = make([]bool, g.MaxID()+1)
-	for id := cfg.NodeID(1); id <= g.MaxID(); id++ {
+	v.defVar = make([]int32, n)
+	v.lintable = make([]bool, n)
+	for id := cfg.NodeID(1); id < cfg.NodeID(n); id++ {
 		v.defVar[id] = -1
-		v.use[id] = make(varSet, len(v.names))
-		v.def[id] = make(varSet, len(v.names))
-		v.events(id)
+		if p.Unit != nil {
+			v.events(id)
+		}
 	}
 	return v
 }
 
-// events fills the use/def sets of node n from its op payload.
+func (v *vars) row(set []uint64, n cfg.NodeID) []uint64 {
+	return set[int(n)*v.w : int(n)*v.w+v.w]
+}
+
+func setBit(set []uint64, i int) { set[i/64] |= 1 << (i % 64) }
+
+func hasBit(set []uint64, i int) bool { return set[i/64]&(1<<(i%64)) != 0 }
+
+// isScalar reports whether sym, the symbol sema stamped on a reference (nil
+// in hand-built procedures), is a scalar.
+func isScalar(sym *lang.Symbol) bool { return sym != nil && sym.Kind == lang.SymScalar }
+
+// events fills the use/def/gen rows of node n from its op payload.
 func (v *vars) events(n cfg.NodeID) {
+	use, def, gen := v.row(v.use, n), v.row(v.def, n), v.row(v.gen, n)
+	mark := func(sym *lang.Symbol) {
+		if isScalar(sym) {
+			setBit(use, sym.Slot)
+		}
+	}
+	useExpr := func(e lang.Expr) { exprVars(e, mark) }
+	defs := func(sym *lang.Symbol, lintable bool) {
+		if isScalar(sym) {
+			setBit(def, sym.Slot)
+			v.defVar[n] = int32(sym.Slot)
+			v.lintable[n] = lintable
+		}
+	}
 	op, _ := v.p.G.Node(n).Payload.(lower.Op)
-	useExpr := func(e lang.Expr) { exprVars(e, func(name string) { v.mark(v.use[n], name) }) }
 	switch o := op.(type) {
 	case lower.OpAssign:
 		useExpr(o.S.RHS)
 		switch lhs := o.S.LHS.(type) {
 		case *lang.Var:
-			if i, ok := v.scalar(lhs.Name); ok {
-				v.def[n][i] = true
-				v.defVar[n] = i
-				v.lintable[n] = true
-			}
+			defs(lhs.Sym, true)
 		case *lang.Index:
 			for _, s := range lhs.Subs {
 				useExpr(s)
@@ -93,51 +109,42 @@ func (v *vars) events(n cfg.NodeID) {
 		if o.L.Step != nil {
 			useExpr(o.L.Step)
 		}
-		if i, ok := v.scalar(o.L.Var); ok {
-			v.def[n][i] = true
-			v.defVar[n] = i
-		}
+		defs(o.L.VarSym, false)
 	case lower.OpDoIncr:
 		if o.L.Step != nil {
 			useExpr(o.L.Step)
 		}
 		// The increment reads the loop variable before writing it.
-		v.mark(v.use[n], o.L.Var)
-		if i, ok := v.scalar(o.L.Var); ok {
-			v.def[n][i] = true
-			v.defVar[n] = i
-		}
+		mark(o.L.VarSym)
+		defs(o.L.VarSym, false)
 	case lower.OpCall:
 		for _, arg := range o.S.Args {
 			useExpr(arg)
+			// A scalar passed bare counts as assigned: the callee may
+			// write it, and warning on later reads would be noise.
+			if x, ok := arg.(*lang.Var); ok && isScalar(x.Sym) {
+				setBit(gen, x.Sym.Slot)
+			}
 		}
 	case lower.OpPrint:
 		for _, e := range o.S.Items {
 			useExpr(e)
 		}
 	}
-}
-
-func (v *vars) scalar(name string) (int, bool) {
-	i, ok := v.index[name]
-	return i, ok
-}
-
-func (v *vars) mark(set varSet, name string) {
-	if i, ok := v.index[name]; ok {
-		set[i] = true
+	for i := range gen {
+		gen[i] |= def[i]
 	}
 }
 
-// exprVars calls fn for every lang.Var leaf of e (array subscripts
-// included; whole-array references pass through fn and are filtered by the
-// scalar index).
-func exprVars(e lang.Expr, fn func(string)) {
+// exprVars calls fn with the symbol of every variable leaf of e (array
+// subscripts included; whole-array references pass through fn and are
+// filtered by isScalar).
+func exprVars(e lang.Expr, fn func(*lang.Symbol)) {
 	switch x := e.(type) {
 	case *lang.Var:
-		fn(x.Name)
+		fn(x.Sym)
 	case *lang.Index:
-		fn(x.Name)
+		fn(x.Sym)
 		for _, s := range x.Subs {
 			exprVars(s, fn)
 		}
@@ -153,93 +160,75 @@ func exprVars(e lang.Expr, fn func(string)) {
 	}
 }
 
-// liveness is the backward may-live analysis: a scalar is live at a point
-// when some path from it reaches a use before a must-def. The boundary
-// keeps parameters live (stores through a by-reference parameter are
-// visible to the caller).
-type liveness struct{ v *vars }
-
-func (l liveness) Direction() Direction { return Backward }
-
-func (l liveness) Top() varSet { return make(varSet, len(l.v.names)) }
-
-func (l liveness) Boundary() varSet {
-	out := make(varSet, len(l.v.names))
-	copy(out, l.v.param)
-	return out
-}
-
-func (l liveness) Meet(a, b varSet) varSet {
-	out := make(varSet, len(a))
-	for i := range a {
-		out[i] = a[i] || b[i]
-	}
-	return out
-}
-
-func (l liveness) Transfer(n cfg.NodeID, out varSet) varSet {
-	in := make(varSet, len(out))
-	for i := range out {
-		in[i] = l.v.use[n][i] || (out[i] && !l.v.def[n][i])
-	}
-	return in
-}
-
-func (l liveness) Equal(a, b varSet) bool { return setEq(a, b) }
-
-// defassign is the forward definite-assignment analysis: the set of locals
-// assigned on every path from entry. Meet is intersection, so Top is the
-// full universe. A scalar passed bare to a CALL counts as assigned — the
-// callee may write it, and warning on later reads would be noise.
-type defassign struct{ v *vars }
-
-func (d defassign) Direction() Direction { return Forward }
-
-func (d defassign) Top() varSet {
-	out := make(varSet, len(d.v.names))
-	for i := range out {
-		out[i] = true
-	}
-	return out
-}
-
-func (d defassign) Boundary() varSet { return make(varSet, len(d.v.names)) }
-
-func (d defassign) Meet(a, b varSet) varSet {
-	out := make(varSet, len(a))
-	for i := range a {
-		out[i] = a[i] && b[i]
-	}
-	return out
-}
-
-func (d defassign) Transfer(n cfg.NodeID, in varSet) varSet {
-	out := make(varSet, len(in))
-	copy(out, in)
-	for i := range out {
-		if d.v.def[n][i] {
-			out[i] = true
+// solveBits runs a gen/kill bit-vector problem to its fixpoint in place and
+// returns in, where row n is the meet-over-edges fact flowing INTO n along
+// wl's direction: its live-out set for backward liveness, its entry set for
+// forward definite assignment. A node's output is gen | in &^ kill. The
+// direction fixes the meet, as liveness and definite assignment are the
+// only two problems: backward is a may problem (union, Top = empty),
+// forward a must problem (intersection, Top = everything). The boundary
+// node (exit for backward, entry for forward) starts from boundary instead
+// of Top. A nil kill or boundary means the empty set. Every node is seeded:
+// one whose input never changes from Top still generates facts its
+// neighbors must see once.
+func (v *vars) solveBits(wl *worklist, gen, kill, boundary []uint64) []uint64 {
+	g := v.p.G
+	backward := wl.backward
+	in := make([]uint64, (int(g.MaxID())+2)*v.w)
+	in, out := in[:len(in)-v.w], in[len(in)-v.w:]
+	b := g.Entry
+	if backward {
+		b = g.Exit
+	} else {
+		for i := range in {
+			in[i] = ^uint64(0)
 		}
 	}
-	if op, ok := d.v.p.G.Node(n).Payload.(lower.OpCall); ok {
-		for _, arg := range op.S.Args {
-			if vr, ok := arg.(*lang.Var); ok {
-				if i, ok := d.v.scalar(vr.Name); ok {
-					out[i] = true
+	if g.Node(b) != nil {
+		br := v.row(in, b)
+		clear(br)
+		copy(br, boundary)
+	}
+	wl.pushAll()
+	for {
+		n, ok := wl.pop()
+		if !ok {
+			return in
+		}
+		copy(out, v.row(in, n))
+		if kill != nil {
+			for i, k := range v.row(kill, n) {
+				out[i] &^= k
+			}
+		}
+		for i, gw := range v.row(gen, n) {
+			out[i] |= gw
+		}
+		edges := g.OutEdges(n)
+		if backward {
+			edges = g.InEdges(n)
+		}
+		for _, e := range edges {
+			t := e.To
+			if backward {
+				t = e.From
+			}
+			tr := v.row(in, t)
+			changed := false
+			for i, o := range out {
+				old := tr[i]
+				nv := old & o
+				if backward {
+					nv = old | o
 				}
+				if nv != old {
+					tr[i] = nv
+					changed = true
+				}
+			}
+			if changed {
+				wl.push(t)
 			}
 		}
 	}
-	return out
-}
-
-func (d defassign) Equal(a, b varSet) bool { return setEq(a, b) }
-
-func setEq(a, b varSet) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -1,14 +1,20 @@
-// Package dataflow is a monotone dataflow framework over the lowered
-// control flow graph: a generic worklist solver parameterized by a lattice
-// and transfer functions, with four client analyses — conditional constant
-// propagation (SCCP-style, with edge feasibility), branch feasibility,
-// liveness, and definite assignment. The clients' combined per-procedure
-// facts feed the counter planner (infeasible conditions need no counters),
-// the estimator (infeasible conditions pinned to frequency 0, flow-proven
-// constant-trip DO loops priced deterministically) and the lint passes of
-// internal/check (dead code, dead stores, use-before-def).
+// Package dataflow runs four analyses over the lowered control flow graph:
+// conditional constant propagation (SCCP-style, with edge feasibility),
+// branch feasibility, liveness, and definite assignment. The clients'
+// combined per-procedure facts feed the counter planner (infeasible
+// conditions need no counters), the estimator (infeasible conditions pinned
+// to frequency 0, flow-proven constant-trip DO loops priced
+// deterministically) and the lint passes of internal/check (dead code, dead
+// stores, use-before-def).
 //
-// Every fact the framework proves is checked dynamically by the oracle's
+// Every analysis shares one machinery per procedure: an order table (reverse
+// postorder of the reachable nodes, then the rest in ID order) and a
+// worklist that pops the pending node of smallest priority. Constant
+// propagation keeps a copy-on-write sorted environment per node
+// (const.go); liveness and definite assignment are gen/kill problems over
+// []uint64 bit vectors, solved in place (live.go).
+//
+// Every fact the package proves is checked dynamically by the oracle's
 // dataflow-sound invariant: an edge proven infeasible must have frequency 0
 // in every profiled run, and a variable proven constant at a node must hold
 // exactly that value whenever the node executes. The constant evaluator is
@@ -16,187 +22,143 @@
 // (interp.EvalConst), never an idealization of it.
 package dataflow
 
-import (
-	"container/heap"
+import "repro/internal/cfg"
 
-	"repro/internal/cfg"
-)
-
-// Direction orients an analysis along or against the control flow.
-type Direction int
-
-// Analysis directions.
-const (
-	Forward Direction = iota
-	Backward
-)
-
-// Analysis is the monotone framework interface: a lattice of facts F with a
-// meet, plus a transfer function per node. Top must be the meet identity
-// (Meet(Top, x) = x) and Transfer must be monotone for the solver to
-// terminate at the least fixpoint.
-type Analysis[F any] interface {
-	Direction() Direction
-	// Boundary is the fact at the procedure boundary: the entry node's
-	// input for a forward analysis, the exit node's for a backward one.
-	Boundary() F
-	// Top is the initial fact of every other node and the meet identity.
-	Top() F
-	Meet(a, b F) F
-	// Transfer computes the node's output fact from its input fact.
-	Transfer(n cfg.NodeID, in F) F
-	Equal(a, b F) bool
+// order is a procedure's priority table. byPrio lists the nodes reachable
+// from the entry in reverse postorder of a DFS that follows out-edges in
+// insertion order, then the unreachable ones (hand-built test graphs may
+// have them) in ID order; prio is its inverse. reached counts the
+// reachable prefix.
+type order struct {
+	byPrio  []cfg.NodeID
+	prio    []int32
+	reached int
 }
 
-// Solution holds the fixpoint facts. In[n] is the meet-over-edges fact
-// flowing INTO node n: its entry fact for a forward analysis, its exit fact
-// for a backward one. Apply Transfer to obtain the other side.
-type Solution[F any] struct {
-	In []F
-}
-
-// Solve runs the worklist to the least fixpoint. Iteration order is
-// deterministic: nodes are prioritized by reverse postorder (forward) or
-// postorder (backward) of a DFS that follows out-edges in insertion order,
-// so two runs over the same graph always visit nodes identically.
-func Solve[F any](g *cfg.Graph, a Analysis[F]) *Solution[F] {
-	sol := &Solution[F]{In: make([]F, g.MaxID()+1)}
-	for id := cfg.NodeID(1); id <= g.MaxID(); id++ {
-		sol.In[id] = a.Top()
+func newOrder(g *cfg.Graph) *order {
+	n := int(g.MaxID()) + 1
+	o := &order{byPrio: make([]cfg.NodeID, 0, n), prio: make([]int32, n)}
+	// DFS postorder with an explicit stack; prio doubles as the visited
+	// mark (-1 = unseen) until the postorder is reversed.
+	for i := range o.prio {
+		o.prio[i] = -1
 	}
-	boundary := g.Entry
-	next := func(n cfg.NodeID) []cfg.Edge { return g.OutEdges(n) }
-	if a.Direction() == Backward {
-		boundary = g.Exit
-		next = func(n cfg.NodeID) []cfg.Edge { return g.InEdges(n) }
-	}
-	sol.In[boundary] = a.Boundary()
-	wl := newWorklist(priorities(g, a.Direction()))
-	// Seed every node, not just the boundary: a node whose input fact never
-	// changes from Top still generates facts locally (its gen set) that
-	// must reach its neighbors once.
-	for id := cfg.NodeID(1); id <= g.MaxID(); id++ {
-		if g.Node(id) != nil {
-			wl.push(id)
+	if g.Node(g.Entry) != nil {
+		type item struct {
+			n    cfg.NodeID
+			edge int
 		}
-	}
-	for {
-		n, ok := wl.pop()
-		if !ok {
-			return sol
-		}
-		out := a.Transfer(n, sol.In[n])
-		for _, e := range next(n) {
-			t := e.To
-			if a.Direction() == Backward {
-				t = e.From
+		stack := []item{{n: g.Entry}}
+		o.prio[g.Entry] = 0
+		for len(stack) > 0 {
+			top := &stack[len(stack)-1]
+			out := g.OutEdges(top.n)
+			if top.edge < len(out) {
+				t := out[top.edge].To
+				top.edge++
+				if o.prio[t] < 0 {
+					o.prio[t] = 0
+					stack = append(stack, item{n: t})
+				}
+				continue
 			}
-			merged := a.Meet(sol.In[t], out)
-			if !a.Equal(merged, sol.In[t]) {
-				sol.In[t] = merged
-				wl.push(t)
-			}
+			o.byPrio = append(o.byPrio, top.n)
+			stack = stack[:len(stack)-1]
 		}
 	}
+	o.reached = len(o.byPrio)
+	for i, j := 0, o.reached-1; i < j; i, j = i+1, j-1 {
+		o.byPrio[i], o.byPrio[j] = o.byPrio[j], o.byPrio[i]
+	}
+	for id := cfg.NodeID(1); id < cfg.NodeID(n); id++ {
+		if o.prio[id] < 0 {
+			o.byPrio = append(o.byPrio, id)
+		}
+	}
+	for p, id := range o.byPrio {
+		o.prio[id] = int32(p)
+	}
+	return o
 }
 
-// priorities assigns each node its worklist priority: its reverse-postorder
-// index for forward analyses, its postorder index for backward ones. Nodes
-// unreachable from the entry (none exist in validated graphs, but hand-built
-// test graphs may have them) sort after all reachable nodes, in ID order.
-func priorities(g *cfg.Graph, dir Direction) []int {
-	post := postorder(g)
-	prio := make([]int, g.MaxID()+1)
-	for i := range prio {
-		prio[i] = -1
-	}
-	if dir == Forward {
-		for i, n := range post {
-			prio[n] = len(post) - 1 - i
-		}
-	} else {
-		for i, n := range post {
-			prio[n] = i
-		}
-	}
-	nextPrio := len(post)
-	for id := cfg.NodeID(1); id <= g.MaxID(); id++ {
-		if prio[id] < 0 {
-			prio[id] = nextPrio
-			nextPrio++
-		}
-	}
-	return prio
-}
-
-// postorder returns the DFS postorder of the nodes reachable from the
-// entry, following out-edges in insertion order, with an explicit stack.
-func postorder(g *cfg.Graph) []cfg.NodeID {
-	type item struct {
-		n    cfg.NodeID
-		edge int
-	}
-	seen := make([]bool, g.MaxID()+1)
-	var order []cfg.NodeID
-	if g.Node(g.Entry) == nil {
-		return order
-	}
-	stack := []item{{n: g.Entry}}
-	seen[g.Entry] = true
-	for len(stack) > 0 {
-		top := &stack[len(stack)-1]
-		out := g.OutEdges(top.n)
-		if top.edge < len(out) {
-			t := out[top.edge].To
-			top.edge++
-			if !seen[t] {
-				seen[t] = true
-				stack = append(stack, item{n: t})
-			}
-			continue
-		}
-		order = append(order, top.n)
-		stack = stack[:len(stack)-1]
-	}
-	return order
-}
-
-// worklist is a deterministic priority worklist: pop returns the pending
-// node with the smallest priority, and a node is pending at most once.
+// worklist is a deterministic priority worklist over one order: pop returns
+// the pending node with the smallest priority, and a node is pending at
+// most once. A backward worklist ranks the reachable nodes by postorder
+// instead (the reverse of their forward priority); the unreachable tail
+// keeps ID order either way; the direction is fixed at construction. It is a
+// binary min-heap of ranks, empty again after each solve drains it.
 type worklist struct {
-	prio    []int
-	heap    []cfg.NodeID
-	pending []bool
+	o        *order
+	backward bool
+	heap     []int32
+	pending  []bool // by rank
 }
 
-func newWorklist(prio []int) *worklist {
-	return &worklist{prio: prio, pending: make([]bool, len(prio))}
+func newWorklist(o *order, backward bool) *worklist {
+	return &worklist{o: o, backward: backward, heap: make([]int32, 0, len(o.byPrio)), pending: make([]bool, len(o.byPrio))}
+}
+
+// rank maps a forward priority to this worklist's rank; it is its own
+// inverse.
+func (w *worklist) rank(p int32) int32 {
+	if w.backward && int(p) < w.o.reached {
+		return int32(w.o.reached) - 1 - p
+	}
+	return p
+}
+
+// pushAll seeds every node of the graph: the ranks in ascending order are
+// already a valid heap.
+func (w *worklist) pushAll() {
+	w.heap = w.heap[:0]
+	for r := range w.pending {
+		w.pending[r] = true
+		w.heap = append(w.heap, int32(r))
+	}
 }
 
 func (w *worklist) push(n cfg.NodeID) {
-	if w.pending[n] {
+	r := w.rank(w.o.prio[n])
+	if w.pending[r] {
 		return
 	}
-	w.pending[n] = true
-	heap.Push(w, n)
+	w.pending[r] = true
+	h := append(w.heap, r)
+	for i := len(h) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if h[parent] <= h[i] {
+			break
+		}
+		h[parent], h[i] = h[i], h[parent]
+		i = parent
+	}
+	w.heap = h
 }
 
 func (w *worklist) pop() (cfg.NodeID, bool) {
-	if len(w.heap) == 0 {
+	h := w.heap
+	if len(h) == 0 {
 		return cfg.None, false
 	}
-	n := heap.Pop(w).(cfg.NodeID)
-	w.pending[n] = false
-	return n, true
-}
-
-// heap.Interface.
-func (w *worklist) Len() int           { return len(w.heap) }
-func (w *worklist) Less(i, j int) bool { return w.prio[w.heap[i]] < w.prio[w.heap[j]] }
-func (w *worklist) Swap(i, j int)      { w.heap[i], w.heap[j] = w.heap[j], w.heap[i] }
-func (w *worklist) Push(x any)         { w.heap = append(w.heap, x.(cfg.NodeID)) }
-func (w *worklist) Pop() any {
-	n := w.heap[len(w.heap)-1]
-	w.heap = w.heap[:len(w.heap)-1]
-	return n
+	r := h[0]
+	last := len(h) - 1
+	h[0] = h[last]
+	h = h[:last]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && h[c+1] < h[c] {
+			c++
+		}
+		if h[i] <= h[c] {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	w.heap = h
+	w.pending[r] = false
+	return w.o.byPrio[w.rank(r)], true
 }

@@ -10,6 +10,7 @@
 package dfst
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
@@ -212,6 +213,17 @@ type SplitResult struct {
 	Original map[cfg.NodeID]cfg.NodeID
 }
 
+// SplitGrowth bounds node splitting: MakeReducible gives up before its
+// output would exceed SplitGrowth times the input's node count. Node
+// splitting is exponential in the worst case, and a few lines of GOTO
+// spaghetti reach it; real programs (the paper's benchmarks, every shipped
+// example and corpus program) split tiny regions, growing by well under 2x.
+const SplitGrowth = 16
+
+// ErrSplitBudget reports an irreducible graph whose node splitting would
+// exceed the SplitGrowth budget.
+var ErrSplitBudget = errors.New("node splitting exceeds its budget")
+
 // MakeReducible returns a reducible graph equivalent to g, applying node
 // splitting: while the graph is irreducible, the T1/T2 region of some
 // limit-graph node with multiple predecessors is duplicated, one copy per
@@ -219,21 +231,22 @@ type SplitResult struct {
 // and collapses into its predecessor's region. Copying the region, not
 // just its entry node, keeps a second loop entry from merely moving one
 // node along the cycle. The input graph is not modified. For reducible
-// inputs the result is a clone with zero splits.
-//
-// Node splitting can blow up exponentially in the worst case; real programs
-// (and the paper's benchmarks) have tiny irreducible regions, so no effort
-// is spent being clever about copy minimization.
-func MakeReducible(g *cfg.Graph) (*cfg.Graph, *SplitResult) {
+// inputs the result is a clone with zero splits. No effort is spent on
+// copy minimization; a split that would take the graph past SplitGrowth
+// times g's size fails with ErrSplitBudget instead.
+func MakeReducible(g *cfg.Graph) (*cfg.Graph, *SplitResult, error) {
 	out := g.Clone()
 	res := &SplitResult{Original: make(map[cfg.NodeID]cfg.NodeID)}
 	for id := cfg.NodeID(1); id <= out.MaxID(); id++ {
 		res.Original[id] = id
 	}
+	budget := SplitGrowth * g.NumNodes()
 	for !Reducible(out) {
-		splitRegion(out, splitVictim(out), res)
+		if err := splitRegion(out, splitVictim(out), res, budget); err != nil {
+			return nil, nil, fmt.Errorf("dfst: %q: %w", g.Name, err)
+		}
 	}
-	return out, res
+	return out, res, nil
 }
 
 // splitVictim reduces the reachable part of irreducible g with T1 (drop
@@ -318,8 +331,9 @@ func splitVictim(g *cfg.Graph) []cfg.NodeID {
 // cycle through v and are not copied. The first entering edge keeps the
 // original; each further edge is redirected to a fresh copy, whose edges
 // among copied members stay inside the copy and whose other edges keep
-// their targets.
-func splitRegion(g *cfg.Graph, region []cfg.NodeID, res *SplitResult) {
+// their targets. It fails, leaving g unchanged, when the copies would take
+// g past budget nodes.
+func splitRegion(g *cfg.Graph, region []cfg.NodeID, res *SplitResult, budget int) error {
 	v := region[0]
 	// reachesV marks the nodes that can reach v.
 	reachesV := make([]bool, g.MaxID()+1)
@@ -350,6 +364,10 @@ func splitRegion(g *cfg.Graph, region []cfg.NodeID, res *SplitResult) {
 			entries = append(entries, e)
 		}
 	}
+	if grown := g.NumNodes() + len(copied)*(len(entries)-1); grown > budget {
+		return fmt.Errorf("%w: %d nodes would grow to %d, past %dx the input",
+			ErrSplitBudget, g.NumNodes(), grown, SplitGrowth)
+	}
 	outs := make([][]cfg.Edge, len(copied))
 	for i, m := range copied {
 		outs[i] = slices.Clone(g.OutEdges(m))
@@ -376,4 +394,5 @@ func splitRegion(g *cfg.Graph, region []cfg.NodeID, res *SplitResult) {
 		g.RemoveEdge(e.From, v, e.Label)
 		g.MustAddEdge(e.From, copies[0], e.Label)
 	}
+	return nil
 }

@@ -142,7 +142,10 @@ func TestReducible(t *testing.T) {
 
 func TestMakeReducibleOnReducibleIsClone(t *testing.T) {
 	g := loopGraph()
-	out, res := MakeReducible(g)
+	out, res, err := MakeReducible(g)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Splits != 0 {
 		t.Errorf("Splits = %d, want 0", res.Splits)
 	}
@@ -153,7 +156,10 @@ func TestMakeReducibleOnReducibleIsClone(t *testing.T) {
 
 func TestMakeReducibleSplitsIrreducible(t *testing.T) {
 	g := irreducibleGraph()
-	out, res := MakeReducible(g)
+	out, res, err := MakeReducible(g)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Splits == 0 {
 		t.Fatal("expected at least one split")
 	}
@@ -190,7 +196,10 @@ func TestMakeReducibleSelfLoopOnCopy(t *testing.T) {
 	g.MustAddEdge(2, 4, cfg.True)
 	g.MustAddEdge(4, 5, cfg.Uncond)
 	g.Entry, g.Exit = 1, 5
-	out, _ := MakeReducible(g)
+	out, _, err := MakeReducible(g)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !Reducible(out) {
 		t.Fatal("result is still irreducible")
 	}
@@ -211,7 +220,10 @@ func TestMakeReducibleRotatingCycle(t *testing.T) {
 	g.MustAddEdge(3, 2, cfg.True)
 	g.MustAddEdge(3, 5, cfg.False)
 	g.Entry, g.Exit = 1, 5
-	out, res := MakeReducible(g)
+	out, res, err := MakeReducible(g)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !Reducible(out) || !limitReducible(out) {
 		t.Fatalf("result is still irreducible:\n%s", out)
 	}
@@ -403,7 +415,10 @@ func TestMakeReducibleOutputsAreReducible(t *testing.T) {
 		if got, want := splitVictim(g)[0], oracleVictim(g); got != want {
 			t.Fatalf("graph %d: splitVictim = %d, limit graph picks %d:\n%s", i, got, want, g)
 		}
-		out, res := MakeReducible(g)
+		out, res, err := MakeReducible(g)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !Reducible(out) || !limitReducible(out) {
 			t.Fatalf("graph %d: MakeReducible output is irreducible:\n%s", i, out)
 		}

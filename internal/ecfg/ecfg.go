@@ -117,7 +117,7 @@ func Build(g *cfg.Graph, in *interval.Info) (*Ext, error) {
 	// nodes. The worklist carries edges still to be examined; edges created
 	// by a split are re-examined so multi-level exits build a postexit
 	// chain.
-	work := append([]cfg.Edge(nil), eg.Edges()...)
+	work := eg.Edges()
 	for len(work) > 0 {
 		e := work[0]
 		work = work[1:]

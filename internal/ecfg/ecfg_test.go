@@ -322,7 +322,10 @@ func TestIrreducibleTypedErrorThenSplit(t *testing.T) {
 		t.Errorf("typed error carries no offending edge: %+v", irr)
 	}
 
-	split, sr := dfst.MakeReducible(g)
+	split, sr, err := dfst.MakeReducible(g)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if sr.Splits == 0 {
 		t.Fatal("MakeReducible performed no splits on a double-entry loop")
 	}

@@ -8,7 +8,7 @@ import (
 
 // ConstEnv supplies the scalar variables whose runtime value is known at the
 // program point being evaluated. ok=false means "unknown", not "absent".
-type ConstEnv func(name string) (Value, bool)
+type ConstEnv func(v *lang.Var) (Value, bool)
 
 // EvalConst evaluates e exactly as machine.eval would, using only the
 // constants env supplies plus folded PARAMETER symbols. It returns ok=true
@@ -31,13 +31,11 @@ func EvalConst(u *lang.Unit, e lang.Expr, env ConstEnv) (Value, bool) {
 	case *lang.StrLit:
 		return Value{}, false // runtime error: string used as value
 	case *lang.Var:
-		if v, ok := env(x.Name); ok {
+		if v, ok := env(x); ok {
 			return v, true
 		}
-		if u != nil {
-			if sym, ok := u.Symbols[x.Name]; ok && sym.Kind == lang.SymConst {
-				return constValue(sym), true
-			}
+		if sym := x.Sym; u != nil && sym != nil && sym.Kind == lang.SymConst {
+			return constValue(sym), true
 		}
 		return Value{}, false
 	case *lang.Index:
@@ -150,13 +148,14 @@ func evalConstIntrinsic(u *lang.Unit, x *lang.Intrinsic, env ConstEnv) (Value, b
 	if x.Name == "RAND" || x.Name == "IRAND" {
 		return Value{}, false
 	}
-	args := make([]Value, len(x.Args))
-	for i, a := range x.Args {
+	var buf [4]Value // intrinsics take at most a few arguments
+	args := buf[:0]
+	for _, a := range x.Args {
 		v, ok := EvalConst(u, a, env)
 		if !ok {
 			return Value{}, false
 		}
-		args[i] = v
+		args = append(args, v)
 	}
 	if len(args) == 0 {
 		return Value{}, false

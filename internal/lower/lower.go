@@ -18,6 +18,7 @@ package lower
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/cfg"
 	"repro/internal/dfst"
@@ -36,7 +37,21 @@ const (
 )
 
 // GotoCase returns the edge label of the i-th (1-based) computed GOTO case.
-func GotoCase(i int) cfg.Label { return cfg.Label(fmt.Sprintf("G%d", i)) }
+// Engines and analyses call it per dispatch, so the first cases come from a
+// table; only larger ones are formatted.
+func GotoCase(i int) cfg.Label {
+	if i >= 0 && i < len(gotoCases) {
+		return gotoCases[i]
+	}
+	return cfg.Label("G" + strconv.Itoa(i))
+}
+
+var gotoCases = func() (t [64]cfg.Label) {
+	for i := range t {
+		t[i] = cfg.Label("G" + strconv.Itoa(i))
+	}
+	return t
+}()
 
 // Op is the executable payload of a CFG node.
 type Op interface{ opName() string }
@@ -225,7 +240,10 @@ func lowerUnit(u *lang.Unit) (*Proc, error) {
 	// framework (and every later phase here) requires reducibility, so
 	// apply node splitting now. Copies share their original's payload.
 	if !dfst.Reducible(b.g) {
-		split, sr := dfst.MakeReducible(b.g)
+		split, sr, err := dfst.MakeReducible(b.g)
+		if err != nil {
+			return nil, err
+		}
 		stmt := make(map[cfg.NodeID]lang.Stmt, len(b.proc.Stmt))
 		for id := cfg.NodeID(1); id <= split.MaxID(); id++ {
 			if s, ok := b.proc.Stmt[sr.Original[id]]; ok {

@@ -1,8 +1,11 @@
 package lower
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/cfg"
 	"repro/internal/dfst"
@@ -329,3 +332,64 @@ func TestArithIfAndComputedGotoShape(t *testing.T) {
 		}
 	}
 }
+
+// gotoSpaghetti returns a program of n labeled `I = I + 1` statements, each
+// followed by two conditional GOTOs to labels drawn pseudo-randomly (a
+// fixed LCG) among them: a few lines whose irreducible regions make node
+// splitting exponential.
+func gotoSpaghetti(n int, seed uint64) string {
+	var b strings.Builder
+	b.WriteString("      PROGRAM T\n      INTEGER I\n      I = 0\n")
+	next := func() int {
+		seed = seed*6364136223846793005 + 1442695040888963407
+		return int(seed>>33) % n
+	}
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "%5d I = I + 1\n", 10*(i+1))
+		for k := 0; k < 2; k++ {
+			fmt.Fprintf(&b, "      IF (I .GT. %d) GOTO %d\n", 3*i+k+1, 10*(next()+1))
+		}
+	}
+	b.WriteString("      END\n")
+	return b.String()
+}
+
+// TestGotoSpaghettiHitsSplitBudget lowers the exponential case and requires
+// the node-splitting budget error, fast.
+func TestGotoSpaghettiHitsSplitBudget(t *testing.T) {
+	src := gotoSpaghetti(8, 4)
+	prog, err := lang.Parse(src)
+	if err != nil {
+		t.Fatalf("parse: %v\n%s", err, src)
+	}
+	start := time.Now()
+	_, err = Lower(prog)
+	if took := time.Since(start); took > time.Second {
+		t.Errorf("lowering took %v, want the budget to stop it in under 1s", took)
+	}
+	if !errors.Is(err, dfst.ErrSplitBudget) {
+		t.Fatalf("Lower = %v, want %v\n%s", err, dfst.ErrSplitBudget, src)
+	}
+}
+
+// TestGotoCaseAllocationFree: computed-GOTO dispatch asks for its edge
+// label on every execution, so tabled labels must not allocate, and every
+// label must read G<i>.
+func TestGotoCaseAllocationFree(t *testing.T) {
+	for _, i := range []int{0, 1, 9, 10, 63, 64, 100, 12345} {
+		if got, want := GotoCase(i), cfg.Label(fmt.Sprintf("G%d", i)); got != want {
+			t.Errorf("GotoCase(%d) = %q, want %q", i, got, want)
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := 1; i < 64; i++ {
+			gotoCaseSink = GotoCase(i)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("GotoCase allocates %v times per 63 calls, want 0", allocs)
+	}
+}
+
+// gotoCaseSink keeps the measured GotoCase results live.
+var gotoCaseSink cfg.Label
