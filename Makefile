@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: check fmt vet lint build test benchmark-smoke test-vm test-bl bench bench-analysis bench-tree oracle oracle-bl selfcheck dataflow-selfcheck serve-smoke cache-smoke fuzz-smoke bench-cache
+.PHONY: check fmt vet lint build test benchmark-smoke test-vm test-bl bench bench-analysis bench-tree bench-vm oracle oracle-bl selfcheck dataflow-selfcheck serve-smoke cache-smoke fuzz-smoke bench-cache
 
 # STATICCHECK_VERSION pins the analyzer CI installs; keep in sync with
 # .github/workflows/ci.yml.
@@ -72,6 +72,12 @@ bench-analysis:
 # and LOOPS at a reduced size), with allocations per run.
 bench-tree:
 	$(GO) test . -run '^$$' -bench Interpreter -benchtime 2s -count 5
+
+# bench-vm times the bytecode VM alone on the Table 1 programs at the
+# table1-profile sizes (SIMPLE 100x100 for 10 cycles, LOOPS n = 100 x 128),
+# one seed per run, with Mnode/s and allocations per run.
+bench-vm:
+	GOMAXPROCS=1 $(GO) test ./internal/vm -run '^$$' -bench Table1VM -benchtime 5x -count 5
 
 # bench-cache times each artifact-cache section on LOOPS and SIMPLE:
 # decoding it against re-deriving it. A section earns its place in the

@@ -196,3 +196,69 @@ func TestLocalArrayErrorDeterministic(t *testing.T) {
 		t.Fatalf("error %q, want it to name A, the first local array in slot order", want)
 	}
 }
+
+// TestArrayExtentOverflow: extent products that wrap int64 used to slip
+// past the size cap (2**32 × 2**32 wraps to 0, 3037000500² to a negative
+// count) and panic both engines on the first element access or in make.
+// The product is now checked against interp.MaxArrayElems before each
+// multiply, for local arrays and for reshaped array parameters alike, and
+// both engines (the VM's batch runner too) report the same runtime error.
+func TestArrayExtentOverflow(t *testing.T) {
+	local := func(n string) string {
+		return `      PROGRAM P
+      INTEGER N
+      PARAMETER (N = ` + n + `)
+      REAL A(N, N)
+      A(5,7) = 1.0
+      END
+`
+	}
+	cases := []struct{ name, src, want string }{
+		{"2**32 squared", local("4294967296"), "array A too large (more than 50000000 elements)"},
+		{"3037000500 squared", local("3037000500"), "array A too large (more than 50000000 elements)"},
+		{"parameter reshape", `      PROGRAM P
+      REAL B(4)
+      CALL S(B)
+      END
+      SUBROUTINE S(A)
+      INTEGER N
+      PARAMETER (N = 2**32)
+      REAL A(N, N)
+      A(5,7) = 1.0
+      END
+`, "array parameter A needs more than 50000000 elements, argument has 4"},
+	}
+	for _, tc := range cases {
+		prog, err := lang.Parse(tc.src)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		res, err := lower.Lower(prog)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for _, eng := range []interp.Engine{interp.EngineTree, interp.EngineVM, interp.EngineVMBatch} {
+			errs := make([]error, 4)
+			if eng == interp.EngineVMBatch {
+				// Two lanes, so each failure happens on a lane goroutine,
+				// where a panic would take the whole process down.
+				_, err = interp.RunBatch(res, interp.Options{Engine: eng}, []uint64{1, 2, 3, 4}, 2,
+					func(idx int, _ uint64, _ *interp.Result, err error) bool {
+						errs[idx] = err
+						return false
+					})
+				if err != nil {
+					t.Fatalf("%s %v: %v", tc.name, eng, err)
+				}
+			} else {
+				_, errs[0] = interp.Run(res, interp.Options{Engine: eng})
+				errs = errs[:1]
+			}
+			for _, got := range errs {
+				if got == nil || !strings.Contains(got.Error(), tc.want) {
+					t.Fatalf("%s %v: error %v, want %q", tc.name, eng, got, tc.want)
+				}
+			}
+		}
+	}
+}

@@ -77,6 +77,37 @@ type Array struct {
 	Elems []Value
 }
 
+// MaxArrayElems caps the element count of one array in every engine: a
+// local array larger than this is a runtime error, and so is an array
+// parameter whose declared shape would need more.
+const MaxArrayElems = 50_000_000
+
+// MulExtent returns total*v, one step of an array's extent product, and
+// false when both factors are positive and the product would pass
+// MaxArrayElems. The check comes before the multiply, so a product that
+// passes it never wraps int64. A non-positive extent makes the array
+// unindexable (every subscript fails its bounds check), so a product
+// involving one needs no check.
+func MulExtent(total, v int64) (int64, bool) {
+	if total > 0 && v > 0 && v > MaxArrayElems/total {
+		return 0, false
+	}
+	return total * v, true
+}
+
+// TooLargeMsg is the runtime error text for a local array whose extent
+// product passes MaxArrayElems.
+func TooLargeMsg(name string) string {
+	return fmt.Sprintf("array %s too large (more than %d elements)", name, MaxArrayElems)
+}
+
+// ParamTooLargeMsg is the runtime error text for an array parameter whose
+// declared shape would need more than MaxArrayElems elements (more than
+// any argument array can hold).
+func ParamTooLargeMsg(name string, have int) string {
+	return fmt.Sprintf("array parameter %s needs more than %d elements, argument has %d", name, MaxArrayElems, have)
+}
+
 // offset converts 1-based subscripts to a linear index, column-major.
 func (a *Array) offset(subs []int64) (int64, error) {
 	if len(subs) != len(a.Dims) {
@@ -731,7 +762,11 @@ func (m *machine) bindFrame(f *frame, p *lower.Proc, caller *frame, callStmt *la
 					return err
 				}
 				dims[i] = v.I
-				total *= v.I
+				var ok bool
+				if total, ok = MulExtent(total, v.I); !ok {
+					return &RuntimeError{Unit: p.G.Name, Line: callStmt.Line,
+						Msg: ParamTooLargeMsg(name, len(b.arr.Elems))}
+				}
 			}
 			if total > int64(len(b.arr.Elems)) {
 				return &RuntimeError{Unit: p.G.Name, Line: callStmt.Line,
@@ -1073,11 +1108,10 @@ func (m *machine) allocArray(f *frame, sym *lang.Symbol) (*Array, error) {
 				Msg: fmt.Sprintf("array %s has non-positive extent %d", sym.Name, v.I)}
 		}
 		dims[i] = v.I
-		total *= v.I
-	}
-	if total > 50_000_000 {
-		return nil, &RuntimeError{Unit: f.proc.G.Name, Line: 0,
-			Msg: fmt.Sprintf("array %s too large (%d elements)", sym.Name, total)}
+		var ok bool
+		if total, ok = MulExtent(total, v.I); !ok {
+			return nil, &RuntimeError{Unit: f.proc.G.Name, Line: 0, Msg: TooLargeMsg(sym.Name)}
+		}
 	}
 	elems := make([]Value, total)
 	for i := range elems {

@@ -375,6 +375,14 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 			s.writeError(w, http.StatusGatewayTimeout, "profiling exceeded the request deadline")
 			return
 		}
+		// A runtime error is the program's fault (an out-of-bounds
+		// subscript, an oversized array, the step limit), not the
+		// service's: the request was understood and cannot be processed.
+		var rte *interp.RuntimeError
+		if errors.As(err, &rte) {
+			s.writeError(w, http.StatusUnprocessableEntity, "profile: "+err.Error())
+			return
+		}
 		s.reg.Add("service.errors_total", 1)
 		s.writeError(w, http.StatusInternalServerError, "profile: "+err.Error())
 		return

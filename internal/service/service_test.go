@@ -449,3 +449,48 @@ func TestServiceRestartWarmFromDisk(t *testing.T) {
 		t.Errorf("restarted service answered differently:\n%s\nvs\n%s", a, b)
 	}
 }
+
+// TestRuntimeErrorIs422: a program that fails at run time is the
+// request's fault. Here an array extent product that wraps int64 (2**32
+// squared wraps to 0) once panicked the VM inside a batch lane goroutine
+// and took the whole daemon down; now every engine reports an
+// array-size runtime error, and the daemon answers 422.
+func TestRuntimeErrorIs422(t *testing.T) {
+	svc := New(Config{Metrics: &obs.Registry{}})
+	ts := httptest.NewServer(svc)
+	defer ts.Close()
+	src := `      PROGRAM P
+      INTEGER N
+      PARAMETER (N = 4294967296)
+      REAL A(N, N)
+      A(5,7) = 1.0
+      END
+`
+	for _, engine := range []string{"tree", "vm", "vm-batch"} {
+		body, err := json.Marshal(AnalyzeRequest{Source: src, Engine: engine, Seeds: []uint64{1, 2, 3, 4}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/v1/analyze", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var reply errorReply
+		err = json.NewDecoder(resp.Body).Decode(&reply)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: decode: %v", engine, err)
+		}
+		switch resp.StatusCode {
+		case http.StatusUnprocessableEntity:
+			if !strings.Contains(reply.Error, "array A too large") {
+				t.Fatalf("%s: 422 error %q, want the array-size runtime error", engine, reply.Error)
+			}
+		case http.StatusServiceUnavailable, http.StatusGatewayTimeout:
+			// Load shedding or a deadline on a slow host is not a
+			// verdict on the program.
+		default:
+			t.Fatalf("%s: status %d, want 422", engine, resp.StatusCode)
+		}
+	}
+}

@@ -83,7 +83,10 @@ func (a *laneArena) getFrame(pi int, pc *procCode) *frame {
 // one is rewritten before use on the next activation, and anything a
 // stale pointer pins lives at most until the lane's arena is released at
 // the end of the batch. Skipping the clear avoids a pointer-write barrier
-// per slot on the hottest release path.
+// per slot on the hottest release path. A local array slot's stale array
+// is also the storage the next activation's opAllocArray resets and
+// reuses (see allocLocal): nothing outside the frame holds it once the
+// activation has returned.
 func (a *laneArena) putFrame(pi int, f *frame) {
 	a.free[pi] = append(a.free[pi], f)
 }

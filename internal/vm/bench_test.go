@@ -6,8 +6,10 @@ import (
 	"repro/internal/cost"
 	"repro/internal/interp"
 	"repro/internal/lang"
+	"repro/internal/livermore"
 	"repro/internal/lower"
 	"repro/internal/progen"
+	"repro/internal/simplecfd"
 )
 
 // benchProgram compiles a medium-sized generated program (80 statements,
@@ -73,4 +75,42 @@ func BenchmarkRunBatch(b *testing.B) {
 		steps += stats.Steps
 	}
 	b.ReportMetric(float64(steps)/b.Elapsed().Seconds(), "nodes/s")
+}
+
+// BenchmarkTable1VM runs the paper's Table 1 programs at the benchmark's
+// table1-profile sizes, SIMPLE at 100×100 with 10 cycles and LOOPS at
+// n = 100 repeated 128 times, through Program.Run: one fresh one-seed lane
+// per iteration, allocations included. Mnode/s is CFG nodes executed per
+// second.
+func BenchmarkTable1VM(b *testing.B) {
+	for _, pr := range []struct{ name, src string }{
+		{"SIMPLE", simplecfd.Source(100, 10)},
+		{"LOOPS", livermore.Source(100, 128)},
+	} {
+		b.Run(pr.name, func(b *testing.B) {
+			prog, err := lang.Parse(pr.src)
+			if err != nil {
+				b.Fatal(err)
+			}
+			res, err := lower.Lower(prog)
+			if err != nil {
+				b.Fatal(err)
+			}
+			p, err := Compile(res)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var steps int64
+			for i := 0; i < b.N; i++ {
+				run, err := p.Run(interp.Options{Seed: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				steps += run.Steps
+			}
+			b.ReportMetric(float64(steps)/b.Elapsed().Seconds()/1e6, "Mnode/s")
+		})
+	}
 }

@@ -123,6 +123,7 @@ type procComp struct {
 	depth   int
 	curNode cfg.NodeID
 	inDims  bool
+	zero    int32 // see zeroSlot; -1 until first use
 }
 
 func compileProc(res *lower.Result, p *lower.Proc, byName map[string]int, loose bool) (*procCode, error) {
@@ -139,6 +140,7 @@ func compileProc(res *lower.Result, p *lower.Proc, byName map[string]int, loose 
 		tripSlot: make(map[cfg.NodeID]int32),
 		constIdx: make(map[interp.Value]int32),
 		strIdx:   make(map[string]int32),
+		zero:     -1,
 	}
 	if err := c.allocSlots(); err != nil {
 		return nil, err
@@ -499,14 +501,7 @@ func (c *procComp) stageArg(arg lang.Expr, param *lang.Symbol) error {
 		if sym == nil || sym.Kind != lang.SymArray {
 			return c.bail("CALL argument", "%s is not an array", a.Name)
 		}
-		for _, se := range a.Subs {
-			if err := c.expr(se); err != nil {
-				return err
-			}
-		}
-		c.emit(instr{op: opArgElem, a: c.arrSlot[a.Name], b: int32(len(a.Subs)), c: c.internStr(a.Name)})
-		c.depth -= len(a.Subs)
-		return nil
+		return c.elem(a, opArgElem, opArgElemAff)
 	default:
 		if paramIsArray {
 			return c.bail("CALL argument", "expression passed to array parameter")
@@ -544,13 +539,10 @@ func (c *procComp) assign(s *lang.Assign) error {
 		if sym == nil || sym.Kind != lang.SymArray {
 			return c.bail("assignment", "%s is not an array", lhs.Name)
 		}
-		for _, se := range lhs.Subs {
-			if err := c.expr(se); err != nil {
-				return err
-			}
+		if err := c.elem(lhs, opStoreElem, opStoreElemAff); err != nil {
+			return err
 		}
-		c.emit(instr{op: opStoreElem, a: c.arrSlot[lhs.Name], b: int32(len(lhs.Subs)), c: c.internStr(lhs.Name)})
-		c.depth -= len(lhs.Subs) + 1
+		c.depth--
 		return nil
 	}
 	return c.bail("assignment", "bad assignment target %T", s.LHS)
@@ -589,10 +581,7 @@ func (c *procComp) expr(e lang.Expr) error {
 			} else {
 				c.emit(instr{op: opLocal, a: c.valSlot[x.Name]})
 			}
-			c.depth++
-			if c.depth > c.out.maxStack {
-				c.out.maxStack = c.depth
-			}
+			c.push()
 		}
 		return nil
 	case *lang.Index:
@@ -600,13 +589,10 @@ func (c *procComp) expr(e lang.Expr) error {
 		if sym == nil || sym.Kind != lang.SymArray {
 			return c.bail("subscript", "%s is not an array", x.Name)
 		}
-		for _, se := range x.Subs {
-			if err := c.expr(se); err != nil {
-				return err
-			}
+		if err := c.elem(x, opElem, opElemAff); err != nil {
+			return err
 		}
-		c.emit(instr{op: opElem, a: c.arrSlot[x.Name], b: int32(len(x.Subs)), c: c.internStr(x.Name)})
-		c.depth -= len(x.Subs) - 1
+		c.push()
 		return nil
 	case *lang.Un:
 		if err := c.expr(x.X); err != nil {
@@ -646,13 +632,124 @@ func (c *procComp) expr(e lang.Expr) error {
 			}
 		}
 		c.emit(instr{op: opIntrin, a: int32(id), b: int32(len(x.Args))})
-		c.depth -= len(x.Args) - 1
-		if c.depth > c.out.maxStack {
-			c.out.maxStack = c.depth
-		}
+		c.depth -= len(x.Args)
+		c.push()
 		return nil
 	}
 	return c.bail("expression", "cannot evaluate %T", e)
+}
+
+// elem emits the element instruction for array reference x, leaving the
+// stack as it found it (the caller accounts for the element's own push or
+// the stored value's pop). When every subscript is affine (see affineSub)
+// it emits the affine form with its operands appended to affs; otherwise
+// it compiles the subscripts onto the stack and emits the generic form.
+func (c *procComp) elem(x *lang.Index, generic, affine opcode) error {
+	in := instr{a: c.arrSlot[x.Name], b: int32(len(x.Subs)), c: c.internStr(x.Name)}
+	subs := make([]affSub, 0, len(x.Subs))
+	for _, se := range x.Subs {
+		sub, ok := c.affineSub(se)
+		if !ok {
+			break
+		}
+		subs = append(subs, sub)
+	}
+	// Extent expressions keep the generic path, so a local subscript there
+	// still bails in expr.
+	if len(subs) == len(x.Subs) && !c.inDims {
+		in.op, in.d = affine, int32(len(c.out.affs))
+		c.out.affs = append(c.out.affs, subs...)
+		c.emit(in)
+		return nil
+	}
+	for _, se := range x.Subs {
+		if err := c.expr(se); err != nil {
+			return err
+		}
+	}
+	in.op = generic
+	c.emit(in)
+	c.depth -= len(x.Subs)
+	return nil
+}
+
+// affineSub recognizes the subscript forms an affine element instruction
+// takes: an integer constant (literal or PARAMETER), an INTEGER local
+// scalar, or such a local plus or minus an integer constant. None of them
+// can fail or draw from the RNG, so skipping the stack changes nothing
+// observable.
+func (c *procComp) affineSub(e lang.Expr) (affSub, bool) {
+	if k, ok := c.intConst(e); ok {
+		return affSub{slot: c.zeroSlot(), off: k}, true
+	}
+	if slot, ok := c.intLocal(e); ok {
+		return affSub{slot: slot}, true
+	}
+	b, ok := e.(*lang.Bin)
+	if !ok || (b.Op != lang.OpAdd && b.Op != lang.OpSub) {
+		return affSub{}, false
+	}
+	slot, ok := c.intLocal(b.L)
+	if !ok {
+		return affSub{}, false
+	}
+	k, ok := c.intConst(b.R)
+	if !ok {
+		return affSub{}, false
+	}
+	if b.Op == lang.OpSub {
+		k = -k
+	}
+	return affSub{slot: slot, off: k}, true
+}
+
+// intConst reports the value of an integer literal or INTEGER PARAMETER.
+func (c *procComp) intConst(e lang.Expr) (int64, bool) {
+	switch x := e.(type) {
+	case *lang.IntLit:
+		return x.Val, true
+	case *lang.Var:
+		if sym := c.p.Unit.Symbols[x.Name]; sym != nil && sym.Kind == lang.SymConst {
+			if v := interp.ConstSymbolValue(sym); v.T == lang.TInt {
+				return v.I, true
+			}
+		}
+	}
+	return 0, false
+}
+
+// intLocal reports the value slot of an INTEGER local scalar. Stores
+// convert to the cell's type, so the slot always holds a TInt.
+func (c *procComp) intLocal(e lang.Expr) (int32, bool) {
+	x, ok := e.(*lang.Var)
+	if !ok {
+		return 0, false
+	}
+	sym := c.p.Unit.Symbols[x.Name]
+	if sym == nil || sym.Kind != lang.SymScalar || sym.IsParam || sym.Type != lang.TInt {
+		return 0, false
+	}
+	return c.valSlot[x.Name], true
+}
+
+// zeroSlot returns a value slot that holds integer zero for the whole
+// activation, allocated on first use: no symbol maps to it, so nothing
+// stores to it, and a constant subscript is the operand (zeroSlot, k)
+// with no special case in the exec loops.
+func (c *procComp) zeroSlot() int32 {
+	if c.zero < 0 {
+		c.zero = int32(len(c.out.valTemplate))
+		c.out.valTemplate = append(c.out.valTemplate, interp.Int(0))
+	}
+	return c.zero
+}
+
+// push records one value pushed onto the stack.
+func (c *procComp) push() {
+	c.depth++
+	if c.depth > c.out.maxStack {
+		c.out.maxStack = c.depth
+	}
 }
 
 // compilePrologue emits the activation sequence: allocate local arrays
@@ -756,10 +853,7 @@ func (c *procComp) konst(v interp.Value) {
 		c.constIdx[v] = idx
 	}
 	c.emit(instr{op: opConst, a: idx})
-	c.depth++
-	if c.depth > c.out.maxStack {
-		c.out.maxStack = c.depth
-	}
+	c.push()
 }
 
 func (c *procComp) internStr(s string) int32 {

@@ -49,6 +49,7 @@ activation:
 		var (
 			ins    = pc.ins
 			consts = pc.consts
+			affs   = pc.affs
 			stack  = rs.stack
 			counts = rs.counts[pi]
 			nodes  = counts.Node
@@ -122,6 +123,30 @@ activation:
 				off, err := elemOffset(arr, stack[sp:sp+n], pc.name, pc.strs[in.c])
 				if err != nil {
 					retErr = err
+					break activation
+				}
+				sp--
+				cell := &arr.Elems[off]
+				*cell = interp.Convert(stack[sp], cell.T)
+				ip++
+
+			case opElemAff:
+				arr := f.arrays[in.a]
+				subs := affs[in.d : in.d+in.b]
+				off, ok := affOffset(arr.Dims, subs, vals)
+				if !ok {
+					retErr = affError(arr, subs, vals, pc.name, pc.strs[in.c])
+					break activation
+				}
+				stack[sp] = arr.Elems[off]
+				sp++
+				ip++
+			case opStoreElemAff:
+				arr := f.arrays[in.a]
+				subs := affs[in.d : in.d+in.b]
+				off, ok := affOffset(arr.Dims, subs, vals)
+				if !ok {
+					retErr = affError(arr, subs, vals, pc.name, pc.strs[in.c])
 					break activation
 				}
 				sp--
@@ -276,6 +301,16 @@ activation:
 				}
 				rs.args = append(rs.args, argSlot{cell: &arr.Elems[off]})
 				ip++
+			case opArgElemAff:
+				arr := f.arrays[in.a]
+				subs := affs[in.d : in.d+in.b]
+				off, ok := affOffset(arr.Dims, subs, vals)
+				if !ok {
+					retErr = affError(arr, subs, vals, pc.name, pc.strs[in.c])
+					break activation
+				}
+				rs.args = append(rs.args, argSlot{cell: &arr.Elems[off]})
+				ip++
 			case opArgVal:
 				sp--
 				cell := new(interp.Value)
@@ -315,54 +350,20 @@ activation:
 				counts.Activations++
 				ip++
 			case opAllocArray:
-				md := &pc.meta[in.c]
 				n := int(in.b)
 				sp -= n
-				dims := make([]int64, n)
-				total := int64(1)
-				for d := 0; d < n; d++ {
-					v := stack[sp+d].I
-					if v < 1 {
-						retErr = &interp.RuntimeError{Unit: pc.name, Line: 0,
-							Msg: fmt.Sprintf("array %s has non-positive extent %d", md.name, v)}
-						break activation
-					}
-					dims[d] = v
-					total *= v
-				}
-				if total > 50_000_000 {
-					retErr = &interp.RuntimeError{Unit: pc.name, Line: 0,
-						Msg: fmt.Sprintf("array %s too large (%d elements)", md.name, total)}
+				if err := allocLocal(pc, f, in, stack[sp:sp+n]); err != nil {
+					retErr = err
 					break activation
 				}
-				elems := make([]interp.Value, total)
-				for i := range elems {
-					elems[i].T = md.typ
-				}
-				f.arrays[in.a] = &interp.Array{Type: md.typ, Dims: dims, Elems: elems}
 				ip++
 			case opBindArray:
-				md := &pc.meta[in.c]
-				arr := f.arrays[in.a]
-				if arr == nil {
-					retErr = &interp.RuntimeError{Unit: pc.name, Line: f.callLine,
-						Msg: fmt.Sprintf("argument for array parameter %s is not an array", md.name)}
-					break activation
-				}
 				n := int(in.b)
 				sp -= n
-				dims := make([]int64, n)
-				total := int64(1)
-				for d := 0; d < n; d++ {
-					dims[d] = stack[sp+d].I
-					total *= dims[d]
-				}
-				if total > int64(len(arr.Elems)) {
-					retErr = &interp.RuntimeError{Unit: pc.name, Line: f.callLine,
-						Msg: fmt.Sprintf("array parameter %s needs %d elements, argument has %d", md.name, total, len(arr.Elems))}
+				if err := bindParam(pc, f, in, stack[sp:sp+n]); err != nil {
+					retErr = err
 					break activation
 				}
-				f.arrays[in.a] = &interp.Array{Type: arr.Type, Dims: dims, Elems: arr.Elems}
 				ip++
 
 			case opPrintStr:

@@ -8,9 +8,15 @@
 //
 // Compile once per program, then run every profiling seed against the
 // shared Program on reusable lanes (batch.go): each lane recycles its
-// activation frames through an arena, so a lane's steady state allocates
-// only what the program itself allocates (local arrays, by-value argument
-// cells).
+// activation frames through an arena, and a recycled frame's local arrays
+// are reset in place rather than reallocated, so a lane's steady state
+// allocates only by-value argument cells, the small reshaped views of
+// array parameters, and a local array that outgrows its previous storage.
+//
+// Array references whose subscripts are all affine in an INTEGER local
+// (I, I+1, N-1, 3) compile to element instructions that read their
+// subscripts straight from the frame: one dispatch per reference, nothing
+// through the value stack. Any other subscript takes the generic path.
 //
 // The engine is bit-identical to the tree-walker in internal/interp: the
 // same step counts, node/edge counters, activation counts, float cost
@@ -73,6 +79,15 @@ const (
 	opPrintFlush        // write the accumulated line
 	opEnd               // return from the procedure
 	opStop              // STOP: unwind every frame
+
+	// Affine element forms, emitted by the compiler (not the peephole
+	// pass) when every subscript is an integer constant, an INTEGER local,
+	// or such a local plus or minus a constant: a=array slot, b=#subs,
+	// c=name idx, d=first operand in affs. The subscripts never touch the
+	// value stack.
+	opElemAff      // push the element
+	opStoreElemAff // pop value into the element
+	opArgElemAff   // stage the element pointer
 
 	// Superinstructions: fused forms of the hot pairs/triples above,
 	// installed by the post-compile peephole pass in fuse.go. Each one
@@ -144,6 +159,15 @@ type arrayMeta struct {
 	typ  lang.Type
 }
 
+// affSub is one affine subscript operand: vals[slot].I + off. A constant
+// subscript reads the procedure's zero slot (see procComp.zeroSlot). The
+// add wraps exactly like binop's int64 add (a subtracted constant is
+// stored negated, which wraps identically).
+type affSub struct {
+	slot int32
+	off  int64
+}
+
 // procCode is one compiled procedure.
 type procCode struct {
 	proc   *lower.Proc
@@ -152,6 +176,7 @@ type procCode struct {
 	consts []interp.Value
 	strs   []string
 	arms   []arm
+	affs   []affSub
 	// lines maps node ID to its source line (step-limit errors).
 	lines []int32
 	// edgeOff maps node ID to its first flat edge-counter index.
@@ -489,6 +514,102 @@ func elemOffset(arr *interp.Array, subs []interp.Value, unit, name string) (int6
 		stride *= arr.Dims[d]
 	}
 	return off, nil
+}
+
+// affOffset is elemOffset for an affine element instruction, minus the
+// error text: ok=false on a rank mismatch or an out-of-bounds subscript,
+// and affError then builds the message.
+func affOffset(dims []int64, subs []affSub, vals []interp.Value) (int64, bool) {
+	if len(subs) != len(dims) {
+		return 0, false
+	}
+	off, stride := int64(0), int64(1)
+	for d, sub := range subs {
+		s := vals[sub.slot].I + sub.off
+		if s < 1 || s > dims[d] {
+			return 0, false
+		}
+		off += (s - 1) * stride
+		stride *= dims[d]
+	}
+	return off, true
+}
+
+// affError returns the error of an affine element access that affOffset
+// rejected: it evaluates the subscripts and hands them to elemOffset, so
+// the text is the generic path's by construction.
+func affError(arr *interp.Array, subs []affSub, vals []interp.Value, unit, name string) error {
+	vs := make([]interp.Value, len(subs))
+	for d, sub := range subs {
+		vs[d] = interp.Int(vals[sub.slot].I + sub.off)
+	}
+	_, err := elemOffset(arr, vs, unit, name)
+	return err
+}
+
+// allocLocal runs opAllocArray: it checks the popped extents and stores a
+// zeroed local array of them in f.arrays[in.a]. A recycled frame still
+// holds the array its procedure's previous activation allocated there (see
+// putFrame); when its storage is large enough it is reset in place, every
+// element to the typed zero a fresh make plus the type stamp would give,
+// so a lane stops allocating the program's local arrays after its first
+// activation of each procedure.
+func allocLocal(pc *procCode, f *frame, in *instr, ext []interp.Value) error {
+	md := &pc.meta[in.c]
+	total := int64(1)
+	for _, v := range ext {
+		if v.I < 1 {
+			return &interp.RuntimeError{Unit: pc.name, Line: 0,
+				Msg: fmt.Sprintf("array %s has non-positive extent %d", md.name, v.I)}
+		}
+		var ok bool
+		if total, ok = interp.MulExtent(total, v.I); !ok {
+			return &interp.RuntimeError{Unit: pc.name, Line: 0, Msg: interp.TooLargeMsg(md.name)}
+		}
+	}
+	arr := f.arrays[in.a]
+	if arr == nil || int64(cap(arr.Elems)) < total || cap(arr.Dims) < len(ext) {
+		arr = &interp.Array{Dims: make([]int64, len(ext)), Elems: make([]interp.Value, total)}
+		f.arrays[in.a] = arr
+	}
+	arr.Type = md.typ
+	arr.Dims = arr.Dims[:len(ext)]
+	for d, v := range ext {
+		arr.Dims[d] = v.I
+	}
+	arr.Elems = arr.Elems[:total]
+	zero := interp.Value{T: md.typ}
+	for i := range arr.Elems {
+		arr.Elems[i] = zero
+	}
+	return nil
+}
+
+// bindParam runs opBindArray: it reinterprets the array argument bound to
+// f.arrays[in.a] with the callee's declared shape, popped as ext.
+func bindParam(pc *procCode, f *frame, in *instr, ext []interp.Value) error {
+	md := &pc.meta[in.c]
+	arr := f.arrays[in.a]
+	if arr == nil {
+		return &interp.RuntimeError{Unit: pc.name, Line: f.callLine,
+			Msg: fmt.Sprintf("argument for array parameter %s is not an array", md.name)}
+	}
+	dims := make([]int64, len(ext))
+	total := int64(1)
+	for d, v := range ext {
+		dims[d] = v.I
+		var ok bool
+		if total, ok = interp.MulExtent(total, v.I); !ok {
+			return &interp.RuntimeError{Unit: pc.name, Line: f.callLine,
+				Msg: interp.ParamTooLargeMsg(md.name, len(arr.Elems))}
+		}
+	}
+	if total > int64(len(arr.Elems)) {
+		return &interp.RuntimeError{Unit: pc.name, Line: f.callLine,
+			Msg: fmt.Sprintf("array parameter %s needs %d elements, argument has %d", md.name, total, len(arr.Elems))}
+	}
+	f.arrays[in.a] = &interp.Array{Type: arr.Type, Dims: dims, Elems: arr.Elems}
+	return nil
 }
 
 // rand draws the next LCG value in [0, 1); identical to the tree-walker.
