@@ -3,11 +3,13 @@ package vm
 import (
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/cost"
 	"repro/internal/interp"
 	"repro/internal/lang"
 	"repro/internal/livermore"
 	"repro/internal/lower"
+	"repro/internal/pathprof"
 	"repro/internal/progen"
 	"repro/internal/simplecfd"
 )
@@ -81,36 +83,51 @@ func BenchmarkRunBatch(b *testing.B) {
 // table1-profile sizes, SIMPLE at 100×100 with 10 cycles and LOOPS at
 // n = 100 repeated 128 times, through Program.Run: one fresh one-seed lane
 // per iteration, allocations included. Mnode/s is CFG nodes executed per
-// second.
+// second. The plain sub-benchmarks run uninstrumented; the bl ones run
+// the same programs under their Ball–Larus path profiling spec, the
+// table1-profile "bl" configuration.
 func BenchmarkTable1VM(b *testing.B) {
 	for _, pr := range []struct{ name, src string }{
 		{"SIMPLE", simplecfd.Source(100, 10)},
 		{"LOOPS", livermore.Source(100, 128)},
 	} {
-		b.Run(pr.name, func(b *testing.B) {
-			prog, err := lang.Parse(pr.src)
-			if err != nil {
-				b.Fatal(err)
-			}
-			res, err := lower.Lower(prog)
-			if err != nil {
-				b.Fatal(err)
-			}
-			p, err := Compile(res)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			var steps int64
-			for i := 0; i < b.N; i++ {
-				run, err := p.Run(interp.Options{Seed: 1})
-				if err != nil {
-					b.Fatal(err)
+		prog, err := lang.Parse(pr.src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := lower.Lower(prog)
+		if err != nil {
+			b.Fatal(err)
+		}
+		p, err := Compile(res)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ap, err := analysis.AnalyzeProgram(res)
+		if err != nil {
+			b.Fatal(err)
+		}
+		bl, err := pathprof.BuildPlans(ap, pathprof.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, cfg := range []struct {
+			name string
+			spec *interp.PathSpec
+		}{{pr.name, nil}, {pr.name + "/bl", bl.Spec()}} {
+			b.Run(cfg.name, func(b *testing.B) {
+				b.ReportAllocs()
+				b.ResetTimer()
+				var steps int64
+				for i := 0; i < b.N; i++ {
+					run, err := p.Run(interp.Options{Seed: 1, PathSpec: cfg.spec})
+					if err != nil {
+						b.Fatal(err)
+					}
+					steps += run.Steps
 				}
-				steps += run.Steps
-			}
-			b.ReportMetric(float64(steps)/b.Elapsed().Seconds()/1e6, "Mnode/s")
-		})
+				b.ReportMetric(float64(steps)/b.Elapsed().Seconds()/1e6, "Mnode/s")
+			})
+		}
 	}
 }
