@@ -133,3 +133,4 @@ fuzz-smoke:
 	$(GO) test ./internal/pathprof/ -run '^$$' -fuzz FuzzPathNumbering -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/vm/ -run '^$$' -fuzz FuzzFusePipeline -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/artifact/ -run '^$$' -fuzz FuzzArtifactDecode -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/service/ -run '^$$' -fuzz FuzzAnalyzeHandler -fuzztime $(FUZZTIME)

@@ -227,6 +227,29 @@ func TestArrayExtentOverflow(t *testing.T) {
       A(5,7) = 1.0
       END
 `, "array parameter A needs more than 50000000 elements, argument has 4"},
+		// Every extent is evaluated before any is checked, so an extent
+		// that fails to evaluate wins over an earlier one that fails its
+		// check, on every engine.
+		{"local extent divides by zero", `      PROGRAM P
+      CALL S(0)
+      END
+      SUBROUTINE S(M)
+      INTEGER M
+      REAL A(0, 5/M)
+      A(1,1) = 1.0
+      END
+`, "integer division by zero"},
+		{"parameter extent divides by zero", `      PROGRAM P
+      REAL B(4)
+      CALL S(B, 0)
+      END
+      SUBROUTINE S(A, M)
+      INTEGER M, N
+      PARAMETER (N = 2**32)
+      REAL A(N, N, 5/M)
+      A(5,7,1) = 1.0
+      END
+`, "integer division by zero"},
 	}
 	for _, tc := range cases {
 		prog, err := lang.Parse(tc.src)

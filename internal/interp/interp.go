@@ -754,16 +754,14 @@ func (m *machine) bindFrame(f *frame, p *lower.Proc, caller *frame, callStmt *la
 				return &RuntimeError{Unit: p.G.Name, Line: callStmt.Line,
 					Msg: fmt.Sprintf("argument for array parameter %s is not an array", name)}
 			}
-			dims := make([]int64, len(sym.Dims))
+			dims, err := m.extents(f, sym)
+			if err != nil {
+				return err
+			}
 			total := int64(1)
-			for i, de := range sym.Dims {
-				v, err := m.eval(f, de)
-				if err != nil {
-					return err
-				}
-				dims[i] = v.I
+			for _, d := range dims {
 				var ok bool
-				if total, ok = MulExtent(total, v.I); !ok {
+				if total, ok = MulExtent(total, d); !ok {
 					return &RuntimeError{Unit: p.G.Name, Line: callStmt.Line,
 						Msg: ParamTooLargeMsg(name, len(b.arr.Elems))}
 				}
@@ -1095,21 +1093,34 @@ func (m *machine) tripCount(f *frame, l *lang.DoLoop) (int64, error) {
 	return trip, nil
 }
 
-func (m *machine) allocArray(f *frame, sym *lang.Symbol) (*Array, error) {
+// extents evaluates every declared extent of an array before any is
+// checked, the order the VM's prologue runs them in, so an extent that
+// fails to evaluate reports the same error on every engine.
+func (m *machine) extents(f *frame, sym *lang.Symbol) ([]int64, error) {
 	dims := make([]int64, len(sym.Dims))
-	total := int64(1)
 	for i, de := range sym.Dims {
 		v, err := m.eval(f, de)
 		if err != nil {
 			return nil, err
 		}
-		if v.I < 1 {
-			return nil, &RuntimeError{Unit: f.proc.G.Name, Line: 0,
-				Msg: fmt.Sprintf("array %s has non-positive extent %d", sym.Name, v.I)}
-		}
 		dims[i] = v.I
+	}
+	return dims, nil
+}
+
+func (m *machine) allocArray(f *frame, sym *lang.Symbol) (*Array, error) {
+	dims, err := m.extents(f, sym)
+	if err != nil {
+		return nil, err
+	}
+	total := int64(1)
+	for _, d := range dims {
+		if d < 1 {
+			return nil, &RuntimeError{Unit: f.proc.G.Name, Line: 0,
+				Msg: fmt.Sprintf("array %s has non-positive extent %d", sym.Name, d)}
+		}
 		var ok bool
-		if total, ok = MulExtent(total, v.I); !ok {
+		if total, ok = MulExtent(total, d); !ok {
 			return nil, &RuntimeError{Unit: f.proc.G.Name, Line: 0, Msg: TooLargeMsg(sym.Name)}
 		}
 	}

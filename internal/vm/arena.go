@@ -54,10 +54,11 @@ func (s *slab[T]) carve(n int) []T {
 }
 
 // getFrame returns a frame for procedure pi: locals seeded from the value
-// template, trip counters cleared. Recycled frames keep stale refs and
-// arrays (see putFrame); the call-time parameter bind and the procedure
-// prologue rewrite every one of those slots before any instruction reads
-// them, so observable state matches a freshly carved frame.
+// template, trip counters cleared, the path register at its activation
+// start. Recycled frames keep stale refs and arrays (see putFrame); the
+// call-time parameter bind and the procedure prologue rewrite every one of
+// those slots before any instruction reads them, so observable state
+// matches a freshly carved frame.
 func (a *laneArena) getFrame(pi int, pc *procCode) *frame {
 	if s := a.free[pi]; len(s) > 0 {
 		f := s[len(s)-1]
@@ -66,6 +67,7 @@ func (a *laneArena) getFrame(pi int, pc *procCode) *frame {
 		for i := range f.trips {
 			f.trips[i] = 0
 		}
+		f.reg, f.prev = 0, -1
 		return f
 	}
 	f := &a.frames.carve(1)[0]
@@ -74,6 +76,7 @@ func (a *laneArena) getFrame(pi int, pc *procCode) *frame {
 	f.arrays = a.arrays.carve(pc.numArrays)
 	f.trips = a.trips.carve(pc.numTrips)
 	copy(f.vals, pc.valTemplate)
+	f.prev = -1
 	return f
 }
 

@@ -65,7 +65,7 @@ func compileAll(res *lower.Result, opt CompileOptions) (*Program, error) {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	p := &Program{res: res, byName: make(map[string]int, len(names))}
+	p := &Program{res: res, byName: make(map[string]int, len(names)), noFuse: opt.NoFuse}
 	for i, name := range names {
 		p.byName[name] = i
 	}

@@ -25,6 +25,12 @@ import (
 // opEnd pops it back, so an activation costs a frame bind plus a register
 // reload instead of Go recursion through runProc — and the step/cost
 // accumulators stay in registers across the whole call tree.
+//
+// The same loop runs Ball–Larus path-instrumented code. Its counter code
+// is compiled into the instruction stream (opPathEdge stubs, see
+// instrument), so an uninstrumented run never executes a path opcode; the
+// only checks left here are the per-activation pc.path tests at END and
+// STOP.
 func (rs *runState) exec(pc *procCode, f *frame, pi int) error {
 	var (
 		onCost   = rs.opt.OnNodeCost
@@ -321,7 +327,7 @@ activation:
 				n := int(in.b)
 				base := len(rs.args) - n
 				cpi := int(in.a)
-				cpc := rs.prog.procs[cpi]
+				cpc := rs.procs[cpi]
 				rs.depth++
 				if rs.depth > 10000 {
 					rs.depth--
@@ -1100,7 +1106,24 @@ activation:
 				counts.Activations++
 				ip = int(in.a)
 
+			case opPathEdge:
+				rt := pc.path
+				f.reg += rt.inc[in.b]
+				if rt.bump[in.b] {
+					// A back edge completes the current path: bump its
+					// counter and restart the register at the header's
+					// entry-dummy value.
+					rs.paths[pi].Bump(f.prev, f.reg)
+					f.prev = f.reg
+					f.reg = rt.reset[in.b]
+				}
+				ip = int(in.a)
+
 			case opEnd:
+				if pc.path != nil {
+					// END completes the activation's final path.
+					rs.paths[pi].Bump(f.prev, f.reg)
+				}
 				if len(calls) == 0 {
 					break activation
 				}
@@ -1112,7 +1135,7 @@ activation:
 				ip = int(top.ip)
 				continue activation
 			case opStop:
-				rs.recordStopFrame(pc, f, cfg.NodeID(in.a))
+				rs.recordStopFrame(pi, pc, f, cfg.NodeID(in.a))
 				retErr = errStop
 				break activation
 			default:
@@ -1135,7 +1158,7 @@ activation:
 			// This caller froze at its CALL (the instruction before the
 			// saved resume point; opCall is never fused, so .d is the CALL
 			// node). Frames land innermost-first, like the tree unwind.
-			rs.recordStopFrame(pc, f, cfg.NodeID(pc.ins[top.ip-1].d))
+			rs.recordStopFrame(pi, pc, f, cfg.NodeID(pc.ins[top.ip-1].d))
 		}
 	}
 	rs.calls = calls

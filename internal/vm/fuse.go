@@ -41,7 +41,7 @@ func (pc *procCode) fuse() {
 		case opBranch, opDoTest:
 			mark(ins[i].a)
 			mark(ins[i].b)
-		case opJmp, opGoto:
+		case opJmp, opGoto, opPathEdge:
 			mark(ins[i].a)
 		}
 	}
@@ -189,7 +189,7 @@ func (pc *procCode) fuse() {
 		case opBranch, opDoTest, opNodeDoTest, opBinBranch:
 			in.a = oldToNew[in.a]
 			in.b = oldToNew[in.b]
-		case opJmp, opGoto, opNodeJmp, opActivateGoto:
+		case opJmp, opGoto, opNodeJmp, opActivateGoto, opPathEdge:
 			in.a = oldToNew[in.a]
 		case opNodeDoIncrJmp, opDoIncrJmp, opDoInitFinJmp:
 			in.d = oldToNew[in.d]

@@ -3,10 +3,13 @@ package vm
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/cost"
 	"repro/internal/interp"
+	"repro/internal/pathprof"
 	"repro/internal/progen"
 )
 
@@ -191,7 +194,11 @@ func TestFuseCatalog(t *testing.T) {
 
 // FuzzFusePipeline feeds generator knobs to the fused and unfused
 // compilers and requires bit-identical execution (result counters, PRINT
-// output, error text) on two interpreter seeds per program.
+// output, error text) on two interpreter seeds per program. Its Ball–Larus
+// arm runs the same seeds under the program's path profiling spec (pair
+// counters on odd seeds) and requires the path counters and STOP partials
+// of both VMs to match the tree-walker's bit for bit; family 2 generates
+// STOP gadgets, so partials occur.
 func FuzzFusePipeline(f *testing.F) {
 	f.Add(uint64(7), byte(6), byte(2), byte(0))
 	f.Add(uint64(19), byte(10), byte(3), byte(1))
@@ -199,7 +206,7 @@ func FuzzFusePipeline(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64, size, depth, fam byte) {
 		opts := progen.Opts{
 			BranchFree: fam%3 == 1,
-			ConstLoops: fam%3 == 2,
+			Stops:      fam%3 == 2,
 		}
 		src := progen.GenerateOpts(seed, 1+int(size%12), 1+int(depth%4), opts)
 		res := lowerSrc(t, src)
@@ -212,7 +219,8 @@ func FuzzFusePipeline(f *testing.F) {
 			t.Fatalf("compile nofuse: %v\n%s", err, src)
 		}
 		m := cost.Optimized
-		for _, runSeed := range []uint64{seed, seed*31 + 1} {
+		runSeeds := []uint64{seed, seed*31 + 1}
+		for _, runSeed := range runSeeds {
 			var fout, pout bytes.Buffer
 			mf, mp := m, m
 			fr, ferr := fusedProg.Run(interp.Options{Seed: runSeed, MaxSteps: 1_000_000, Model: &mf, Out: &fout})
@@ -228,6 +236,39 @@ func FuzzFusePipeline(f *testing.F) {
 			}
 			if fout.String() != pout.String() {
 				t.Fatalf("run %d: PRINT differs\nfused: %q\nplain: %q", runSeed, fout.String(), pout.String())
+			}
+		}
+
+		ap, err := analysis.AnalyzeProgram(res)
+		if err != nil {
+			t.Fatalf("analyze: %v\n%s", err, src)
+		}
+		bl, err := pathprof.BuildPlans(ap, pathprof.Options{MultiIter: seed%2 == 1})
+		if err != nil {
+			t.Fatalf("path plans: %v\n%s", err, src)
+		}
+		for _, runSeed := range runSeeds {
+			opt := interp.Options{Seed: runSeed, MaxSteps: 1_000_000, PathSpec: bl.Spec()}
+			topt := opt
+			topt.Engine = interp.EngineTree
+			want, werr := interp.Run(res, topt)
+			for _, vm := range []struct {
+				name string
+				prog *Program
+			}{{"fused", fusedProg}, {"nofuse", plainProg}} {
+				got, err := vm.prog.Run(opt)
+				if (werr == nil) != (err == nil) || (err != nil && err.Error() != werr.Error()) {
+					t.Fatalf("bl run %d: err %s=%v tree=%v\n%s", runSeed, vm.name, err, werr, src)
+				}
+				if werr != nil {
+					continue
+				}
+				if d := diffResults(want, got) + diffPaths(want, got); d != "" {
+					t.Fatalf("bl run %d: %s: %s\n%s", runSeed, vm.name, d, src)
+				}
+				if !reflect.DeepEqual(want.Paths, got.Paths) {
+					t.Fatalf("bl run %d: %s: path counters differ from the tree-walker's\n%s", runSeed, vm.name, src)
+				}
 			}
 		}
 	})

@@ -18,6 +18,11 @@
 // subscripts straight from the frame: one dispatch per reference, nothing
 // through the value stack. Any other subscript takes the generic path.
 //
+// Ball–Larus path profiling (Options.PathSpec) inserts its counter code
+// into the program rather than into the interpreter: each instrumented
+// procedure is recompiled with edge stubs that update the path register
+// (see instrument), and the same dispatch loop runs it.
+//
 // The engine is bit-identical to the tree-walker in internal/interp: the
 // same step counts, node/edge counters, activation counts, float cost
 // accumulation order, RNG draw order and runtime error messages. Programs
@@ -79,6 +84,7 @@ const (
 	opPrintFlush        // write the accumulated line
 	opEnd               // return from the procedure
 	opStop              // STOP: unwind every frame
+	opPathEdge          // Ball–Larus edge stub: apply path flat edge b, jump to a
 
 	// Affine element forms, emitted by the compiler (not the peephole
 	// pass) when every subscript is an integer constant, an INTEGER local,
@@ -196,6 +202,9 @@ type procCode struct {
 	maxStack  int
 	// fused counts the instructions eliminated by superinstruction fusion.
 	fused int
+	// path is the Ball–Larus instrumentation this code was compiled with
+	// (its edge stubs read it); nil on the plain code Compile returns.
+	path *pathRT
 }
 
 // frame is one activation record, carved from a lane's arena.
@@ -205,6 +214,10 @@ type frame struct {
 	arrays   []*interp.Array
 	trips    []int64
 	callLine int
+	// reg and prev are the activation's Ball–Larus path register and its
+	// previously completed path id (-1 when none); only instrumented code
+	// reads them.
+	reg, prev int64
 }
 
 // Program is a compiled program, safe for concurrent Run calls.
@@ -213,6 +226,7 @@ type Program struct {
 	procs   []*procCode
 	byName  map[string]int
 	mainIdx int
+	noFuse  bool
 
 	// costCache memoizes per-node cost tables by model value, so running
 	// many seeds under one model prices the nodes once. Tables are
@@ -220,17 +234,17 @@ type Program struct {
 	costMu    sync.Mutex
 	costCache map[cost.Model][][]float64
 
-	// pathCache memoizes flattened Ball–Larus tables per PathSpec (by
-	// identity — specs are built once per Plans and shared), mirroring
-	// costCache: flatten once, run every seed.
+	// pathCache memoizes the procedure set instrumented for each PathSpec
+	// (by identity — specs are built once per Plans and shared), mirroring
+	// costCache: compile the stubs once, run every seed.
 	pathMu    sync.Mutex
-	pathCache map[*interp.PathSpec][]*pathRT
+	pathCache map[*interp.PathSpec][]*procCode
 }
 
 // pathRT is one procedure's Ball–Larus instrumentation flattened onto the
 // VM's flat edge-counter indexing: inc/bump/reset[edgeOff[node]+k] mirror
-// the spec's [node][k] tables, so the exec loop applies them with the same
-// index it already uses to count the edge. Immutable after construction.
+// the spec's [node][k] tables, so an edge stub applies them with the index
+// its edge is counted under. Immutable after construction.
 type pathRT struct {
 	spec  *interp.PathProcSpec
 	inc   []int64
@@ -238,42 +252,97 @@ type pathRT struct {
 	reset []int64
 }
 
-// pathTables returns the per-proc flattened path tables for spec, building
-// them on first use. A nil entry means the procedure is uninstrumented.
-func (p *Program) pathTables(spec *interp.PathSpec) []*pathRT {
+// pathProcs returns the procedure set a run under spec executes, building
+// it on first use: a procedure the spec instruments is recompiled with
+// edge stubs (see instrument), any other keeps its plain procCode. A spec
+// that instruments nothing gets p.procs itself.
+func (p *Program) pathProcs(spec *interp.PathSpec) []*procCode {
 	p.pathMu.Lock()
 	defer p.pathMu.Unlock()
-	if rts, ok := p.pathCache[spec]; ok {
-		return rts
+	if procs, ok := p.pathCache[spec]; ok {
+		return procs
 	}
-	rts := make([]*pathRT, len(p.procs))
-	for i, pc := range p.procs {
-		ps := spec.Procs[pc.name]
+	procs := make([]*procCode, len(p.procs))
+	instrumented := false
+	for i, plain := range p.procs {
+		procs[i] = plain
+		ps := spec.Procs[plain.name]
 		if ps == nil {
 			continue
 		}
-		rt := &pathRT{
-			spec:  ps,
-			inc:   make([]int64, pc.numEdges),
-			bump:  make([]bool, pc.numEdges),
-			reset: make([]int64, pc.numEdges),
+		// The plain code compiled from the same procedure, so this cannot
+		// bail out.
+		pc, err := compileProc(p.res, plain.proc, p.byName, false)
+		if err != nil {
+			panic(fmt.Sprintf("vm: recompiling %s: %v", plain.name, err))
 		}
-		g := pc.proc.G
-		for id := cfg.NodeID(1); id <= g.MaxID(); id++ {
-			off := int(pc.edgeOff[id])
-			for k := range g.OutEdges(id) {
-				rt.inc[off+k] = ps.Inc[id][k]
-				rt.bump[off+k] = ps.Bump[id][k]
-				rt.reset[off+k] = ps.Reset[id][k]
-			}
+		pc.instrument(flattenPath(plain, ps))
+		if !p.noFuse {
+			pc.fuse()
 		}
-		rts[i] = rt
+		procs[i] = pc
+		instrumented = true
+	}
+	if !instrumented {
+		procs = p.procs
 	}
 	if p.pathCache == nil {
-		p.pathCache = make(map[*interp.PathSpec][]*pathRT)
+		p.pathCache = make(map[*interp.PathSpec][]*procCode)
 	}
-	p.pathCache[spec] = rts
-	return rts
+	p.pathCache[spec] = procs
+	return procs
+}
+
+// flattenPath lays ps out on pc's flat edge-counter indexing.
+func flattenPath(pc *procCode, ps *interp.PathProcSpec) *pathRT {
+	rt := &pathRT{
+		spec:  ps,
+		inc:   make([]int64, pc.numEdges),
+		bump:  make([]bool, pc.numEdges),
+		reset: make([]int64, pc.numEdges),
+	}
+	g := pc.proc.G
+	for id := cfg.NodeID(1); id <= g.MaxID(); id++ {
+		off := int(pc.edgeOff[id])
+		for k := range g.OutEdges(id) {
+			rt.inc[off+k] = ps.Inc[id][k]
+			rt.bump[off+k] = ps.Bump[id][k]
+			rt.reset[off+k] = ps.Reset[id][k]
+		}
+	}
+	return rt
+}
+
+// instrument points every edge whose Ball–Larus increment is nonzero, or
+// that completes a path, at an opPathEdge stub appended after the body;
+// the stub applies the edge to the path register and jumps on to the real
+// target. It runs before fuse, while only opBranch, opJmp, opDoTest and
+// the arms carry edges: the fused forms copy their targets from these, so
+// they take the stubs with them. An edge with increment 0 and no bump
+// keeps its direct target and costs nothing.
+func (pc *procCode) instrument(rt *pathRT) {
+	pc.path = rt
+	var stubs []instr
+	via := func(target *int32, flat int32) {
+		if rt.inc[flat] != 0 || rt.bump[flat] {
+			stubs = append(stubs, instr{op: opPathEdge, a: *target, b: flat})
+			*target = int32(len(pc.ins) + len(stubs) - 1)
+		}
+	}
+	for i := range pc.ins {
+		in := &pc.ins[i]
+		switch in.op {
+		case opBranch, opDoTest:
+			via(&in.a, in.c)
+			via(&in.b, in.d)
+		case opJmp:
+			via(&in.a, in.b)
+		}
+	}
+	for i := range pc.arms {
+		via(&pc.arms[i].ip, pc.arms[i].flat)
+	}
+	pc.ins = append(pc.ins, stubs...)
 }
 
 // NumInstructions returns the total instruction count across procedures
@@ -343,48 +412,6 @@ type callSite struct {
 // errStop unwinds all frames on STOP, like the tree-walker's sentinel.
 var errStop = errors.New("stop")
 
-// pathTracer is one activation's Ball–Larus state: the path register, the
-// previously completed path id (pair mode), and the procedure's flattened
-// tables. A zero tracer (rt nil) is inert, so uninstrumented procedures —
-// and whole runs without a PathSpec — pay one predictable nil check per
-// taken edge and nothing else.
-type pathTracer struct {
-	rt   *pathRT
-	cnt  *interp.PathCounts
-	reg  int64
-	prev int64
-}
-
-// edge applies one taken edge by flat index. The split keeps the inert
-// check small enough to inline at every exec edge site; the register math
-// only runs for instrumented activations.
-func (pt *pathTracer) edge(flat int32) {
-	if pt.rt == nil {
-		return
-	}
-	pt.edgeSlow(flat)
-}
-
-func (pt *pathTracer) edgeSlow(flat int32) {
-	rt := pt.rt
-	pt.reg += rt.inc[flat]
-	if rt.bump[flat] {
-		// A back edge completes the current path: bump its counter and
-		// restart the register at the header's entry-dummy value.
-		pt.cnt.Bump(pt.prev, pt.reg)
-		pt.prev = pt.reg
-		pt.reg = rt.reset[flat]
-	}
-}
-
-// pathSave is one suspended caller's tracer on the explicit call stack,
-// parallel to callSite. node is the caller's CALL node, recorded so a STOP
-// unwinding through the frame can log an exact (node, register) partial.
-type pathSave struct {
-	pt   pathTracer
-	node int32
-}
-
 // runState is the per-run mutable state shared by all activations.
 type runState struct {
 	prog   *Program
@@ -397,28 +424,30 @@ type runState struct {
 	args   []argSlot
 	calls  []callSite
 	parts  []any
-	// pathRTs/paths are the per-proc Ball–Larus tables and counters; nil
-	// unless Options.PathSpec is set. pt is the live activation's tracer
-	// (kept here rather than in an exec local so the dispatch loop carries
-	// no extra live registers); pathCalls mirrors calls with the suspended
-	// callers' tracers (see exec).
-	pathRTs   []*pathRT
-	paths     []*interp.PathCounts
-	pt        pathTracer
-	pathCalls []pathSave
-	rng       uint64
-	steps     int64
-	max       int64
-	depth     int
+	// procs is the code this run executes: the program's plain
+	// procedures, or under Options.PathSpec the set instrumented for it
+	// (see initPaths). paths holds the counters of each instrumented
+	// procedure, nil elsewhere.
+	procs []*procCode
+	paths []*interp.PathCounts
+	rng   uint64
+	steps int64
+	max   int64
+	depth int
 	// arena supplies the lane's frames (see arena.go).
 	arena *laneArena
 }
 
 // recordStopFrame mirrors the tree-walker's: capture an activation's frozen
-// position and live DO registers as a STOP unwinds through it. VM trip
-// slots are allocated in compile order, so sort by test node to match the
-// tree-walker's dense ascending scan bit-for-bit.
-func (rs *runState) recordStopFrame(pc *procCode, f *frame, node cfg.NodeID) {
+// position and live DO registers as a STOP unwinds through it, and, for
+// instrumented code, the (node, path register) prefix the STOP cut short.
+// VM trip slots are allocated in compile order, so sort by test node to
+// match the tree-walker's dense ascending scan bit-for-bit.
+func (rs *runState) recordStopFrame(pi int, pc *procCode, f *frame, node cfg.NodeID) {
+	if pc.path != nil {
+		pcn := rs.paths[pi]
+		pcn.Partials = append(pcn.Partials, interp.PathPartial{Node: node, Reg: f.reg})
+	}
 	sf := interp.StopFrame{Proc: pc.name, Node: node}
 	for slot, rem := range f.trips {
 		if rem > 0 {
@@ -437,19 +466,20 @@ func (p *Program) Run(opt interp.Options) (*interp.Result, error) {
 	return interp.NewLane(p.res, p, opt).RunSeed(opt.Seed)
 }
 
-// initPaths builds the run's path-profiling state from Options.PathSpec:
-// flattened tables plus one PathCounts per instrumented procedure, exposed
-// on the Result exactly like the tree-walker's.
+// initPaths picks the run's code and path-profiling state from
+// Options.PathSpec: the plain procedures without one, else the set
+// instrumented for it, plus one PathCounts per instrumented procedure,
+// exposed on the Result exactly like the tree-walker's.
 func (rs *runState) initPaths() {
+	rs.procs = rs.prog.procs
 	spec := rs.opt.PathSpec
 	if spec == nil {
 		return
 	}
-	rts := rs.prog.pathTables(spec)
-	rs.pathRTs = rts
-	rs.paths = make([]*interp.PathCounts, len(rs.prog.procs))
-	for i, rt := range rts {
-		if rt == nil {
+	rs.procs = rs.prog.pathProcs(spec)
+	rs.paths = make([]*interp.PathCounts, len(rs.procs))
+	for i, pc := range rs.procs {
+		if pc.path == nil {
 			continue
 		}
 		// Lazy map creation matches the tree-walker: a spec with no
@@ -457,15 +487,15 @@ func (rs *runState) initPaths() {
 		if rs.result.Paths == nil {
 			rs.result.Paths = make(map[string]*interp.PathCounts)
 		}
-		pcn := interp.NewPathCounts(rt.spec, spec.MultiIter)
+		pcn := interp.NewPathCounts(pc.path.spec, spec.MultiIter)
 		rs.paths[i] = pcn
-		rs.result.Paths[rs.prog.procs[i].name] = pcn
+		rs.result.Paths[pc.name] = pcn
 	}
 }
 
 // runProc executes one activation of proc pi with the staged args.
 func (rs *runState) runProc(pi int, args []argSlot, callLine int) error {
-	pc := rs.prog.procs[pi]
+	pc := rs.procs[pi]
 	rs.depth++
 	if rs.depth > 10000 {
 		rs.depth--
@@ -480,16 +510,9 @@ func (rs *runState) runProc(pi int, args []argSlot, callLine int) error {
 			f.refs[pb.slot] = args[i].cell
 		}
 	}
-	// Path-instrumented runs dispatch through execPaths, a twin of the
-	// exec loop with the per-edge Ball–Larus hooks compiled in; keeping
-	// exec itself hook-free preserves uninstrumented vm/vm-batch
-	// throughput (see exec_paths.go).
-	var err error
-	if rs.pathRTs != nil {
-		err = rs.execPaths(pc, f, pi)
-	} else {
-		err = rs.exec(pc, f, pi)
-	}
+	// Path-instrumented runs execute the same loop over code with the
+	// Ball–Larus edge stubs compiled in (see instrument).
+	err := rs.exec(pc, f, pi)
 	rs.arena.putFrame(pi, f)
 	rs.depth--
 	return err
