@@ -132,5 +132,6 @@ fuzz-smoke:
 	$(GO) test ./internal/oracle/ -run '^$$' -fuzz FuzzProgenOracle -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pathprof/ -run '^$$' -fuzz FuzzPathNumbering -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/vm/ -run '^$$' -fuzz FuzzFusePipeline -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/interp/ -run '^$$' -fuzz FuzzEvalConst -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/artifact/ -run '^$$' -fuzz FuzzArtifactDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/service/ -run '^$$' -fuzz FuzzAnalyzeHandler -fuzztime $(FUZZTIME)

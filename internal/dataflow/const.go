@@ -332,17 +332,18 @@ func (c *constProp) step(in Env, l *lang.DoLoop) (int64, bool) {
 	return v.I, ok
 }
 
-// tripCount folds the F77 trip count of l under in, mirroring
-// machine.tripCount: MAX(0, (hi.I-lo.I+step)/step). A zero step is a
-// runtime error, so no trip is claimed for it.
+// tripCount folds the F77 trip count of l under in with the engines'
+// interp.TripCount. A zero step is a runtime error, so no trip is claimed
+// for it.
 func (c *constProp) tripCount(in Env, l *lang.DoLoop) (int64, bool) {
 	lo, okLo := c.eval(in, l.Lo)
 	hi, okHi := c.eval(in, l.Hi)
 	step, okStep := c.step(in, l)
-	if !okLo || !okHi || !okStep || step == 0 {
+	if !okLo || !okHi || !okStep {
 		return 0, false
 	}
-	return max(0, (hi.I-lo.I+step)/step), true
+	trip, msg := interp.TripCount(lo.I, hi.I, step)
+	return trip, msg == ""
 }
 
 // ValueEq is runtime value identity with NaN treated as equal to itself

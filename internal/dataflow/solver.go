@@ -17,9 +17,9 @@
 // Every fact the package proves is checked dynamically by the oracle's
 // dataflow-sound invariant: an edge proven infeasible must have frequency 0
 // in every profiled run, and a variable proven constant at a node must hold
-// exactly that value whenever the node executes. The constant evaluator is
-// therefore a deliberate semantic mirror of the interpreter
-// (interp.EvalConst), never an idealization of it.
+// exactly that value whenever the node executes. The constant evaluator
+// (interp.EvalConst) therefore computes with the engines' own operators,
+// never an idealization of them.
 package dataflow
 
 import "repro/internal/cfg"

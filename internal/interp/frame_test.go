@@ -1,6 +1,8 @@
 package interp
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/cfg"
@@ -8,10 +10,10 @@ import (
 	"repro/internal/simplecfd"
 )
 
-// TestOnNodeValsGetter pins what the OnNodeVals getter can see: local
+// TestOnNodeGetter pins what the OnNode getter can see: local
 // scalars and by-reference parameters (through the caller's storage), but
 // not arrays, PARAMETER constants or names the unit does not have.
-func TestOnNodeValsGetter(t *testing.T) {
+func TestOnNodeGetter(t *testing.T) {
 	res := lowerSrc(t, `      PROGRAM T
       INTEGER K, N
       PARAMETER (N = 3)
@@ -56,12 +58,68 @@ func TestOnNodeValsGetter(t *testing.T) {
 			}
 		}
 	}
-	if _, err := Run(res, Options{OnNodeVals: hook}); err != nil {
+	if _, err := Run(res, Options{OnNode: hook}); err != nil {
 		t.Fatal(err)
 	}
 	for text := range cases {
 		if seen[text] != 1 {
 			t.Errorf("hook saw %q %d times, want once", text, seen[text])
+		}
+	}
+}
+
+// TestOnNodeDoesNotPerturbRun checks that observing a run changes nothing
+// in it: a DO whose bound draws IRAND must draw once per entry with the
+// hook set, so every seed gives the same steps, counters and output as the
+// unobserved run. The hook also reaches path-instrumented activations.
+func TestOnNodeDoesNotPerturbRun(t *testing.T) {
+	res := lowerSrc(t, `      PROGRAM T
+      INTEGER I, K
+      K = 0
+      DO 10 I = 1, IRAND(10)
+      K = K + 1
+   10 CONTINUE
+      PRINT *, K, IRAND(100)
+      END
+`)
+	spec := &PathSpec{Procs: map[string]*PathProcSpec{}}
+	for name, p := range res.Procs {
+		ps := &PathProcSpec{NumPaths: 1}
+		for id := cfg.NodeID(0); id <= p.G.MaxID(); id++ {
+			k := 0
+			if id > 0 {
+				k = len(p.G.OutEdges(id))
+			}
+			ps.Inc = append(ps.Inc, make([]int64, k))
+			ps.Bump = append(ps.Bump, make([]bool, k))
+			ps.Reset = append(ps.Reset, make([]int64, k))
+		}
+		spec.Procs[name] = ps
+	}
+	for _, ps := range []*PathSpec{nil, spec} {
+		for seed := uint64(1); seed <= 8; seed++ {
+			run := func(hook func(*lower.Proc, cfg.NodeID, func(string) (Value, bool))) (*Result, string) {
+				var out strings.Builder
+				r, err := Run(res, Options{Seed: seed, Out: &out, OnNode: hook, PathSpec: ps, Engine: EngineTree})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return r, out.String()
+			}
+			seen := 0
+			want, wantOut := run(nil)
+			got, gotOut := run(func(p *lower.Proc, n cfg.NodeID, get func(string) (Value, bool)) {
+				if _, ok := get("K"); ok {
+					seen++
+				}
+			})
+			if got.Steps != want.Steps || gotOut != wantOut || !reflect.DeepEqual(got, want) {
+				t.Fatalf("paths %v seed %d: hooked run took %d steps printing %q, unhooked %d printing %q",
+					ps != nil, seed, got.Steps, gotOut, want.Steps, wantOut)
+			}
+			if seen != int(got.Steps) {
+				t.Fatalf("paths %v seed %d: getter saw K at %d of %d nodes", ps != nil, seed, seen, got.Steps)
+			}
 		}
 	}
 }

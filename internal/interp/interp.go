@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"runtime"
 	"sync"
@@ -153,9 +152,8 @@ const (
 	// EngineTree is the reference tree-walking interpreter in this package.
 	EngineTree
 	// EngineVM is the slot-indexed bytecode VM (internal/vm). Programs the
-	// bytecode compiler cannot handle, and runs that set OnNode or
-	// OnNodeVals, silently fall back to the tree-walker with identical
-	// results.
+	// bytecode compiler cannot handle, and runs that set OnNode, silently
+	// fall back to the tree-walker with identical results.
 	EngineVM
 	// EngineVMBatch is a second name for EngineVM, kept because flags,
 	// requests and benchmark configs spell it "vm-batch". Both run every
@@ -226,9 +224,8 @@ var vmCompile func(*lower.Result) (Compiled, error)
 func RegisterVM(compile func(*lower.Result) (Compiled, error)) { vmCompile = compile }
 
 // treeOnly reports whether opt needs the tree-walker on every engine:
-// OnNode's OpDoInit trip argument needs the tree's evaluation order, and
-// OnNodeVals needs name-addressable frames.
-func (o *Options) treeOnly() bool { return o.OnNode != nil || o.OnNodeVals != nil }
+// OnNode's getter needs name-addressable frames.
+func (o *Options) treeOnly() bool { return o.OnNode != nil }
 
 // compile resolves opt's engine for a one-shot entry point: the freshly
 // compiled VM program, or nil for the tree-walker (the tree engine, a
@@ -303,7 +300,7 @@ func RunBatch(res *lower.Result, opt Options, seeds []uint64, lanes int, sink Ba
 // Options and that seed: seeds are independent (own RNG, counters,
 // Result), so neither the engine nor the lane count can change any
 // per-seed outcome. PRINT output and per-node hooks observe runs one at a
-// time, so Out, OnNode, OnNodeCost and OnNodeVals force a single lane,
+// time, so Out, OnNode and OnNodeCost force a single lane,
 // which runs seeds strictly in batch order. ctx is checked before every
 // seed: once it is done no further seed starts and RunBatchOn returns its
 // error. Per-seed runtime errors go to the sink and do not stop the batch.
@@ -395,22 +392,16 @@ type Options struct {
 	Out io.Writer
 	// Model prices executed nodes; nil skips cost accounting.
 	Model *cost.Model
-	// OnNode, if set, is invoked before each node executes. For OpDoInit
-	// nodes trip holds the just-computed trip count, otherwise -1.
-	OnNode func(p *lower.Proc, n cfg.NodeID, trip int64)
+	// OnNode, if set, is invoked before each node executes with a getter
+	// for the current values of the activation's scalar variables (locals
+	// and by-reference parameters; arrays and DO trip registers are not
+	// addressable). It forces the tree-walker: the VM keeps no
+	// name-addressable frame. Observing never perturbs execution.
+	OnNode func(p *lower.Proc, n cfg.NodeID, get func(name string) (Value, bool))
 	// OnNodeCost, if set, is invoked before each node executes with the
 	// model cost accumulated so far, the node's own cost included.
 	// Requires Model to be set; silently never fires otherwise.
 	OnNodeCost func(p *lower.Proc, n cfg.NodeID, costSoFar float64)
-	// OnNodeVals, if set, is invoked before each node executes with a
-	// getter for the current values of the activation's scalar variables
-	// (locals and by-reference parameters; arrays and DO trip registers are
-	// not addressable). Like OnNode it forces the tree-walker: the VM keeps
-	// no name-addressable frame. Hook-carrying activations run a dedicated
-	// copy of the dispatch path (callVals/loopVals) so the closure over the
-	// frame's bindings never taints the uninstrumented activation's escape
-	// analysis. Incompatible with PathSpec; Run rejects the combination.
-	OnNodeVals func(p *lower.Proc, n cfg.NodeID, get func(name string) (Value, bool))
 	// Engine selects the execution substrate. Both engines produce
 	// bit-identical Results; EngineVM compiles the program to bytecode
 	// first (use vm.Compile + Program.Run, or core.Pipeline, to amortize
@@ -560,16 +551,13 @@ func Run(res *lower.Result, opt Options) (*Result, error) {
 	if res.Main == nil {
 		return nil, fmt.Errorf("interp: program has no main unit")
 	}
-	if opt.OnNodeVals != nil && opt.PathSpec != nil {
-		return nil, fmt.Errorf("interp: OnNodeVals cannot be combined with PathSpec")
-	}
 	if c := compile(res, &opt); c != nil {
 		return c.NewLane(opt).RunSeed(opt.Seed)
 	}
 	m := &machine{
 		res: res,
 		opt: opt,
-		rng: opt.Seed*2862933555777941757 + 3037000493,
+		rng: SeedRNG(opt.Seed),
 		max: opt.MaxSteps,
 		result: &Result{
 			ByProc: make(map[string]*Counts),
@@ -619,14 +607,6 @@ func Run(res *lower.Result, opt Options) (*Result, error) {
 // call runs one procedure activation. args/argStmt describe the CALL site
 // bindings (nil for main).
 func (m *machine) call(p *lower.Proc, caller *frame, callStmt *lang.CallStmt) error {
-	// Hook-carrying activations run a twin of this function. The frame
-	// below must never be mentioned by any value-capturing construct in
-	// this function: escape analysis is not path-sensitive, so a single
-	// closure over f would push every activation's frame to the heap, hook
-	// set or not.
-	if m.opt.OnNodeVals != nil {
-		return m.callVals(p, caller, callStmt)
-	}
 	m.depth++
 	defer func() { m.depth-- }()
 	if m.depth > 10000 {
@@ -644,6 +624,10 @@ func (m *machine) call(p *lower.Proc, caller *frame, callStmt *lang.CallStmt) er
 	counts := m.result.ByProc[p.G.Name]
 	counts.Activations++
 	costs := m.costs[p.G.Name]
+	var get func(name string) (Value, bool)
+	if m.opt.OnNode != nil {
+		get = varsGetter(p.Unit, f.vars)
+	}
 	g := p.G
 	// Path-instrumented activations run a separate copy of the dispatch
 	// loop: keeping the Ball–Larus state and per-edge bookkeeping out of
@@ -651,7 +635,7 @@ func (m *machine) call(p *lower.Proc, caller *frame, callStmt *lang.CallStmt) er
 	// register pressure (folding them in costs ~30% tree throughput).
 	if m.opt.PathSpec != nil {
 		if ps := m.opt.PathSpec.Procs[p.G.Name]; ps != nil {
-			return m.loopPaths(p, f, counts, costs, ps)
+			return m.loopPaths(p, f, counts, costs, ps, get)
 		}
 	}
 	pc := g.Entry
@@ -669,15 +653,7 @@ func (m *machine) call(p *lower.Proc, caller *frame, callStmt *lang.CallStmt) er
 		}
 		op, _ := g.Node(pc).Payload.(lower.Op)
 		if m.opt.OnNode != nil {
-			trip := int64(-1)
-			if di, ok := op.(lower.OpDoInit); ok {
-				t, err := m.tripCount(f, di.L)
-				if err != nil {
-					return err
-				}
-				trip = t
-			}
-			m.opt.OnNode(p, pc, trip)
+			m.opt.OnNode(p, pc, get)
 		}
 		label, done, err := m.exec(f, pc, op)
 		if err != nil {
@@ -708,7 +684,7 @@ func (m *machine) call(p *lower.Proc, caller *frame, callStmt *lang.CallStmt) er
 // bindFrame populates a fresh activation frame: parameters bound by
 // reference to the CALL site, locals allocated, and passed arrays
 // reinterpreted with the callee's declared shape. It must not retain f
-// anywhere — both activation paths rely on the frame staying local.
+// anywhere: call relies on the frame staying on the stack.
 func (m *machine) bindFrame(f *frame, p *lower.Proc, caller *frame, callStmt *lang.CallStmt) error {
 	// One cell per slot holds the frame's local scalars and the copies of
 	// arguments passed by value.
@@ -776,94 +752,12 @@ func (m *machine) bindFrame(f *frame, p *lower.Proc, caller *frame, callStmt *la
 	return nil
 }
 
-// callVals is machine.call's twin for OnNodeVals-instrumented runs: the
-// same activation protocol, but the frame is built here — in a different
-// function — so the hook's closure over the frame's bindings only taints
-// this path's escape analysis, and it dispatches to loopVals. PathSpec
-// never reaches here (Run rejects the combination).
-func (m *machine) callVals(p *lower.Proc, caller *frame, callStmt *lang.CallStmt) error {
-	m.depth++
-	defer func() { m.depth-- }()
-	if m.depth > 10000 {
-		return &RuntimeError{Unit: p.G.Name, Line: 0, Msg: "call stack overflow (runaway recursion?)"}
-	}
-	f := &frame{
-		proc:  p,
-		vars:  make([]binding, len(p.Unit.Slots)),
-		trips: make([]int64, p.G.MaxID()+1),
-	}
-	if err := m.bindFrame(f, p, caller, callStmt); err != nil {
-		return err
-	}
-	counts := m.result.ByProc[p.G.Name]
-	counts.Activations++
-	return m.loopVals(p, f, counts, m.costs[p.G.Name], varsGetter(p.Unit, f.vars))
-}
-
-// loopVals is the dispatch loop of an OnNodeVals-instrumented activation.
-// It must stay a line-for-line copy of machine.call's loop — steps, costs,
-// hooks, counts and error behaviour included — so observing variable
-// values never perturbs execution.
-func (m *machine) loopVals(p *lower.Proc, f *frame, counts *Counts, costs []float64, getVal func(name string) (Value, bool)) error {
-	g := p.G
-	pc := g.Entry
-	for {
-		m.steps++
-		if m.steps > m.max {
-			return &RuntimeError{Unit: p.G.Name, Line: m.lineOf(p, pc), Msg: "step limit exceeded"}
-		}
-		counts.Node[pc]++
-		if costs != nil {
-			m.result.Cost += costs[pc]
-			if m.opt.OnNodeCost != nil {
-				m.opt.OnNodeCost(p, pc, m.result.Cost)
-			}
-		}
-		op, _ := g.Node(pc).Payload.(lower.Op)
-		if m.opt.OnNode != nil {
-			trip := int64(-1)
-			if di, ok := op.(lower.OpDoInit); ok {
-				t, err := m.tripCount(f, di.L)
-				if err != nil {
-					return err
-				}
-				trip = t
-			}
-			m.opt.OnNode(p, pc, trip)
-		}
-		m.opt.OnNodeVals(p, pc, getVal)
-		label, done, err := m.exec(f, pc, op)
-		if err != nil {
-			if errors.Is(err, errStop) {
-				m.recordStopFrame(p, f, pc)
-			}
-			return err
-		}
-		if done {
-			return nil
-		}
-		taken := -1
-		for k, e := range g.OutEdges(pc) {
-			if e.Label == label {
-				taken = k
-				break
-			}
-		}
-		if taken < 0 {
-			return &RuntimeError{Unit: p.G.Name, Line: m.lineOf(p, pc),
-				Msg: fmt.Sprintf("no out-edge labelled %s from node %d", label, pc)}
-		}
-		counts.Edge[pc][taken]++
-		pc = g.OutEdges(pc)[taken].To
-	}
-}
-
 // loopPaths is the dispatch loop of a path-instrumented activation: the
 // common loop plus the Ball–Larus path register. It must stay a
 // line-for-line copy of machine.call's loop — steps, costs, hooks, counts
 // and error behaviour included — so instrumentation never perturbs
 // execution.
-func (m *machine) loopPaths(p *lower.Proc, f *frame, counts *Counts, costs []float64, ps *PathProcSpec) error {
+func (m *machine) loopPaths(p *lower.Proc, f *frame, counts *Counts, costs []float64, ps *PathProcSpec, get func(name string) (Value, bool)) error {
 	// The path register and previous completed path id are per-activation
 	// locals, so they recurse correctly through OpCall.
 	pcnt := m.result.Paths[p.G.Name]
@@ -887,15 +781,7 @@ func (m *machine) loopPaths(p *lower.Proc, f *frame, counts *Counts, costs []flo
 		}
 		op, _ := g.Node(pc).Payload.(lower.Op)
 		if m.opt.OnNode != nil {
-			trip := int64(-1)
-			if di, ok := op.(lower.OpDoInit); ok {
-				t, err := m.tripCount(f, di.L)
-				if err != nil {
-					return err
-				}
-				trip = t
-			}
-			m.opt.OnNode(p, pc, trip)
+			m.opt.OnNode(p, pc, get)
 		}
 		label, done, err := m.exec(f, pc, op)
 		if err != nil {
@@ -935,14 +821,10 @@ func (m *machine) loopPaths(p *lower.Proc, f *frame, counts *Counts, costs []flo
 	}
 }
 
-// varsGetter builds the per-activation scalar accessor OnNodeVals
-// receives: one closure per activation, not per node. It captures the
-// slot-indexed bindings, never the frame, and maps a name to its slot
-// through u.Symbols only when the hook asks. It is only ever called from
-// callVals — mentioning it from machine.call would leak every
-// activation's frame to the heap, hook set or not (escape analysis is not
-// path-sensitive), and uninstrumented tree throughput pays for that in
-// allocation and GC pressure.
+// varsGetter builds the per-activation scalar accessor OnNode receives:
+// one closure per activation, not per node. It captures the slot-indexed
+// bindings, never the frame, so the frame stays on the stack, and maps a
+// name to its slot through u.Symbols only when the hook asks.
 func varsGetter(u *lang.Unit, vars []binding) func(name string) (Value, bool) {
 	return func(name string) (Value, bool) {
 		if sym, ok := u.Symbols[name]; ok && vars[sym.Slot].cell != nil {
@@ -1083,12 +965,9 @@ func (m *machine) tripCount(f *frame, l *lang.DoLoop) (int64, error) {
 		}
 		step = v.I
 	}
-	if step == 0 {
-		return 0, &RuntimeError{Unit: f.proc.G.Name, Line: l.Line, Msg: "DO step is zero"}
-	}
-	trip := (hi.I - lo.I + step) / step
-	if trip < 0 {
-		trip = 0
+	trip, msg := TripCount(lo.I, hi.I, step)
+	if msg != "" {
+		return 0, &RuntimeError{Unit: f.proc.G.Name, Line: l.Line, Msg: msg}
 	}
 	return trip, nil
 }
@@ -1314,17 +1193,7 @@ func (m *machine) eval(f *frame, e lang.Expr) (Value, error) {
 		if err != nil {
 			return Value{}, err
 		}
-		switch x.Op {
-		case lang.OpNot:
-			return Logical(!v.B), nil
-		case lang.OpNeg:
-			if v.T == lang.TInt {
-				return Int(-v.I), nil
-			}
-			return Real(-v.R), nil
-		default:
-			return v, nil
-		}
+		return UnOp(x.Op, v), nil
 	case *lang.Bin:
 		return m.evalBin(f, x)
 	case *lang.Intrinsic:
@@ -1334,6 +1203,8 @@ func (m *machine) eval(f *frame, e lang.Expr) (Value, error) {
 		Msg: fmt.Sprintf("cannot evaluate %T", e)}
 }
 
+// evalBin and evalIntrinsic keep their operands' storage out of eval's
+// frame, which every leaf evaluation sets up.
 func (m *machine) evalBin(f *frame, x *lang.Bin) (Value, error) {
 	l, err := m.eval(f, x.L)
 	if err != nil {
@@ -1343,72 +1214,11 @@ func (m *machine) evalBin(f *frame, x *lang.Bin) (Value, error) {
 	if err != nil {
 		return Value{}, err
 	}
-	switch x.Op {
-	case lang.OpAnd:
-		return Logical(l.B && r.B), nil
-	case lang.OpOr:
-		return Logical(l.B || r.B), nil
-	case lang.OpEqv:
-		return Logical(l.B == r.B), nil
-	case lang.OpNeqv:
-		return Logical(l.B != r.B), nil
+	v, msg := BinOp(x.Op, l, r)
+	if msg != "" {
+		return Value{}, &RuntimeError{Unit: f.proc.G.Name, Line: 0, Msg: msg}
 	}
-	if x.Op.Relational() {
-		a, b := l.Float(), r.Float()
-		if l.T == lang.TInt && r.T == lang.TInt {
-			a, b = float64(l.I), float64(r.I)
-		}
-		switch x.Op {
-		case lang.OpLT:
-			return Logical(a < b), nil
-		case lang.OpLE:
-			return Logical(a <= b), nil
-		case lang.OpGT:
-			return Logical(a > b), nil
-		case lang.OpGE:
-			return Logical(a >= b), nil
-		case lang.OpEQ:
-			return Logical(a == b), nil
-		default:
-			return Logical(a != b), nil
-		}
-	}
-	// Arithmetic with INTEGER -> REAL promotion.
-	if l.T == lang.TInt && r.T == lang.TInt {
-		switch x.Op {
-		case lang.OpAdd:
-			return Int(l.I + r.I), nil
-		case lang.OpSub:
-			return Int(l.I - r.I), nil
-		case lang.OpMul:
-			return Int(l.I * r.I), nil
-		case lang.OpDiv:
-			if r.I == 0 {
-				return Value{}, &RuntimeError{Unit: f.proc.G.Name, Line: 0, Msg: "integer division by zero"}
-			}
-			return Int(l.I / r.I), nil
-		case lang.OpPow:
-			return Int(lang.IntPow(l.I, r.I)), nil
-		}
-	}
-	a, b := l.Float(), r.Float()
-	switch x.Op {
-	case lang.OpAdd:
-		return Real(a + b), nil
-	case lang.OpSub:
-		return Real(a - b), nil
-	case lang.OpMul:
-		return Real(a * b), nil
-	case lang.OpDiv:
-		if b == 0 {
-			return Value{}, &RuntimeError{Unit: f.proc.G.Name, Line: 0, Msg: "division by zero"}
-		}
-		return Real(a / b), nil
-	case lang.OpPow:
-		return Real(math.Pow(a, b)), nil
-	}
-	return Value{}, &RuntimeError{Unit: f.proc.G.Name, Line: 0,
-		Msg: fmt.Sprintf("bad operator %v", x.Op)}
+	return v, nil
 }
 
 func (m *machine) evalIntrinsic(f *frame, x *lang.Intrinsic) (Value, error) {
@@ -1423,90 +1233,9 @@ func (m *machine) evalIntrinsic(f *frame, x *lang.Intrinsic) (Value, error) {
 		}
 		args = append(args, v)
 	}
-	allInt := true
-	for _, a := range args {
-		if a.T != lang.TInt {
-			allInt = false
-		}
+	v, msg := Intrinsic(x.ID, args, &m.rng)
+	if msg != "" {
+		return Value{}, &RuntimeError{Unit: f.proc.G.Name, Line: 0, Msg: msg}
 	}
-	switch x.Name {
-	case "ABS":
-		if args[0].T == lang.TInt {
-			if args[0].I < 0 {
-				return Int(-args[0].I), nil
-			}
-			return args[0], nil
-		}
-		return Real(math.Abs(args[0].R)), nil
-	case "MOD":
-		if allInt {
-			if args[1].I == 0 {
-				return Value{}, &RuntimeError{Unit: f.proc.G.Name, Line: 0, Msg: "MOD by zero"}
-			}
-			return Int(args[0].I % args[1].I), nil
-		}
-		return Real(math.Mod(args[0].Float(), args[1].Float())), nil
-	case "SIGN":
-		mag := math.Abs(args[0].Float())
-		if args[1].Float() < 0 {
-			mag = -mag
-		}
-		if allInt {
-			return Int(int64(mag)), nil
-		}
-		return Real(mag), nil
-	case "MIN", "MAX":
-		best := args[0]
-		for _, a := range args[1:] {
-			better := a.Float() < best.Float()
-			if x.Name == "MAX" {
-				better = a.Float() > best.Float()
-			}
-			if better {
-				best = a
-			}
-		}
-		if allInt {
-			return Int(int64(best.Float())), nil
-		}
-		return Real(best.Float()), nil
-	case "SQRT":
-		v := args[0].Float()
-		if v < 0 {
-			return Value{}, &RuntimeError{Unit: f.proc.G.Name, Line: 0, Msg: "SQRT of negative value"}
-		}
-		return Real(math.Sqrt(v)), nil
-	case "EXP":
-		return Real(math.Exp(args[0].Float())), nil
-	case "LOG":
-		v := args[0].Float()
-		if v <= 0 {
-			return Value{}, &RuntimeError{Unit: f.proc.G.Name, Line: 0, Msg: "LOG of non-positive value"}
-		}
-		return Real(math.Log(v)), nil
-	case "SIN":
-		return Real(math.Sin(args[0].Float())), nil
-	case "COS":
-		return Real(math.Cos(args[0].Float())), nil
-	case "INT":
-		return Int(int64(args[0].Float())), nil
-	case "REAL":
-		return Real(args[0].Float()), nil
-	case "RAND":
-		return Real(m.rand()), nil
-	case "IRAND":
-		n := args[0].I
-		if n < 1 {
-			return Value{}, &RuntimeError{Unit: f.proc.G.Name, Line: 0, Msg: "IRAND needs a positive bound"}
-		}
-		return Int(1 + int64(m.rand()*float64(n))), nil
-	}
-	return Value{}, &RuntimeError{Unit: f.proc.G.Name, Line: 0,
-		Msg: fmt.Sprintf("unknown intrinsic %s", x.Name)}
-}
-
-// rand draws the next value of the 64-bit LCG in [0, 1).
-func (m *machine) rand() float64 {
-	m.rng = m.rng*6364136223846793005 + 1442695040888963407
-	return float64(m.rng>>11) / float64(1<<53)
+	return v, nil
 }

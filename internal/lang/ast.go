@@ -327,10 +327,12 @@ type Index struct {
 }
 
 // Intrinsic is a call to a builtin function: ABS, MOD, MIN, MAX, SQRT, EXP,
-// LOG, SIN, COS, INT, REAL, RAND, IRAND.
+// LOG, SIN, COS, INT, REAL, RAND, IRAND. ID is Name's builtin, resolved by
+// semantic analysis.
 type Intrinsic struct {
 	Name string
 	Args []Expr
+	ID   IntrinsicID
 }
 
 // BinOp identifies a binary operator.
@@ -442,12 +444,41 @@ func (e *Un) String() string {
 	return fmt.Sprintf("+%s", e.X)
 }
 
-// Intrinsics lists the builtin functions with their arity (-1 = variadic,
-// at least two).
-var Intrinsics = map[string]int{
-	"ABS": 1, "MOD": 2, "MIN": -1, "MAX": -1, "SQRT": 1, "EXP": 1,
-	"LOG": 1, "SIN": 1, "COS": 1, "INT": 1, "REAL": 1, "SIGN": 2,
-	"RAND": 0, "IRAND": 1,
+// IntrinsicID identifies a builtin function. The zero value is no builtin:
+// a call semantic analysis has not resolved.
+type IntrinsicID uint8
+
+// Builtin functions.
+const (
+	IntrABS IntrinsicID = iota + 1
+	IntrMOD
+	IntrSIGN
+	IntrMIN
+	IntrMAX
+	IntrSQRT
+	IntrEXP
+	IntrLOG
+	IntrSIN
+	IntrCOS
+	IntrINT
+	IntrREAL
+	IntrRAND
+	IntrIRAND
+)
+
+// IntrinsicSig is a builtin's id and arity (-1 = variadic, at least two).
+type IntrinsicSig struct {
+	ID    IntrinsicID
+	Arity int
+}
+
+// Intrinsics lists the builtin functions by name.
+var Intrinsics = map[string]IntrinsicSig{
+	"ABS": {IntrABS, 1}, "MOD": {IntrMOD, 2}, "SIGN": {IntrSIGN, 2},
+	"MIN": {IntrMIN, -1}, "MAX": {IntrMAX, -1}, "SQRT": {IntrSQRT, 1},
+	"EXP": {IntrEXP, 1}, "LOG": {IntrLOG, 1}, "SIN": {IntrSIN, 1},
+	"COS": {IntrCOS, 1}, "INT": {IntrINT, 1}, "REAL": {IntrREAL, 1},
+	"RAND": {IntrRAND, 0}, "IRAND": {IntrIRAND, 1},
 }
 
 // Walk visits every statement in body depth-first, pre-order, calling fn

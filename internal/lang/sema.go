@@ -479,16 +479,17 @@ func (a *analyzer) typeOf(e Expr) (Type, error) {
 func numeric(t Type) bool { return t == TInt || t == TReal }
 
 func (a *analyzer) typeOfIntrinsic(x *Intrinsic) (Type, error) {
-	arity, ok := Intrinsics[x.Name]
+	sig, ok := Intrinsics[x.Name]
 	if !ok {
 		return TNone, fmt.Errorf("unknown intrinsic %s", x.Name)
 	}
-	if arity >= 0 && len(x.Args) != arity {
-		return TNone, fmt.Errorf("%s takes %d arguments, got %d", x.Name, arity, len(x.Args))
+	if sig.Arity >= 0 && len(x.Args) != sig.Arity {
+		return TNone, fmt.Errorf("%s takes %d arguments, got %d", x.Name, sig.Arity, len(x.Args))
 	}
-	if arity < 0 && len(x.Args) < 2 {
+	if sig.Arity < 0 && len(x.Args) < 2 {
 		return TNone, fmt.Errorf("%s needs at least 2 arguments", x.Name)
 	}
+	x.ID = sig.ID
 	var argTypes []Type
 	for _, arg := range x.Args {
 		ty, err := a.typeOf(arg)
@@ -500,19 +501,19 @@ func (a *analyzer) typeOfIntrinsic(x *Intrinsic) (Type, error) {
 		}
 		argTypes = append(argTypes, ty)
 	}
-	switch x.Name {
-	case "SQRT", "EXP", "LOG", "SIN", "COS", "REAL", "RAND":
+	switch x.ID {
+	case IntrSQRT, IntrEXP, IntrLOG, IntrSIN, IntrCOS, IntrREAL, IntrRAND:
 		return TReal, nil
-	case "INT", "IRAND":
+	case IntrINT, IntrIRAND:
 		return TInt, nil
-	case "ABS":
+	case IntrABS:
 		return argTypes[0], nil
-	case "MOD", "SIGN":
+	case IntrMOD, IntrSIGN:
 		if argTypes[0] == TReal || argTypes[1] == TReal {
 			return TReal, nil
 		}
 		return TInt, nil
-	case "MIN", "MAX":
+	case IntrMIN, IntrMAX:
 		out := TInt
 		for _, t := range argTypes {
 			if t == TReal {

@@ -114,7 +114,7 @@ func checkConstValues(ctx *evalCtx) error {
 		}
 		m := ctx.model
 		_, err := interp.Run(ctx.res, interp.Options{
-			Seed: seed, Model: &m, MaxSteps: ctx.c.MaxSteps, OnNodeVals: hook,
+			Seed: seed, Model: &m, MaxSteps: ctx.c.MaxSteps, OnNode: hook,
 		})
 		if err != nil {
 			return fmt.Errorf("const-value re-run seed %d: %w", seed, err)

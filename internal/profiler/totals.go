@@ -222,9 +222,9 @@ func VarianceRun(prog *analysis.Program, opt interp.Options) (map[string]map[cdg
 		open[name] = &loopState{inEntry: make(map[cfg.NodeID]int64)}
 	}
 	prev := opt.OnNode
-	opt.OnNode = func(p *lower.Proc, n cfg.NodeID, trip int64) {
+	opt.OnNode = func(p *lower.Proc, n cfg.NodeID, get func(string) (interp.Value, bool)) {
 		if prev != nil {
-			prev(p, n, trip)
+			prev(p, n, get)
 		}
 		a := prog.Procs[p.G.Name]
 		if a == nil {

@@ -72,7 +72,7 @@ func (ls *laneState) build() {
 func (ls *laneState) reset(seed uint64) {
 	rs := &ls.rs
 	rs.opt.Seed = seed
-	rs.rng = seed*2862933555777941757 + 3037000493
+	rs.rng = interp.SeedRNG(seed)
 	rs.steps = 0
 	rs.depth = 0
 	rs.args = rs.args[:0]

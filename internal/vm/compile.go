@@ -616,14 +616,7 @@ func (c *procComp) expr(e lang.Expr) error {
 		c.depth--
 		return nil
 	case *lang.Intrinsic:
-		id, ok := intrinsicID[x.Name]
-		if !ok {
-			return c.bail("intrinsic", "unknown intrinsic %s", x.Name)
-		}
-		if len(x.Args) == 0 && id != intrRAND {
-			return c.bail("intrinsic", "%s needs arguments", x.Name)
-		}
-		if c.inDims && (id == intrRAND || id == intrIRAND) {
+		if c.inDims && (x.ID == lang.IntrRAND || x.ID == lang.IntrIRAND) {
 			return c.bail("array bounds", "dimension depends on %s", x.Name)
 		}
 		for _, a := range x.Args {
@@ -631,7 +624,7 @@ func (c *procComp) expr(e lang.Expr) error {
 				return err
 			}
 		}
-		c.emit(instr{op: opIntrin, a: int32(id), b: int32(len(x.Args))})
+		c.emit(instr{op: opIntrin, a: int32(x.ID), b: int32(len(x.Args))})
 		c.depth -= len(x.Args)
 		c.push()
 		return nil

@@ -2,7 +2,6 @@ package vm
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/cfg"
 	"repro/internal/interp"
@@ -177,10 +176,10 @@ activation:
 				l := stack[sp-1]
 				v, ok := binopFast(lang.BinOp(in.a), l, r)
 				if !ok {
-					var err error
-					v, err = binop(lang.BinOp(in.a), l, r, pc.name)
-					if err != nil {
-						retErr = err
+					var msg string
+					v, msg = interp.BinOp(lang.BinOp(in.a), l, r)
+					if msg != "" {
+						retErr = runtimeError(pc.name, 0, msg)
 						break activation
 					}
 				}
@@ -189,9 +188,9 @@ activation:
 			case opIntrin:
 				n := int(in.b)
 				sp -= n
-				v, err := rs.intrinsic(int(in.a), stack[sp:sp+n], pc.name)
-				if err != nil {
-					retErr = err
+				v, msg := interp.Intrinsic(lang.IntrinsicID(in.a), stack[sp:sp+n], &rs.rng)
+				if msg != "" {
+					retErr = runtimeError(pc.name, 0, msg)
 					break activation
 				}
 				stack[sp] = v
@@ -238,14 +237,10 @@ activation:
 
 			case opTrip:
 				sp -= 3
-				lo, hi, step := stack[sp], stack[sp+1], stack[sp+2]
-				if step.I == 0 {
-					retErr = &interp.RuntimeError{Unit: pc.name, Line: int(in.a), Msg: "DO step is zero"}
+				trip, msg := interp.TripCount(stack[sp].I, stack[sp+1].I, stack[sp+2].I)
+				if msg != "" {
+					retErr = runtimeError(pc.name, int(in.a), msg)
 					break activation
-				}
-				trip := (hi.I - lo.I + step.I) / step.I
-				if trip < 0 {
-					trip = 0
 				}
 				stack[sp] = interp.Int(trip)
 				sp++
@@ -625,10 +620,10 @@ activation:
 			case opLocalConstBin:
 				v, ok := binopFast(lang.BinOp(in.c), vals[in.a], consts[in.b])
 				if !ok {
-					var err error
-					v, err = binop(lang.BinOp(in.c), vals[in.a], consts[in.b], pc.name)
-					if err != nil {
-						retErr = err
+					var msg string
+					v, msg = interp.BinOp(lang.BinOp(in.c), vals[in.a], consts[in.b])
+					if msg != "" {
+						retErr = runtimeError(pc.name, 0, msg)
 						break activation
 					}
 				}
@@ -654,10 +649,10 @@ activation:
 			case opLocalLocalBin:
 				v, ok := binopFast(lang.BinOp(in.c), vals[in.a], vals[in.b])
 				if !ok {
-					var err error
-					v, err = binop(lang.BinOp(in.c), vals[in.a], vals[in.b], pc.name)
-					if err != nil {
-						retErr = err
+					var msg string
+					v, msg = interp.BinOp(lang.BinOp(in.c), vals[in.a], vals[in.b])
+					if msg != "" {
+						retErr = runtimeError(pc.name, 0, msg)
 						break activation
 					}
 				}
@@ -695,10 +690,10 @@ activation:
 			case opRefConstBin:
 				v, ok := binopFast(lang.BinOp(in.c), *refs[in.a], consts[in.b])
 				if !ok {
-					var err error
-					v, err = binop(lang.BinOp(in.c), *refs[in.a], consts[in.b], pc.name)
-					if err != nil {
-						retErr = err
+					var msg string
+					v, msg = interp.BinOp(lang.BinOp(in.c), *refs[in.a], consts[in.b])
+					if msg != "" {
+						retErr = runtimeError(pc.name, 0, msg)
 						break activation
 					}
 				}
@@ -736,10 +731,10 @@ activation:
 				}
 				v, ok := binopFast(lang.BinOp(in.c), *refs[in.a], consts[in.b])
 				if !ok {
-					var err error
-					v, err = binop(lang.BinOp(in.c), *refs[in.a], consts[in.b], pc.name)
-					if err != nil {
-						retErr = err
+					var msg string
+					v, msg = interp.BinOp(lang.BinOp(in.c), *refs[in.a], consts[in.b])
+					if msg != "" {
+						retErr = runtimeError(pc.name, 0, msg)
 						break activation
 					}
 				}
@@ -779,10 +774,10 @@ activation:
 				sp++
 				v, ok := binopFast(lang.BinOp(in.d), *refs[in.b], consts[in.c])
 				if !ok {
-					var err error
-					v, err = binop(lang.BinOp(in.d), *refs[in.b], consts[in.c], pc.name)
-					if err != nil {
-						retErr = err
+					var msg string
+					v, msg = interp.BinOp(lang.BinOp(in.d), *refs[in.b], consts[in.c])
+					if msg != "" {
+						retErr = runtimeError(pc.name, 0, msg)
 						break activation
 					}
 				}
@@ -804,10 +799,10 @@ activation:
 				sp -= 2
 				v2, ok2 := binopFast(lang.BinOp(tin.a), stack[sp], stack[sp+1])
 				if !ok2 {
-					var err error
-					v2, err = binop(lang.BinOp(tin.a), stack[sp], stack[sp+1], pc.name)
-					if err != nil {
-						retErr = err
+					var msg string
+					v2, msg = interp.BinOp(lang.BinOp(tin.a), stack[sp], stack[sp+1])
+					if msg != "" {
+						retErr = runtimeError(pc.name, 0, msg)
 						break activation
 					}
 				}
@@ -885,10 +880,10 @@ activation:
 			case opConstBin:
 				v, ok := binopFast(lang.BinOp(in.b), stack[sp-1], consts[in.a])
 				if !ok {
-					var err error
-					v, err = binop(lang.BinOp(in.b), stack[sp-1], consts[in.a], pc.name)
-					if err != nil {
-						retErr = err
+					var msg string
+					v, msg = interp.BinOp(lang.BinOp(in.b), stack[sp-1], consts[in.a])
+					if msg != "" {
+						retErr = runtimeError(pc.name, 0, msg)
 						break activation
 					}
 				}
@@ -914,10 +909,10 @@ activation:
 				sp -= 2
 				v, ok := binopFast(lang.BinOp(in.a), stack[sp], stack[sp+1])
 				if !ok {
-					var err error
-					v, err = binop(lang.BinOp(in.a), stack[sp], stack[sp+1], pc.name)
-					if err != nil {
-						retErr = err
+					var msg string
+					v, msg = interp.BinOp(lang.BinOp(in.a), stack[sp], stack[sp+1])
+					if msg != "" {
+						retErr = runtimeError(pc.name, 0, msg)
 						break activation
 					}
 				}
@@ -997,10 +992,10 @@ activation:
 				sp -= 2
 				v, ok := binopFast(lang.BinOp(in.e), stack[sp], stack[sp+1])
 				if !ok {
-					var err error
-					v, err = binop(lang.BinOp(in.e), stack[sp], stack[sp+1], pc.name)
-					if err != nil {
-						retErr = err
+					var msg string
+					v, msg = interp.BinOp(lang.BinOp(in.e), stack[sp], stack[sp+1])
+					if msg != "" {
+						retErr = runtimeError(pc.name, 0, msg)
 						break activation
 					}
 				}
@@ -1071,15 +1066,10 @@ activation:
 				ip++
 			case opConstTrip:
 				sp -= 2
-				lo, hi := stack[sp], stack[sp+1]
-				step := consts[in.a]
-				if step.I == 0 {
-					retErr = &interp.RuntimeError{Unit: pc.name, Line: int(in.b), Msg: "DO step is zero"}
+				trip, msg := interp.TripCount(stack[sp].I, stack[sp+1].I, consts[in.a].I)
+				if msg != "" {
+					retErr = runtimeError(pc.name, int(in.b), msg)
 					break activation
-				}
-				trip := (hi.I - lo.I + step.I) / step.I
-				if trip < 0 {
-					trip = 0
 				}
 				stack[sp] = interp.Int(trip)
 				sp++
@@ -1172,7 +1162,7 @@ activation:
 // body small enough for the inliner, so the hot exec arms skip the call
 // and its 64 bytes of argument marshalling entirely. Value.Float() of a
 // TReal operand is exactly .R, so the results are bit-identical to the
-// general path. ok=false means the caller must fall back to binop.
+// general path. ok=false means the caller must fall back to interp.BinOp.
 func binopFast(op lang.BinOp, l, r interp.Value) (v interp.Value, ok bool) {
 	if l.T != lang.TReal || r.T != lang.TReal {
 		return v, false
@@ -1186,228 +1176,8 @@ func binopFast(op lang.BinOp, l, r interp.Value) (v interp.Value, ok bool) {
 	return v, false
 }
 
-// binop replicates the tree-walker's evalBin exactly, including the
-// error messages and the type fast paths. The all-real block runs first
-// because it is the common case on the bench corpus (~96% of draws,
-// counting relationals); it covers every operator two TReal operands can
-// meet (logical values are TLogical), and it computes on .R exactly as
-// the mixed-type path's Float() conversions do, so results are
-// bit-identical to the tree. The all-int block follows for the same
-// reason; its relational compares go through the same float64 conversion
-// the mixed-type path applies.
-func binop(op lang.BinOp, l, r interp.Value, unit string) (interp.Value, error) {
-	if l.T == lang.TReal && r.T == lang.TReal {
-		switch op {
-		case lang.OpAdd:
-			return interp.Real(l.R + r.R), nil
-		case lang.OpSub:
-			return interp.Real(l.R - r.R), nil
-		case lang.OpMul:
-			return interp.Real(l.R * r.R), nil
-		case lang.OpDiv:
-			if r.R == 0 {
-				return interp.Value{}, &interp.RuntimeError{Unit: unit, Line: 0, Msg: "division by zero"}
-			}
-			return interp.Real(l.R / r.R), nil
-		case lang.OpPow:
-			return interp.Real(math.Pow(l.R, r.R)), nil
-		case lang.OpLT:
-			return interp.Logical(l.R < r.R), nil
-		case lang.OpLE:
-			return interp.Logical(l.R <= r.R), nil
-		case lang.OpGT:
-			return interp.Logical(l.R > r.R), nil
-		case lang.OpGE:
-			return interp.Logical(l.R >= r.R), nil
-		case lang.OpEQ:
-			return interp.Logical(l.R == r.R), nil
-		case lang.OpNE:
-			return interp.Logical(l.R != r.R), nil
-		}
-	}
-	if l.T == lang.TInt && r.T == lang.TInt {
-		switch op {
-		case lang.OpAdd:
-			return interp.Int(l.I + r.I), nil
-		case lang.OpSub:
-			return interp.Int(l.I - r.I), nil
-		case lang.OpMul:
-			return interp.Int(l.I * r.I), nil
-		case lang.OpDiv:
-			if r.I == 0 {
-				return interp.Value{}, &interp.RuntimeError{Unit: unit, Line: 0, Msg: "integer division by zero"}
-			}
-			return interp.Int(l.I / r.I), nil
-		case lang.OpPow:
-			return interp.Int(lang.IntPow(l.I, r.I)), nil
-		case lang.OpLT:
-			return interp.Logical(float64(l.I) < float64(r.I)), nil
-		case lang.OpLE:
-			return interp.Logical(float64(l.I) <= float64(r.I)), nil
-		case lang.OpGT:
-			return interp.Logical(float64(l.I) > float64(r.I)), nil
-		case lang.OpGE:
-			return interp.Logical(float64(l.I) >= float64(r.I)), nil
-		case lang.OpEQ:
-			return interp.Logical(float64(l.I) == float64(r.I)), nil
-		case lang.OpNE:
-			return interp.Logical(float64(l.I) != float64(r.I)), nil
-		}
-	}
-	switch op {
-	case lang.OpAnd:
-		return interp.Logical(l.B && r.B), nil
-	case lang.OpOr:
-		return interp.Logical(l.B || r.B), nil
-	case lang.OpEqv:
-		return interp.Logical(l.B == r.B), nil
-	case lang.OpNeqv:
-		return interp.Logical(l.B != r.B), nil
-	}
-	if op.Relational() {
-		a, b := l.Float(), r.Float()
-		switch op {
-		case lang.OpLT:
-			return interp.Logical(a < b), nil
-		case lang.OpLE:
-			return interp.Logical(a <= b), nil
-		case lang.OpGT:
-			return interp.Logical(a > b), nil
-		case lang.OpGE:
-			return interp.Logical(a >= b), nil
-		case lang.OpEQ:
-			return interp.Logical(a == b), nil
-		default:
-			return interp.Logical(a != b), nil
-		}
-	}
-	a, b := l.Float(), r.Float()
-	switch op {
-	case lang.OpAdd:
-		return interp.Real(a + b), nil
-	case lang.OpSub:
-		return interp.Real(a - b), nil
-	case lang.OpMul:
-		return interp.Real(a * b), nil
-	case lang.OpDiv:
-		if b == 0 {
-			return interp.Value{}, &interp.RuntimeError{Unit: unit, Line: 0, Msg: "division by zero"}
-		}
-		return interp.Real(a / b), nil
-	case lang.OpPow:
-		return interp.Real(math.Pow(a, b)), nil
-	}
-	return interp.Value{}, &interp.RuntimeError{Unit: unit, Line: 0,
-		Msg: fmt.Sprintf("bad operator %v", op)}
-}
-
-// Intrinsic ids baked into opIntrin's a field at compile time.
-const (
-	intrABS = iota
-	intrMOD
-	intrSIGN
-	intrMIN
-	intrMAX
-	intrSQRT
-	intrEXP
-	intrLOG
-	intrSIN
-	intrCOS
-	intrINT
-	intrREAL
-	intrRAND
-	intrIRAND
-)
-
-// intrinsicID maps intrinsic names to ids (compile time only).
-var intrinsicID = map[string]int{
-	"ABS": intrABS, "MOD": intrMOD, "SIGN": intrSIGN, "MIN": intrMIN,
-	"MAX": intrMAX, "SQRT": intrSQRT, "EXP": intrEXP, "LOG": intrLOG,
-	"SIN": intrSIN, "COS": intrCOS, "INT": intrINT, "REAL": intrREAL,
-	"RAND": intrRAND, "IRAND": intrIRAND,
-}
-
-// intrinsic replicates the tree-walker's evalIntrinsic on already-evaluated
-// arguments.
-func (rs *runState) intrinsic(id int, args []interp.Value, unit string) (interp.Value, error) {
-	allInt := true
-	for _, a := range args {
-		if a.T != lang.TInt {
-			allInt = false
-		}
-	}
-	switch id {
-	case intrABS:
-		if args[0].T == lang.TInt {
-			if args[0].I < 0 {
-				return interp.Int(-args[0].I), nil
-			}
-			return args[0], nil
-		}
-		return interp.Real(math.Abs(args[0].R)), nil
-	case intrMOD:
-		if allInt {
-			if args[1].I == 0 {
-				return interp.Value{}, &interp.RuntimeError{Unit: unit, Line: 0, Msg: "MOD by zero"}
-			}
-			return interp.Int(args[0].I % args[1].I), nil
-		}
-		return interp.Real(math.Mod(args[0].Float(), args[1].Float())), nil
-	case intrSIGN:
-		mag := math.Abs(args[0].Float())
-		if args[1].Float() < 0 {
-			mag = -mag
-		}
-		if allInt {
-			return interp.Int(int64(mag)), nil
-		}
-		return interp.Real(mag), nil
-	case intrMIN, intrMAX:
-		best := args[0]
-		for _, a := range args[1:] {
-			better := a.Float() < best.Float()
-			if id == intrMAX {
-				better = a.Float() > best.Float()
-			}
-			if better {
-				best = a
-			}
-		}
-		if allInt {
-			return interp.Int(int64(best.Float())), nil
-		}
-		return interp.Real(best.Float()), nil
-	case intrSQRT:
-		v := args[0].Float()
-		if v < 0 {
-			return interp.Value{}, &interp.RuntimeError{Unit: unit, Line: 0, Msg: "SQRT of negative value"}
-		}
-		return interp.Real(math.Sqrt(v)), nil
-	case intrEXP:
-		return interp.Real(math.Exp(args[0].Float())), nil
-	case intrLOG:
-		v := args[0].Float()
-		if v <= 0 {
-			return interp.Value{}, &interp.RuntimeError{Unit: unit, Line: 0, Msg: "LOG of non-positive value"}
-		}
-		return interp.Real(math.Log(v)), nil
-	case intrSIN:
-		return interp.Real(math.Sin(args[0].Float())), nil
-	case intrCOS:
-		return interp.Real(math.Cos(args[0].Float())), nil
-	case intrINT:
-		return interp.Int(int64(args[0].Float())), nil
-	case intrREAL:
-		return interp.Real(args[0].Float()), nil
-	case intrRAND:
-		return interp.Real(rs.rand()), nil
-	case intrIRAND:
-		n := args[0].I
-		if n < 1 {
-			return interp.Value{}, &interp.RuntimeError{Unit: unit, Line: 0, Msg: "IRAND needs a positive bound"}
-		}
-		return interp.Int(1 + int64(rs.rand()*float64(n))), nil
-	}
-	return interp.Value{}, &interp.RuntimeError{Unit: unit, Line: 0,
-		Msg: fmt.Sprintf("unknown intrinsic id %d", id)}
+// runtimeError reports a runtime error text of interp's operators,
+// builtins or trip counts in unit, as the tree-walker does.
+func runtimeError(unit string, line int, msg string) error {
+	return &interp.RuntimeError{Unit: unit, Line: line, Msg: msg}
 }

@@ -25,9 +25,11 @@
 //
 // The engine is bit-identical to the tree-walker in internal/interp: the
 // same step counts, node/edge counters, activation counts, float cost
-// accumulation order, RNG draw order and runtime error messages. Programs
-// the compiler cannot handle (see BailoutError) and runs that set
-// Options.OnNode or Options.OnNodeVals fall back to the tree-walker.
+// accumulation order, RNG draw order and runtime error messages. Operators,
+// builtins, DO trip counts and the RNG are interp's own (interp.BinOp,
+// interp.Intrinsic, interp.TripCount, interp.SeedRNG). Programs the
+// compiler cannot handle (see BailoutError) and runs that set
+// Options.OnNode fall back to the tree-walker.
 package vm
 
 import (
@@ -60,7 +62,7 @@ const (
 	opNot               // logical negate the top
 	opNeg               // arithmetic negate the top
 	opBin               // a=lang.BinOp: pop two, push result
-	opIntrin            // a=intrinsic id, b=#args
+	opIntrin            // a=lang.IntrinsicID, b=#args
 	opBranch            // pop cond; true: a/flat c, false: b/flat d
 	opJmp               // jump to a counting flat edge b
 	opGoto              // jump to a, no edge counted (prologue -> entry)
@@ -167,7 +169,7 @@ type arrayMeta struct {
 
 // affSub is one affine subscript operand: vals[slot].I + off. A constant
 // subscript reads the procedure's zero slot (see procComp.zeroSlot). The
-// add wraps exactly like binop's int64 add (a subtracted constant is
+// add wraps exactly like interp.BinOp's int64 add (a subtracted constant is
 // stored negated, which wraps identically).
 type affSub struct {
 	slot int32
@@ -460,8 +462,8 @@ func (rs *runState) recordStopFrame(pi int, pc *procCode, f *frame, node cfg.Nod
 
 // Run executes the compiled program once under opt, as a lane that runs
 // one seed. Results are bit-identical to interp.Run on the same lowered
-// program. Runs that set OnNode or OnNodeVals are delegated to the
-// tree-walker (see interp.NewLane).
+// program. Runs that set OnNode are delegated to the tree-walker (see
+// interp.NewLane).
 func (p *Program) Run(opt interp.Options) (*interp.Result, error) {
 	return interp.NewLane(p.res, p, opt).RunSeed(opt.Seed)
 }
@@ -633,10 +635,4 @@ func bindParam(pc *procCode, f *frame, in *instr, ext []interp.Value) error {
 	}
 	f.arrays[in.a] = &interp.Array{Type: arr.Type, Dims: dims, Elems: arr.Elems}
 	return nil
-}
-
-// rand draws the next LCG value in [0, 1); identical to the tree-walker.
-func (rs *runState) rand() float64 {
-	rs.rng = rs.rng*6364136223846793005 + 1442695040888963407
-	return float64(rs.rng>>11) / float64(1<<53)
 }

@@ -3,6 +3,7 @@ package vm
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/cost"
@@ -137,31 +138,42 @@ func TestDifferentialProgen(t *testing.T) {
 }
 
 // TestErrorParity checks the engines produce the same runtime errors,
-// message for message.
+// message for message, and that each case reaches the error it names.
 func TestErrorParity(t *testing.T) {
 	t.Parallel()
-	cases := []string{
-		// Integer division by zero.
-		"      PROGRAM P\n      INTEGER I\n      I = 0\n      I = 7 / I\n      END\n",
-		// Step limit exceeded.
-		"      PROGRAM P\n      INTEGER I, J\n      DO 10 I = 1, 100000000\n      J = J + 1\n   10 CONTINUE\n      END\n",
-		// SQRT of negative value.
-		"      PROGRAM P\n      REAL X\n      X = -4.0\n      X = SQRT(X)\n      END\n",
-		// Subscript out of bounds.
-		"      PROGRAM P\n      INTEGER A(5), I\n      I = 9\n      A(I) = 1\n      END\n",
-		// MOD by zero.
-		"      PROGRAM P\n      INTEGER I\n      I = 0\n      I = MOD(4, I)\n      END\n",
+	cases := []struct{ src, want string }{
+		{"      PROGRAM P\n      INTEGER I\n      I = 0\n      I = 7 / I\n      END\n",
+			"integer division by zero"},
+		{"      PROGRAM P\n      INTEGER I, J\n      DO 10 I = 1, 100000000\n      J = J + 1\n   10 CONTINUE\n      END\n",
+			"step limit exceeded"},
+		{"      PROGRAM P\n      REAL X\n      X = -4.0\n      X = SQRT(X)\n      END\n",
+			"SQRT of negative value"},
+		{"      PROGRAM P\n      INTEGER A(5), I\n      I = 9\n      A(I) = 1\n      END\n",
+			"subscript 9 out of bounds"},
+		{"      PROGRAM P\n      INTEGER I\n      I = 0\n      I = MOD(4, I)\n      END\n",
+			"MOD by zero"},
+		{"      PROGRAM P\n      REAL X, Y\n      X = 1.5\n      Y = 0.0\n      X = X / Y\n      END\n",
+			"division by zero"},
+		{"      PROGRAM P\n      INTEGER I\n      REAL X\n      I = 0\n      X = 2.5 / I\n      END\n",
+			"division by zero"},
+		{"      PROGRAM P\n      REAL X\n      X = 0.0\n      X = LOG(X)\n      END\n",
+			"LOG of non-positive value"},
+		{"      PROGRAM P\n      INTEGER I\n      I = 0\n      I = IRAND(I)\n      END\n",
+			"IRAND needs a positive bound"},
+		{"      PROGRAM P\n      INTEGER I, J, K\n      J = 0\n      DO 10 I = 1, 5, J\n      K = K + 1\n   10 CONTINUE\n      END\n",
+			"DO step is zero"},
 	}
-	for i, src := range cases {
-		tr, terr, vr, verr := runBoth(t, src, interp.Options{MaxSteps: 10000})
+	for i, c := range cases {
+		_, terr, _, verr := runBoth(t, c.src, interp.Options{MaxSteps: 10000})
 		if terr == nil || verr == nil {
 			t.Fatalf("case %d: expected errors, tree=%v vm=%v", i, terr, verr)
 		}
 		if terr.Error() != verr.Error() {
 			t.Fatalf("case %d: tree err %q vm err %q", i, terr, verr)
 		}
-		_ = tr
-		_ = vr
+		if !strings.Contains(terr.Error(), "in P ") || !strings.Contains(terr.Error(), c.want) {
+			t.Errorf("case %d: err %q, want %q reported in unit P", i, terr, c.want)
+		}
 	}
 }
 
