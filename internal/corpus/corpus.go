@@ -50,3 +50,24 @@ func Digest(tb testing.TB) map[string]string {
 	}
 	return srcs
 }
+
+// ColdLarge returns the first n programs of the cold-large benchmark
+// corpus (bench/cold.go): progen size 240, depth 4, program j generated
+// from seed coldSeed(j). The front-end digests and BenchmarkFrontEnd use
+// them, so the front end is pinned and timed on what the benchmark loads.
+func ColdLarge(n int) []string {
+	srcs := make([]string, n)
+	for j := range srcs {
+		srcs[j] = progen.Generate(coldSeed(j), 240, 4)
+	}
+	return srcs
+}
+
+// coldSeed is bench/stats.go's mix(0, streamColdProgram, j): a splitmix64
+// finalizer over the program index in stream 1.
+func coldSeed(j int) uint64 {
+	z := uint64(1)<<40 + uint64(j) + 1
+	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+	return z ^ (z >> 31)
+}
