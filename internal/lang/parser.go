@@ -746,13 +746,14 @@ func (ts *tokens) expectEOL() error {
 	return nil
 }
 
+// errHere reports an error at the next token: its physical position, or
+// column 1 of the statement's first line at the end of the statement.
 func (ts *tokens) errHere(format string, args ...any) error {
 	t := ts.peek()
-	col := t.Col
-	if col == 0 {
-		col = 1
+	if t.Kind == EOF {
+		return errf(ts.line, 1, format, args...)
 	}
-	return errf(ts.line, col, format, args...)
+	return errf(t.Line, t.Col, format, args...)
 }
 
 // parseExpr parses the full expression grammar:
