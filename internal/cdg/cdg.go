@@ -26,6 +26,7 @@ import (
 	"container/heap"
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 
 	"repro/internal/cfg"
@@ -40,7 +41,16 @@ type Condition struct {
 	Label cfg.Label
 }
 
-func (c Condition) String() string { return fmt.Sprintf("(%d,%s)", c.Node, c.Label) }
+// String renders the condition as "(node,label)". The service keys its
+// counter and totals tables by it, so it is built without fmt.
+func (c Condition) String() string {
+	var buf [32]byte
+	b := append(buf[:0], '(')
+	b = strconv.AppendInt(b, int64(c.Node), 10)
+	b = append(b, ',')
+	b = append(b, c.Label...)
+	return string(append(b, ')'))
+}
 
 // Graph is a labelled control dependence multigraph over the nodes of an
 // ECFG. It serves as both the full CDG and (after Forward) the FCDG. Every
@@ -490,7 +500,7 @@ func (g *Graph) DOT() string {
 	for _, n := range g.Nodes() {
 		name := fmt.Sprintf("%d", n)
 		if node := g.Ext.G.Node(n); node != nil {
-			name = fmt.Sprintf("%d: %s", n, node.Name)
+			name = fmt.Sprintf("%d: %s", n, node.Name())
 		}
 		fmt.Fprintf(&b, "  n%d [label=%q shape=box];\n", n, name)
 	}

@@ -1,6 +1,7 @@
 package cdg
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -140,7 +141,7 @@ func TestFCDGRootedAndConnected(t *testing.T) {
 			continue
 		}
 		if !reach[id] {
-			t.Errorf("node %d (%s) not reachable from START in FCDG", id, ext.G.Node(id).Name)
+			t.Errorf("node %d (%s) not reachable from START in FCDG", id, ext.G.Node(id).Name())
 		}
 	}
 }
@@ -301,6 +302,27 @@ func TestLoopCarriedDependencesDropped(t *testing.T) {
 		for _, e := range f.InEdges(n) {
 			if e.From != 4 || e.Label != cfg.False {
 				t.Errorf("node %d unexpected in-edge %v", n, e)
+			}
+		}
+	}
+}
+
+// TestConditionStringMatchesFmt pins Condition.String to the
+// fmt.Sprintf("(%d,%s)") form it replaced, for every kind of edge label
+// over a range of node IDs: the service's counter and totals keys are
+// these strings.
+func TestConditionStringMatchesFmt(t *testing.T) {
+	labels := []cfg.Label{cfg.True, cfg.False, cfg.Uncond, cfg.PseudoStartStop, cfg.PseudoLoop,
+		"LT", "EQ", "GT", "D", "G1", "G63", "G64", "G1000", ""}
+	ids := []cfg.NodeID{cfg.None, -1, 1 << 40}
+	for id := cfg.NodeID(1); id <= 5000; id += 7 {
+		ids = append(ids, id)
+	}
+	for _, l := range labels {
+		for _, id := range ids {
+			c := Condition{Node: id, Label: l}
+			if got, want := c.String(), fmt.Sprintf("(%d,%s)", c.Node, c.Label); got != want {
+				t.Fatalf("Condition{%d, %q}.String() = %q, want %q", id, l, got, want)
 			}
 		}
 	}

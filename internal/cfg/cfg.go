@@ -15,6 +15,7 @@ package cfg
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -76,11 +77,26 @@ func (t NodeType) String() string {
 type Node struct {
 	ID   NodeID
 	Type NodeType
-	// Name is a short human-readable description used in dumps and DOT
-	// output, e.g. "IF (M.GE.0)" or "PREHEADER(4)".
-	Name string
+	// name is the label given to AddNode; see Name.
+	name string
 	// Payload carries the frontend statement executed at this node, if any.
 	Payload any
+}
+
+// A Namer is a node payload that renders its node's name.
+type Namer interface{ NodeName() string }
+
+// Name returns the node's short human-readable description, as dumps, DOT
+// output, diagnostics and the graph codec print it, e.g. "IF (M.GE.0)" or
+// "PREHEADER(4)". A node added without a name is named by its Payload, if
+// that is a Namer: lowered statement nodes render theirs only when asked.
+func (n *Node) Name() string {
+	if n.name == "" {
+		if p, ok := n.Payload.(Namer); ok {
+			return p.NodeName()
+		}
+	}
+	return n.name
 }
 
 // Edge is a labelled control flow edge. A Pseudo edge is one inserted by the
@@ -106,6 +122,11 @@ type Graph struct {
 	nodes []*Node // index 0 unused so that nodes[id] works directly
 	succ  [][]Edge
 	pred  [][]Edge
+	// spare is room for nodes reserved by Grow, which AddNode takes
+	// before it allocates; spareEdges is room for edges, which AddEdge
+	// hands out in two-edge chunks to adjacency lists that have none.
+	spare      []Node
+	spareEdges []Edge
 
 	// Entry and Exit are the designated first and last nodes. They are
 	// optional until Validate is called; lowering sets them and the ECFG
@@ -131,12 +152,40 @@ func (g *Graph) NumNodes() int { return len(g.nodes) - 1 }
 // clarity.
 func (g *Graph) MaxID() NodeID { return NodeID(len(g.nodes) - 1) }
 
-// AddNode creates a node of the given type and returns it.
+// AddNode creates a node of the given type and returns it. An empty name
+// leaves the node to be named by its Payload (see Node.Name).
 func (g *Graph) AddNode(t NodeType, name string) *Node {
-	n := &Node{ID: NodeID(len(g.nodes)), Type: t, Name: name}
+	var n *Node
+	if len(g.spare) < cap(g.spare) {
+		g.spare = g.spare[:len(g.spare)+1]
+		n = &g.spare[len(g.spare)-1]
+	} else {
+		n = new(Node)
+	}
+	*n = Node{ID: NodeID(len(g.nodes)), Type: t, name: name}
 	g.nodes = append(g.nodes, n)
 	g.succ = append(g.succ, nil)
 	g.pred = append(g.pred, nil)
+	return n
+}
+
+// Grow reserves room for n more nodes and their edges, so that adding up
+// to n nodes allocates no node and grows no per-node slice, and their
+// first two successor and predecessor edges allocate nothing either.
+func (g *Graph) Grow(n int) {
+	g.nodes = slices.Grow(g.nodes, n)
+	g.succ = slices.Grow(g.succ, n)
+	g.pred = slices.Grow(g.pred, n)
+	g.spare = make([]Node, 0, n)
+	g.spareEdges = make([]Edge, 0, 4*n)
+}
+
+// AddCopy creates a node with the type, name and payload of node id and
+// returns it; it has no edges.
+func (g *Graph) AddCopy(id NodeID) *Node {
+	orig := g.nodes[id]
+	n := g.AddNode(orig.Type, orig.name)
+	n.Payload = orig.Payload
 	return n
 }
 
@@ -176,9 +225,21 @@ func (g *Graph) AddEdge(from, to NodeID, label Label) error {
 		}
 	}
 	e := Edge{From: from, To: to, Label: label}
-	g.succ[from] = append(g.succ[from], e)
-	g.pred[to] = append(g.pred[to], e)
+	g.succ[from] = append(g.chunk(g.succ[from]), e)
+	g.pred[to] = append(g.chunk(g.pred[to]), e)
 	return nil
+}
+
+// chunk returns adj, or, if adj has no room at all, an empty two-edge list
+// carved from the room Grow reserved (while it lasts). The list is capped,
+// so a third edge moves it out of the slab rather than into its neighbor.
+func (g *Graph) chunk(adj []Edge) []Edge {
+	if cap(adj) > 0 || cap(g.spareEdges)-len(g.spareEdges) < 2 {
+		return adj
+	}
+	k := len(g.spareEdges)
+	g.spareEdges = g.spareEdges[:k+2]
+	return g.spareEdges[k:k:k+2]
 }
 
 // MustAddEdge is AddEdge that panics on error; it is intended for
@@ -299,7 +360,7 @@ func (g *Graph) Validate() error {
 	reach := g.ReachableFrom(g.Entry)
 	for id := NodeID(1); id <= g.MaxID(); id++ {
 		if !reach[id] {
-			return fmt.Errorf("cfg %q: node %d (%s) unreachable from entry", g.Name, id, g.nodes[id].Name)
+			return fmt.Errorf("cfg %q: node %d (%s) unreachable from entry", g.Name, id, g.nodes[id].Name())
 		}
 	}
 	return nil
@@ -369,7 +430,7 @@ func (g *Graph) String() string {
 	fmt.Fprintf(&b, "cfg %q entry=%d exit=%d\n", g.Name, g.Entry, g.Exit)
 	for id := NodeID(1); id <= g.MaxID(); id++ {
 		n := g.nodes[id]
-		fmt.Fprintf(&b, "  %3d %-9s %-24s ->", id, n.Type, n.Name)
+		fmt.Fprintf(&b, "  %3d %-9s %-24s ->", id, n.Type, n.Name())
 		for _, e := range g.succ[id] {
 			fmt.Fprintf(&b, " %d:%s", e.To, e.Label)
 		}
@@ -395,7 +456,7 @@ func (g *Graph) DOT() string {
 		case Header:
 			shape = "house"
 		}
-		fmt.Fprintf(&b, "  n%d [label=%q shape=%s];\n", id, fmt.Sprintf("%d: %s", id, n.Name), shape)
+		fmt.Fprintf(&b, "  n%d [label=%q shape=%s];\n", id, fmt.Sprintf("%d: %s", id, n.Name()), shape)
 	}
 	for _, e := range g.Edges() {
 		style := ""

@@ -41,7 +41,7 @@ func TestNodeLookup(t *testing.T) {
 	if g.Node(99) != nil {
 		t.Error("Node(out of range) should be nil")
 	}
-	if n := g.Node(2); n == nil || n.Name != "b" {
+	if n := g.Node(2); n == nil || n.Name() != "b" {
 		t.Errorf("Node(2) = %+v, want node b", n)
 	}
 }
@@ -132,11 +132,11 @@ func TestCloneIsIndependent(t *testing.T) {
 	g := diamond(t)
 	c := g.Clone()
 	c.MustAddEdge(4, 1, Uncond)
-	c.Node(1).Name = "changed"
+	c.Node(1).Payload = "changed"
 	if len(g.OutEdges(4)) != 0 {
 		t.Error("clone edge mutation leaked into original")
 	}
-	if g.Node(1).Name != "a" {
+	if g.Node(1).Payload != nil {
 		t.Error("clone node mutation leaked into original")
 	}
 	if c.Entry != g.Entry || c.Exit != g.Exit {

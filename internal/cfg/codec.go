@@ -4,7 +4,8 @@ import (
 	"repro/internal/wire"
 )
 
-// Encode writes the graph's full structure — nodes (ID order, type, name),
+// Encode writes the graph's full structure — nodes (ID order, type, name
+// as Node.Name renders it),
 // entry/exit, and the succ and pred adjacency lists verbatim — so Decode
 // reconstructs a graph whose observable state (including edge iteration
 // order) is bit-identical to the original. Payloads are NOT encoded: the
@@ -18,7 +19,7 @@ func (g *Graph) Encode(w *wire.Writer) {
 	w.Uvarint(uint64(g.NumNodes()))
 	for _, n := range g.nodes[1:] {
 		w.U8(uint8(n.Type))
-		w.String(n.Name)
+		w.String(n.Name())
 	}
 	encodeAdj(w, g.succ[1:])
 	encodeAdj(w, g.pred[1:])

@@ -22,7 +22,7 @@ func checkWellFormed(a *analysis.Proc, r *reporter) {
 			continue
 		}
 		if int(id) >= len(reach) || !reach[id] {
-			r.errorf(int(id), "node %q is unreachable from START", g.Node(id).Name)
+			r.errorf(int(id), "node %q is unreachable from START", g.Node(id).Name())
 		}
 	}
 
@@ -44,7 +44,7 @@ func checkWellFormed(a *analysis.Proc, r *reporter) {
 		if g.Node(id) == nil || canStop[id] {
 			continue
 		}
-		r.errorf(int(id), "node %q cannot reach STOP (non-terminating region)", g.Node(id).Name)
+		r.errorf(int(id), "node %q cannot reach STOP (non-terminating region)", g.Node(id).Name())
 	}
 
 	// Pseudo edge shape.

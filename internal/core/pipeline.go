@@ -162,7 +162,7 @@ func LoadCtx(ctx context.Context, src string, opts LoadOptions) (*Pipeline, erro
 	}
 	var nodes int
 	for _, proc := range res.Procs {
-		nodes += len(proc.G.Nodes())
+		nodes += proc.G.NumNodes()
 	}
 	obs.Default.Add("pipeline.procs", int64(len(res.Procs)))
 	obs.Default.Add("pipeline.cfg_nodes", int64(nodes))
@@ -534,7 +534,7 @@ func Report(pe *ProcEstimate) string {
 	for _, u := range pe.A.FCDG.Topo() {
 		e := pe.Node[u]
 		out += fmt.Sprintf("  %3d %-24s [COST=%-8.4g TIME=%-10.6g E[T2]=%-12.6g VAR=%-10.6g SD=%-8.4g] freq=%.4g\n",
-			u, pe.A.Ext.G.Node(u).Name, e.Cost, e.Time, e.SecondMoment, e.Var, e.StdDev, pe.Freq.NodeFreq[u])
+			u, pe.A.Ext.G.Node(u).Name(), e.Cost, e.Time, e.SecondMoment, e.Var, e.StdDev, pe.Freq.NodeFreq[u])
 	}
 	return out
 }

@@ -26,10 +26,10 @@ func lowerOne(t *testing.T, body string) *lower.Proc {
 func nodeCostByName(t *testing.T, p *lower.Proc, m Model, prefix string) float64 {
 	t.Helper()
 	for _, n := range p.G.Nodes() {
-		if len(n.Name) >= len(prefix) && n.Name[:len(prefix)] == prefix {
+		if len(n.Name()) >= len(prefix) && n.Name()[:len(prefix)] == prefix {
 			op, ok := n.Payload.(lower.Op)
 			if !ok {
-				t.Fatalf("node %q has no op", n.Name)
+				t.Fatalf("node %q has no op", n.Name())
 			}
 			return m.NodeCost(op)
 		}
@@ -63,7 +63,7 @@ func TestModelOrdering(t *testing.T) {
 			continue
 		}
 		if offTab[n.ID] < onTab[n.ID] {
-			t.Errorf("node %q: opt-off %g < opt-on %g", n.Name, offTab[n.ID], onTab[n.ID])
+			t.Errorf("node %q: opt-off %g < opt-on %g", n.Name(), offTab[n.ID], onTab[n.ID])
 		}
 	}
 }
@@ -98,7 +98,7 @@ func TestUnitModelFlat(t *testing.T) {
 	tab := Unit.Table(p)
 	for _, n := range p.G.Nodes() {
 		if tab[n.ID] != 1 {
-			t.Errorf("unit cost of %q = %g, want 1", n.Name, tab[n.ID])
+			t.Errorf("unit cost of %q = %g, want 1", n.Name(), tab[n.ID])
 		}
 	}
 }
@@ -184,7 +184,7 @@ func TestScaledScalesNodeCosts(t *testing.T) {
 	for _, n := range p.G.Nodes() {
 		want := k * base[n.ID]
 		if math.Abs(scaled[n.ID]-want) > 1e-12*math.Max(1, want) {
-			t.Errorf("node %d (%s): cost %g, want %g", n.ID, n.Name, scaled[n.ID], want)
+			t.Errorf("node %d (%s): cost %g, want %g", n.ID, n.Name(), scaled[n.ID], want)
 		}
 	}
 }

@@ -376,9 +376,7 @@ func splitRegion(g *cfg.Graph, region []cfg.NodeID, res *SplitResult, budget int
 	copies := make([]cfg.NodeID, len(copied))
 	for _, e := range entries[1:] {
 		for i, m := range copied {
-			orig := g.Node(m)
-			c := g.AddNode(orig.Type, orig.Name)
-			c.Payload = orig.Payload
+			c := g.AddCopy(m)
 			res.Original[c.ID] = res.Original[m]
 			copies[i] = c.ID
 		}

@@ -103,7 +103,7 @@ func (r *Figure3Result) Format() string {
 	for _, u := range r.A.FCDG.Topo() {
 		e := r.Est.Node[u]
 		fmt.Fprintf(&b, "%3d %-26s [%g, %g, %g, %g, %g]\n",
-			u, r.A.Ext.G.Node(u).Name, e.Cost, e.Time, e.SecondMoment, e.Var, e.StdDev)
+			u, r.A.Ext.G.Node(u).Name(), e.Cost, e.Time, e.SecondMoment, e.Var, e.StdDev)
 		for _, edge := range r.A.FCDG.OutEdges(u) {
 			c := cdg.Condition{Node: u, Label: edge.Label}
 			fmt.Fprintf(&b, "      -%s-> %-3d  <%g, %g>\n",

@@ -430,7 +430,7 @@ func TestLabelCountAndEdgeCount(t *testing.T) {
 	p := res.Main
 	// Find the IF node and check T was taken 3 times, F 3 times.
 	for _, n := range p.G.Nodes() {
-		if strings.HasPrefix(n.Name, "IF (MOD") {
+		if strings.HasPrefix(n.Name(), "IF (MOD") {
 			if tc := r.LabelCount(p, n.ID, "T"); tc != 3 {
 				t.Errorf("T count = %d, want 3", tc)
 			}

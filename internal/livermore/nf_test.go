@@ -46,7 +46,7 @@ func TestNodeFreqIdentityAllKernels(t *testing.T) {
 				want := float64(run.NodeCount(a.P, n.ID))
 				got := tab.NodeFreq[n.ID] * acts
 				if math.Abs(got-want) > 1e-6 {
-					t.Errorf("kernel %d %s node %d (%s): NF*acts=%g actual=%g", k, name, n.ID, n.Name, got, want)
+					t.Errorf("kernel %d %s node %d (%s): NF*acts=%g actual=%g", k, name, n.ID, n.Name(), got, want)
 				}
 			}
 		}

@@ -4,7 +4,10 @@
 // conditional branch edges and U on unconditional ones.
 //
 // Each node's Payload is an Op describing what executing the node does; the
-// interpreter (internal/interp) dispatches on these. Counted DO loops lower
+// interpreter (internal/interp) dispatches on these. Lowered nodes carry no
+// name of their own: every Op is a cfg.Namer, so a node's label ("IF
+// (M.GE.0)", "DO-TEST I") is rendered from its Op only when a dump, DOT
+// output or diagnostic asks for it. Counted DO loops lower
 // into three nodes — DoInit (compute the F77 trip count, set the loop
 // variable), DoTest (the loop header: branch T into the body while trips
 // remain) and DoIncr (advance the variable, branch back to the test) — so
@@ -53,22 +56,35 @@ var gotoCases = func() (t [64]cfg.Label) {
 	return t
 }()
 
-// Op is the executable payload of a CFG node.
-type Op interface{ opName() string }
+// Op is the executable payload of a CFG node. NodeName renders the node's
+// label from the op and the statement it lowers.
+type Op interface {
+	opName() string
+	NodeName() string
+}
 
 // OpAssign evaluates S.RHS and stores it into S.LHS.
 type OpAssign struct{ S *lang.Assign }
 
-// OpBranch evaluates Cond and leaves on the T or F edge.
-type OpBranch struct{ Cond lang.Expr }
+// OpBranch evaluates Cond and leaves on the T or F edge. S is the IF
+// statement it lowers: a LogicalIf, or the IfBlock whose condition (or one
+// of whose ELSEIF conditions) Cond is.
+type OpBranch struct {
+	Cond lang.Expr
+	S    lang.Stmt
+}
 
 // OpArithIf evaluates E and leaves on LT, EQ or GT by the sign of E.
-type OpArithIf struct{ E lang.Expr }
+type OpArithIf struct {
+	E lang.Expr
+	S *lang.ArithIf
+}
 
 // OpComputedGoto evaluates E and leaves on edge G<E>, or D if out of range.
 type OpComputedGoto struct {
 	E lang.Expr
 	N int // number of cases
+	S *lang.ComputedGoto
 }
 
 // OpCall invokes a subroutine.
@@ -100,8 +116,8 @@ type OpDoIncr struct {
 // OpPrint prints list-directed output.
 type OpPrint struct{ S *lang.Print }
 
-// OpNop does nothing (CONTINUE and similar anchors).
-type OpNop struct{}
+// OpNop does nothing: S is the CONTINUE or GOTO statement it lowers.
+type OpNop struct{ S lang.Stmt }
 
 // OpReturn returns from the current subroutine.
 type OpReturn struct{}
@@ -125,6 +141,29 @@ func (OpNop) opName() string          { return "nop" }
 func (OpReturn) opName() string       { return "return" }
 func (OpStop) opName() string         { return "stop" }
 func (OpEnd) opName() string          { return "end" }
+
+// NodeName implementations: the CFG node labels of Figure 1.
+
+func (o OpAssign) NodeName() string { return o.S.Text() }
+func (o OpBranch) NodeName() string {
+	if l, ok := o.S.(*lang.LogicalIf); ok {
+		if _, ok := l.Then.(*lang.Goto); ok {
+			return l.Text() // "IF (c) GOTO l" is one node
+		}
+	}
+	return "IF (" + o.Cond.String() + ")"
+}
+func (o OpArithIf) NodeName() string      { return o.S.Text() }
+func (o OpComputedGoto) NodeName() string { return o.S.Text() }
+func (o OpCall) NodeName() string         { return o.S.Text() }
+func (o OpDoInit) NodeName() string       { return o.L.Text() }
+func (o OpDoTest) NodeName() string       { return "DO-TEST " + o.L.Var }
+func (o OpDoIncr) NodeName() string       { return "DO-INCR " + o.L.Var }
+func (OpPrint) NodeName() string          { return "PRINT *" }
+func (o OpNop) NodeName() string          { return o.S.Text() }
+func (OpReturn) NodeName() string         { return "RETURN" }
+func (OpStop) NodeName() string           { return "STOP" }
+func (OpEnd) NodeName() string            { return "END" }
 
 // Proc is the lowered form of one program unit.
 type Proc struct {
@@ -192,6 +231,8 @@ type builder struct {
 	// jumps are GOTO-ish edges resolved after the whole body is lowered;
 	// target -1 means the unit exit.
 	jumps []jump
+	// scratch backs the single-edge frontiers one returns.
+	scratch []pending
 }
 
 type jump struct {
@@ -203,18 +244,21 @@ type jump struct {
 const exitTarget = -1
 
 func lowerUnit(u *lang.Unit) (*Proc, error) {
+	nodes := nodeBound(u)
 	b := &builder{
-		g:     cfg.New(u.Name),
-		label: make(map[int]cfg.NodeID),
+		g:       cfg.New(u.Name),
+		label:   make(map[int]cfg.NodeID),
+		scratch: make([]pending, 0, 2),
 	}
-	b.proc = &Proc{Unit: u, G: b.g, Stmt: make(map[cfg.NodeID]lang.Stmt)}
+	b.g.Grow(nodes)
+	b.proc = &Proc{Unit: u, G: b.g, Stmt: make(map[cfg.NodeID]lang.Stmt, nodes)}
 
-	frontier, err := b.seq(u.Body, []pending{})
+	frontier, err := b.seq(u.Body, nil)
 	if err != nil {
 		return nil, err
 	}
 	// Exit node (n_last).
-	exit := b.newNode("END", OpEnd{}, nil)
+	exit := b.newNode(OpEnd{}, nil)
 	b.connect(frontier, exit)
 	for _, j := range b.jumps {
 		target := exit
@@ -257,8 +301,26 @@ func lowerUnit(u *lang.Unit) (*Proc, error) {
 	return b.proc, nil
 }
 
-func (b *builder) newNode(name string, op Op, stmt lang.Stmt) cfg.NodeID {
-	n := b.g.AddNode(cfg.Other, name)
+// nodeBound bounds the nodes lowering u creates: one per statement, two
+// more per DO loop (its test and increment), one per ELSEIF arm, and END.
+func nodeBound(u *lang.Unit) int {
+	n := 1
+	lang.Walk(u.Body, func(s lang.Stmt) {
+		n++
+		switch st := s.(type) {
+		case *lang.DoLoop:
+			n += 2
+		case *lang.IfBlock:
+			n += len(st.Elifs)
+		}
+	})
+	return n
+}
+
+// newNode adds a node executing op, lowered from stmt. It has no name of
+// its own: op renders it (see Op).
+func (b *builder) newNode(op Op, stmt lang.Stmt) cfg.NodeID {
+	n := b.g.AddNode(cfg.Other, "")
 	n.Payload = op
 	if stmt != nil {
 		b.proc.Stmt[n.ID] = stmt
@@ -267,6 +329,15 @@ func (b *builder) newNode(name string, op Op, stmt lang.Stmt) cfg.NodeID {
 		b.first = n.ID
 	}
 	return n.ID
+}
+
+// one returns the frontier of the single edge (from, label). It lives in
+// the builder's scratch buffer, which the next call to one overwrites:
+// every frontier is connected before the next node is lowered, and a
+// caller that keeps one across lowering (ifBlock) copies it out first.
+func (b *builder) one(from cfg.NodeID, label cfg.Label) []pending {
+	b.scratch = append(b.scratch[:0], pending{from, label})
+	return b.scratch
 }
 
 func (b *builder) connect(frontier []pending, to cfg.NodeID) {
@@ -310,48 +381,48 @@ func anchored(s lang.Stmt) bool {
 func (b *builder) stmt(s lang.Stmt, frontier []pending) ([]pending, error) {
 	switch st := s.(type) {
 	case *lang.Assign:
-		n := b.newNode(st.Text(), OpAssign{S: st}, st)
+		n := b.newNode(OpAssign{S: st}, st)
 		b.define(st, n)
 		b.connect(frontier, n)
-		return []pending{{n, cfg.Uncond}}, nil
+		return b.one(n, cfg.Uncond), nil
 
 	case *lang.Continue:
-		n := b.newNode("CONTINUE", OpNop{}, st)
+		n := b.newNode(OpNop{S: st}, st)
 		b.define(st, n)
 		b.connect(frontier, n)
-		return []pending{{n, cfg.Uncond}}, nil
+		return b.one(n, cfg.Uncond), nil
 
 	case *lang.Print:
-		n := b.newNode("PRINT *", OpPrint{S: st}, st)
+		n := b.newNode(OpPrint{S: st}, st)
 		b.define(st, n)
 		b.connect(frontier, n)
-		return []pending{{n, cfg.Uncond}}, nil
+		return b.one(n, cfg.Uncond), nil
 
 	case *lang.CallStmt:
-		n := b.newNode(st.Text(), OpCall{S: st}, st)
+		n := b.newNode(OpCall{S: st}, st)
 		b.define(st, n)
 		b.connect(frontier, n)
 		b.proc.Calls = append(b.proc.Calls, st.Name)
-		return []pending{{n, cfg.Uncond}}, nil
+		return b.one(n, cfg.Uncond), nil
 
 	case *lang.Goto:
-		n := b.newNode(st.Text(), OpNop{}, st)
+		n := b.newNode(OpNop{S: st}, st)
 		b.define(st, n)
 		b.connect(frontier, n)
 		b.jumps = append(b.jumps, jump{n, cfg.Uncond, st.Target})
 		return nil, nil
 
 	case *lang.ComputedGoto:
-		n := b.newNode(st.Text(), OpComputedGoto{E: st.Expr, N: len(st.Targets)}, st)
+		n := b.newNode(OpComputedGoto{E: st.Expr, N: len(st.Targets), S: st}, st)
 		b.define(st, n)
 		b.connect(frontier, n)
 		for i, t := range st.Targets {
 			b.jumps = append(b.jumps, jump{n, GotoCase(i + 1), t})
 		}
-		return []pending{{n, LabelDefault}}, nil
+		return b.one(n, LabelDefault), nil
 
 	case *lang.ArithIf:
-		n := b.newNode(st.Text(), OpArithIf{E: st.Expr}, st)
+		n := b.newNode(OpArithIf{E: st.Expr, S: st}, st)
 		b.define(st, n)
 		b.connect(frontier, n)
 		b.jumps = append(b.jumps,
@@ -361,14 +432,14 @@ func (b *builder) stmt(s lang.Stmt, frontier []pending) ([]pending, error) {
 		return nil, nil
 
 	case *lang.Return:
-		n := b.newNode("RETURN", OpReturn{}, st)
+		n := b.newNode(OpReturn{}, st)
 		b.define(st, n)
 		b.connect(frontier, n)
 		b.jumps = append(b.jumps, jump{n, cfg.Uncond, exitTarget})
 		return nil, nil
 
 	case *lang.StopStmt:
-		n := b.newNode("STOP", OpStop{}, st)
+		n := b.newNode(OpStop{}, st)
 		b.define(st, n)
 		b.connect(frontier, n)
 		b.jumps = append(b.jumps, jump{n, cfg.Uncond, exitTarget})
@@ -396,17 +467,17 @@ func (b *builder) define(s lang.Stmt, n cfg.NodeID) {
 func (b *builder) logicalIf(st *lang.LogicalIf, frontier []pending) ([]pending, error) {
 	// "IF (c) GOTO l" is a single node, exactly as in Figure 1.
 	if g, ok := st.Then.(*lang.Goto); ok {
-		n := b.newNode(st.Text(), OpBranch{Cond: st.Cond}, st)
+		n := b.newNode(OpBranch{Cond: st.Cond, S: st}, st)
 		b.define(st, n)
 		b.connect(frontier, n)
 		b.jumps = append(b.jumps, jump{n, cfg.True, g.Target})
-		return []pending{{n, cfg.False}}, nil
+		return b.one(n, cfg.False), nil
 	}
 	// General form: branch node, body on the T arm.
-	n := b.newNode(fmt.Sprintf("IF (%s)", st.Cond), OpBranch{Cond: st.Cond}, st)
+	n := b.newNode(OpBranch{Cond: st.Cond, S: st}, st)
 	b.define(st, n)
 	b.connect(frontier, n)
-	bodyOut, err := b.stmt(st.Then, []pending{{n, cfg.True}})
+	bodyOut, err := b.stmt(st.Then, b.one(n, cfg.True))
 	if err != nil {
 		return nil, err
 	}
@@ -414,25 +485,27 @@ func (b *builder) logicalIf(st *lang.LogicalIf, frontier []pending) ([]pending, 
 }
 
 func (b *builder) ifBlock(st *lang.IfBlock, frontier []pending) ([]pending, error) {
-	n := b.newNode(fmt.Sprintf("IF (%s)", st.Cond), OpBranch{Cond: st.Cond}, st)
+	n := b.newNode(OpBranch{Cond: st.Cond, S: st}, st)
 	b.define(st, n)
 	b.connect(frontier, n)
+	// out collects the arms' frontiers, copied out of the scratch buffer
+	// before the next arm is lowered.
 	var out []pending
-	thenOut, err := b.seq(st.Then, []pending{{n, cfg.True}})
+	thenOut, err := b.seq(st.Then, b.one(n, cfg.True))
 	if err != nil {
 		return nil, err
 	}
 	out = append(out, thenOut...)
-	elseIn := []pending{{n, cfg.False}}
+	elseIn := b.one(n, cfg.False)
 	for _, arm := range st.Elifs {
-		en := b.newNode(fmt.Sprintf("IF (%s)", arm.Cond), OpBranch{Cond: arm.Cond}, st)
+		en := b.newNode(OpBranch{Cond: arm.Cond, S: st}, st)
 		b.connect(elseIn, en)
-		armOut, err := b.seq(arm.Body, []pending{{en, cfg.True}})
+		armOut, err := b.seq(arm.Body, b.one(en, cfg.True))
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, armOut...)
-		elseIn = []pending{{en, cfg.False}}
+		elseIn = b.one(en, cfg.False)
 	}
 	if st.Else != nil {
 		elseOut, err := b.seq(st.Else, elseIn)
@@ -447,21 +520,21 @@ func (b *builder) ifBlock(st *lang.IfBlock, frontier []pending) ([]pending, erro
 }
 
 func (b *builder) doLoop(st *lang.DoLoop, frontier []pending) ([]pending, error) {
-	init := b.newNode(st.Text(), OpDoInit{L: st}, st)
+	// The test node is added right after init, so init's op can name it
+	// (the trip state key) up front.
+	test := b.g.MaxID() + 2
+	init := b.newNode(OpDoInit{L: st, Test: test}, st)
 	b.define(st, init)
 	b.connect(frontier, init)
-	test := b.newNode(fmt.Sprintf("DO-TEST %s", st.Var), OpDoTest{L: st}, st)
-	b.g.Node(test).Payload = OpDoTest{L: st, Key: test}
-	// Patch the init op with the test node it feeds (trip state key).
-	b.g.Node(init).Payload = OpDoInit{L: st, Test: test}
+	b.newNode(OpDoTest{L: st, Key: test}, st)
 	b.g.MustAddEdge(init, test, cfg.Uncond)
 
-	bodyOut, err := b.seq(st.Body, []pending{{test, cfg.True}})
+	bodyOut, err := b.seq(st.Body, b.one(test, cfg.True))
 	if err != nil {
 		return nil, err
 	}
-	incr := b.newNode(fmt.Sprintf("DO-INCR %s", st.Var), OpDoIncr{L: st, Test: test}, st)
+	incr := b.newNode(OpDoIncr{L: st, Test: test}, st)
 	b.connect(bodyOut, incr)
 	b.g.MustAddEdge(incr, test, cfg.Uncond) // the back edge
-	return []pending{{test, cfg.False}}, nil
+	return b.one(test, cfg.False), nil
 }

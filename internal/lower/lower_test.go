@@ -77,7 +77,7 @@ func TestIfBlockShape(t *testing.T) {
 			branches++
 			labels := g.Labels(n.ID)
 			if len(labels) != 2 {
-				t.Errorf("branch %q has labels %v", n.Name, labels)
+				t.Errorf("branch %q has labels %v", n.Name(), labels)
 			}
 		}
 	}
@@ -142,8 +142,8 @@ func TestDeadCodeDropped(t *testing.T) {
    10 CONTINUE
 `))
 	for _, n := range p.G.Nodes() {
-		if strings.Contains(n.Name, "I = 2") || strings.Contains(n.Name, "I = 3") {
-			t.Errorf("dead statement %q survived", n.Name)
+		if strings.Contains(n.Name(), "I = 2") || strings.Contains(n.Name(), "I = 3") {
+			t.Errorf("dead statement %q survived", n.Name())
 		}
 	}
 	if err := p.G.Validate(); err != nil {
@@ -163,7 +163,7 @@ func TestLabelledDeadCodeKept(t *testing.T) {
 `))
 	found := false
 	for _, n := range p.G.Nodes() {
-		if strings.Contains(n.Name, "I = 2") {
+		if strings.Contains(n.Name(), "I = 2") {
 			found = true
 		}
 	}
@@ -222,7 +222,7 @@ func TestReturnAndStopEdges(t *testing.T) {
 			case OpReturn, OpStop:
 				out := p.G.OutEdges(n.ID)
 				if len(out) != 1 || out[0].To != p.G.Exit {
-					t.Errorf("%s %q edges = %v, want exit %d", p.G.Name, n.Name, out, p.G.Exit)
+					t.Errorf("%s %q edges = %v, want exit %d", p.G.Name, n.Name(), out, p.G.Exit)
 				}
 			}
 		}
@@ -289,11 +289,11 @@ func TestLogicalIfNonGotoBody(t *testing.T) {
 			fTo = e.To
 		}
 	}
-	if !strings.Contains(p.G.Node(tTo).Name, "I = 5") {
-		t.Errorf("T arm goes to %q", p.G.Node(tTo).Name)
+	if !strings.Contains(p.G.Node(tTo).Name(), "I = 5") {
+		t.Errorf("T arm goes to %q", p.G.Node(tTo).Name())
 	}
-	if !strings.Contains(p.G.Node(fTo).Name, "I = 9") {
-		t.Errorf("F arm goes to %q", p.G.Node(fTo).Name)
+	if !strings.Contains(p.G.Node(fTo).Name(), "I = 9") {
+		t.Errorf("F arm goes to %q", p.G.Node(fTo).Name())
 	}
 }
 

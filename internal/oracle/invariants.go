@@ -220,7 +220,7 @@ func checkNodeFreq(ctx *evalCtx) error {
 			got := tab.NodeFreq[n.ID] * acts
 			if math.Abs(got-want) > 1e-6*math.Max(1, want) {
 				return fmt.Errorf("proc %s node %d (%s): NODE_FREQ×acts = %g, exact %g",
-					name, n.ID, n.Name, got, want)
+					name, n.ID, n.Name(), got, want)
 			}
 		}
 	}

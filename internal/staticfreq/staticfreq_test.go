@@ -156,7 +156,7 @@ func TestDynamicConditionsNotResolved(t *testing.T) {
 		// The RAND IF and the exit IF are dynamic; only conditions of the
 		// DO loop would be static, but that loop has an exit, so nothing
 		// but pseudo conditions may appear.
-		t.Errorf("unexpected static condition %v=%g on %s", c, v, n.Name)
+		t.Errorf("unexpected static condition %v=%g on %s", c, v, n.Name())
 	}
 }
 

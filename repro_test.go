@@ -76,7 +76,7 @@ func checkInvariants(t *testing.T, src string, seed uint64) {
 			want := float64(run.NodeCount(a.P, n.ID))
 			if got := tab.NodeFreq[n.ID] * acts; math.Abs(got-want) > 1e-6*math.Max(1, want) {
 				t.Fatalf("%s node %d (%s): NODE_FREQ×acts = %g, actual %g\n%s",
-					name, n.ID, n.Name, got, want, src)
+					name, n.ID, n.Name(), got, want, src)
 			}
 		}
 	}
