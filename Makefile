@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: check fmt vet lint build test benchmark-smoke test-vm test-bl bench bench-analysis bench-tree bench-vm oracle oracle-bl selfcheck dataflow-selfcheck serve-smoke cache-smoke fuzz-smoke bench-cache
+.PHONY: check fmt vet lint build test benchmark-smoke test-vm test-bl bench bench-frontend bench-analysis bench-tree bench-vm oracle oracle-bl selfcheck dataflow-selfcheck serve-smoke cache-smoke fuzz-smoke bench-cache
 
 # STATICCHECK_VERSION pins the analyzer CI installs; keep in sync with
 # .github/workflows/ci.yml.
@@ -60,6 +60,11 @@ test-bl:
 
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x ./...
+
+# bench-frontend times the front end alone (lang.Parse plus lower.Lower)
+# on the first 20 cold-large programs, with MB/s and allocations per op.
+bench-frontend:
+	$(GO) test ./internal/lower -run '^$$' -bench FrontEnd -benchtime 2s -count 5
 
 # bench-analysis times the middle end alone on a cold-large-sized program
 # (progen size 240, depth 4), with one and with GOMAXPROCS workers, then
@@ -128,6 +133,7 @@ cache-smoke:
 # fuzz-smoke gives each native fuzz target a short budget; any panic or
 # invariant violation found becomes a crasher in testdata/fuzz.
 fuzz-smoke:
+	$(GO) test ./internal/lang/ -run '^$$' -fuzz FuzzLex -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/oracle/ -run '^$$' -fuzz FuzzParsePipeline -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/oracle/ -run '^$$' -fuzz FuzzProgenOracle -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pathprof/ -run '^$$' -fuzz FuzzPathNumbering -fuzztime $(FUZZTIME)
