@@ -239,7 +239,7 @@ func (g *Graph) chunk(adj []Edge) []Edge {
 	}
 	k := len(g.spareEdges)
 	g.spareEdges = g.spareEdges[:k+2]
-	return g.spareEdges[k:k:k+2]
+	return g.spareEdges[k : k : k+2]
 }
 
 // MustAddEdge is AddEdge that panics on error; it is intended for
