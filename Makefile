@@ -17,8 +17,10 @@ fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+# vet covers the root module and the separate bench/ module.
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet .
 
 # lint runs staticcheck when it is installed; CI installs the pinned
 # $(STATICCHECK_VERSION), local runs without it just skip (no network

@@ -284,7 +284,7 @@ func TestCommandLineTools(t *testing.T) {
 				t.Errorf("span %q has count %d", sp.Name, sp.Count)
 			}
 		}
-		for _, want := range []string{"parse", "lower", "interval", "ecfg", "cdg", "fcdg", "analyze"} {
+		for _, want := range []string{"parse", "lower", "interval", "ecfg", "cdg", "analyze"} {
 			if !phases[want] {
 				t.Errorf("missing span %q in %v", want, phases)
 			}

@@ -1,6 +1,6 @@
 // Package analysis assembles the paper's full per-procedure pipeline —
-// interval structure, extended CFG, control dependence, forward control
-// dependence — and orders procedures bottom-up over the call graph, the
+// interval structure, extended CFG, forward control dependence — and
+// orders procedures bottom-up over the call graph, the
 // order Section 4's rule 2 requires (callees are costed before callers;
 // recursive procedures surface as multi-member or self-looping strongly
 // connected components).
@@ -33,8 +33,6 @@ type Proc struct {
 	Intervals *interval.Info
 	// Ext is the extended CFG.
 	Ext *ecfg.Ext
-	// CDG is the full control dependence graph.
-	CDG *cdg.Graph
 	// FCDG is the forward control dependence graph.
 	FCDG *cdg.Graph
 	// Flow holds the monotone dataflow facts (constants, feasibility,
@@ -61,8 +59,8 @@ func AnalyzeProc(p *lower.Proc) (*Proc, error) { return analyzeProcTraced(p, nil
 // analyzeProcTraced is AnalyzeProc reporting each phase into tr (nil = no
 // tracing). Same-named spans from concurrent procedures aggregate into one
 // row per phase. The dataflow pass reads only the lowered CFG, so it runs
-// in its own goroutine beside the structural chain interval → ecfg → cdg →
-// fcdg, and a one-procedure program also keeps two cores busy.
+// in its own goroutine beside the structural chain interval → ecfg → cdg,
+// and a one-procedure program also keeps two cores busy.
 func analyzeProcTraced(p *lower.Proc, tr *obs.Trace) (*Proc, error) {
 	a := &Proc{P: p}
 	done := make(chan struct{})
@@ -80,7 +78,7 @@ func analyzeProcTraced(p *lower.Proc, tr *obs.Trace) (*Proc, error) {
 	return a, nil
 }
 
-// structure derives the interval structure, ECFG, CDG and FCDG of a.P.
+// structure derives the interval structure, ECFG and FCDG of a.P.
 func (a *Proc) structure(tr *obs.Trace) error {
 	g := a.P.G
 	sp := tr.Start("interval")
@@ -99,19 +97,12 @@ func (a *Proc) structure(tr *obs.Trace) error {
 	sp.End(obs.M("ecfg_nodes", float64(ext.G.NumNodes())))
 	a.Ext = ext
 	sp = tr.Start("cdg")
-	full, err := cdg.Build(ext)
-	sp.End()
-	if err != nil {
-		return fmt.Errorf("analysis %s: %w", g.Name, err)
-	}
-	a.CDG = full
-	sp = tr.Start("fcdg")
-	fwd, err := full.Forward()
+	fwd, err := cdg.Build(ext)
 	if err != nil {
 		sp.End()
 		return fmt.Errorf("analysis %s: %w", g.Name, err)
 	}
-	sp.End(obs.M("conditions", float64(len(fwd.Conditions()))))
+	sp.End(obs.M("conditions", float64(fwd.NumConditions())))
 	a.FCDG = fwd
 	return nil
 }
@@ -128,10 +119,11 @@ type Options struct {
 	CheckProc func(*Proc) error
 
 	// Trace, when non-nil, receives per-phase spans (interval, ecfg, cdg,
-	// fcdg, dataflow, check) plus an "analyze" summary span carrying the
-	// worker count and pool utilization. Phases of concurrent procedures
-	// aggregate, and each procedure's dataflow span overlaps its
-	// structural ones, so the phase sums can exceed the analyze span.
+	// dataflow, check) plus an "analyze" summary span carrying the worker
+	// count and pool utilization. The cdg span builds the FCDG and carries
+	// its condition count. Phases of concurrent procedures aggregate, and
+	// each procedure's dataflow span overlaps its structural ones, so the
+	// phase sums can exceed the analyze span.
 	Trace *obs.Trace
 
 	// Prebuilt supplies already-derived analyses (the artifact cache's warm

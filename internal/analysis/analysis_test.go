@@ -18,7 +18,7 @@ func TestPaperExamplePipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Intervals == nil || a.Ext == nil || a.CDG == nil || a.FCDG == nil {
+	if a.Intervals == nil || a.Ext == nil || a.FCDG == nil {
 		t.Fatal("incomplete analysis")
 	}
 	if len(a.FCDG.Topo()) == 0 {

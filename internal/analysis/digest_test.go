@@ -27,15 +27,14 @@ const digestGolden = "testdata/analysis_digests.golden"
 
 // digestParts are the per-procedure structures whose encodings are
 // pinned: the interval structure of the CFG, the ECFG (graph, preheader
-// and postexit tables, and its own interval structure), the full CDG, the
-// FCDG, the FCDG's topological order and the dataflow facts.
+// and postexit tables, and its own interval structure), the FCDG, the
+// FCDG's topological order and the dataflow facts.
 var digestParts = []struct {
 	name   string
 	encode func(*Proc, *wire.Writer)
 }{
 	{"interval", func(a *Proc, w *wire.Writer) { a.Intervals.Encode(w) }},
 	{"ecfg", func(a *Proc, w *wire.Writer) { a.Ext.Encode(w) }},
-	{"cdg", func(a *Proc, w *wire.Writer) { a.CDG.Encode(w) }},
 	{"fcdg", func(a *Proc, w *wire.Writer) { a.FCDG.Encode(w) }},
 	{"topo", func(a *Proc, w *wire.Writer) {
 		topo := a.FCDG.Topo()
@@ -90,13 +89,11 @@ func roundTrip(t testing.TB, a *Proc) *Proc {
 	var w wire.Writer
 	a.Intervals.Encode(&w)
 	a.Ext.Encode(&w)
-	a.CDG.Encode(&w)
 	a.FCDG.Encode(&w)
 	r := wire.NewReader(w.Bytes())
 	out := &Proc{P: a.P, Flow: a.Flow}
 	out.Intervals = interval.Decode(r, a.P.G)
 	out.Ext = ecfg.Decode(r, a.P.G)
-	out.CDG = cdg.Decode(r, out.Ext)
 	out.FCDG = cdg.Decode(r, out.Ext)
 	if err := r.Err(); err != nil {
 		t.Fatalf("%s: decode: %v", a.P.G.Name, err)
@@ -104,7 +101,7 @@ func roundTrip(t testing.TB, a *Proc) *Proc {
 	return out
 }
 
-// TestAnalysisDigests pins the encoded interval, ECFG, CDG, FCDG, topo and
+// TestAnalysisDigests pins the encoded interval, ECFG, FCDG, topo and
 // dataflow structures, byte for byte, for every procedure of the digest
 // corpus. The encodings are the on-disk artifact format, so a mismatch is
 // either a behaviour change of the middle end or a format change (which

@@ -28,7 +28,7 @@ import (
 // bytes (typed error, no panic) because the fuzz harness — and a hash
 // collision, in principle — can hand them unchecked input.
 const (
-	secAnalysis = 1 // interval + ecfg + cdg + fcdg + dataflow
+	secAnalysis = 1 // interval + ecfg + fcdg + dataflow
 	secSarkar   = 2 // profiler.Plan
 )
 
@@ -138,7 +138,6 @@ func decodeSections(body []byte, p *lower.Proc) (*ProcArtifact, error) {
 func encodeAnalysis(w *wire.Writer, a *analysis.Proc) {
 	a.Intervals.Encode(w)
 	a.Ext.Encode(w)
-	a.CDG.Encode(w)
 	a.FCDG.Encode(w)
 	a.Flow.Encode(w)
 }
@@ -150,9 +149,6 @@ func decodeAnalysis(r *wire.Reader, p *lower.Proc) *analysis.Proc {
 	a.Intervals = interval.Decode(r, p.G)
 	if r.Err() == nil {
 		a.Ext = ecfg.Decode(r, p.G)
-	}
-	if r.Err() == nil {
-		a.CDG = cdg.Decode(r, a.Ext)
 	}
 	if r.Err() == nil {
 		a.FCDG = cdg.Decode(r, a.Ext)

@@ -35,7 +35,10 @@ import (
 // Version 3: a blob carries exactly the analysis and Sarkar-plan
 // sections; the Ball–Larus, VM-bytecode and VM-bailout sections of
 // version 2 are gone.
-const FormatVersion = 3
+//
+// Version 4: the analysis section carries the FCDG alone; the full CDG
+// and the FCDG's forward flag and back-edge marker list are gone.
+const FormatVersion = 4
 
 // UnitHash is the content hash of one unit's full canonical dump:
 // identical iff the unit parses to the same AST at the same positions.

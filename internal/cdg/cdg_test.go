@@ -2,6 +2,7 @@ package cdg
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"repro/internal/ecfg"
 	"repro/internal/interval"
 	"repro/internal/paperex"
+	"repro/internal/wire"
 )
 
 func buildExt(t *testing.T, g *cfg.Graph) *ecfg.Ext {
@@ -27,15 +29,16 @@ func buildExt(t *testing.T, g *cfg.Graph) *ecfg.Ext {
 func buildFCDG(t *testing.T, g *cfg.Graph) (*ecfg.Ext, *Graph) {
 	t.Helper()
 	ext := buildExt(t, g)
-	c, err := Build(ext)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := c.Forward()
+	f, err := Build(ext)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return ext, f
+}
+
+// hasEdge reports whether f has the exact (x, y, l) control dependence.
+func hasEdge(f *Graph, x, y cfg.NodeID, l cfg.Label) bool {
+	return slices.Contains(f.OutEdges(x), cfg.Edge{From: x, To: y, Label: l})
 }
 
 // TestPaperExampleFCDG checks the full control dependence structure of
@@ -64,38 +67,25 @@ func TestPaperExampleFCDG(t *testing.T) {
 		{paperex.IfNGe, paperex.Goto10, cfg.False},
 	}
 	for _, w := range want {
-		if !f.HasEdge(w.from, w.to, w.l) {
+		if !hasEdge(f, w.from, w.to, w.l) {
 			t.Errorf("FCDG missing edge %d -%s-> %d\n%s", w.from, w.l, w.to, f)
 		}
 	}
 	// Postexits are CD on the preheader via the pseudo label.
 	for _, pe := range ext.Postexits {
-		onPre := f.HasEdge(ph, pe, cfg.PseudoLoop)
+		onPre := hasEdge(f, ph, pe, cfg.PseudoLoop)
 		if !onPre {
 			t.Errorf("postexit %d not CD on (preheader, Z2)\n%s", pe, f)
 		}
 	}
 	// The loop-closing dependences (IF arms -> header) must be gone.
-	if f.HasEdge(paperex.IfNLt, paperex.IfM, cfg.False) ||
-		f.HasEdge(paperex.IfNGe, paperex.IfM, cfg.False) {
+	if hasEdge(f, paperex.IfNLt, paperex.IfM, cfg.False) ||
+		hasEdge(f, paperex.IfNGe, paperex.IfM, cfg.False) {
 		t.Errorf("FCDG kept a back edge to the header\n%s", f)
 	}
 	// STOP is control dependent on nothing and controls nothing.
 	if len(f.OutEdges(ext.Stop)) != 0 || len(f.InEdges(ext.Stop)) != 0 {
 		t.Errorf("STOP must be isolated in the FCDG")
-	}
-}
-
-func TestCDGKeepsLoopBackDependences(t *testing.T) {
-	ext := buildExt(t, paperex.CFG())
-	c, err := Build(ext)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// In the full CDG the header IS control dependent on the continuing IF
-	// arms (the cycle the FCDG breaks).
-	if !c.HasEdge(paperex.IfNLt, paperex.IfM, cfg.False) {
-		t.Errorf("CDG missing loop-back dependence (IF N.LT.0, F) -> header\n%s", c)
 	}
 }
 
@@ -183,13 +173,16 @@ func TestConditions(t *testing.T) {
 
 func TestChildrenAndLabels(t *testing.T) {
 	_, f := buildFCDG(t, paperex.CFG())
-	kids := f.Children(paperex.IfNLt, cfg.False)
-	if len(kids) != 2 || kids[0] != paperex.Call || kids[1] != paperex.Goto10 {
-		t.Errorf("Children(IF N.LT.0, F) = %v, want [CALL GOTO]", kids)
+	conds := f.NodeConds(paperex.IfNLt)
+	i := slices.IndexFunc(conds, func(c CondInfo) bool { return c.Cond.Label == cfg.False })
+	if i < 0 {
+		t.Fatalf("NodeConds(IF N.LT.0) = %v, no F condition", conds)
 	}
-	labels := f.Labels(paperex.IfM)
-	if len(labels) != 2 {
-		t.Errorf("Labels(header) = %v, want [F T]", labels)
+	if kids := conds[i].Children; len(kids) != 2 || kids[0] != paperex.Call || kids[1] != paperex.Goto10 {
+		t.Errorf("children of (IF N.LT.0, F) = %v, want [CALL GOTO]", kids)
+	}
+	if hc := f.NodeConds(paperex.IfM); len(hc) != 2 || hc[0].Cond.Label != cfg.False || hc[1].Cond.Label != cfg.True {
+		t.Errorf("NodeConds(header) = %v, want [F T]", hc)
 	}
 }
 
@@ -227,14 +220,14 @@ func TestDiamondCDG(t *testing.T) {
 	g.MustAddEdge(3, 4, cfg.Uncond)
 	g.Entry, g.Exit = 1, 4
 	ext, f := buildFCDG(t, g)
-	if !f.HasEdge(1, 2, cfg.True) || !f.HasEdge(1, 3, cfg.False) {
+	if !hasEdge(f, 1, 2, cfg.True) || !hasEdge(f, 1, 3, cfg.False) {
 		t.Errorf("branch arms not CD on the branch:\n%s", f)
 	}
 	// The join node is CD on START, not on the branch.
-	if f.HasEdge(1, 4, cfg.True) || f.HasEdge(1, 4, cfg.False) {
+	if hasEdge(f, 1, 4, cfg.True) || hasEdge(f, 1, 4, cfg.False) {
 		t.Errorf("join node must not be CD on the branch:\n%s", f)
 	}
-	if !f.HasEdge(ext.Start, 4, cfg.Uncond) {
+	if !hasEdge(f, ext.Start, 4, cfg.Uncond) {
 		t.Errorf("join node must be CD on START:\n%s", f)
 	}
 }
@@ -248,13 +241,6 @@ func TestStringOutput(t *testing.T) {
 	d := f.DOT()
 	if !strings.Contains(d, "digraph") || !strings.Contains(d, "PREHEADER") {
 		t.Errorf("DOT() missing content")
-	}
-}
-
-func TestNumEdges(t *testing.T) {
-	_, f := buildFCDG(t, paperex.CFG())
-	if f.NumEdges() < 9 {
-		t.Errorf("NumEdges = %d, want >= 9", f.NumEdges())
 	}
 }
 
@@ -325,5 +311,31 @@ func TestConditionStringMatchesFmt(t *testing.T) {
 				t.Fatalf("Condition{%d, %q}.String() = %q, want %q", id, l, got, want)
 			}
 		}
+	}
+}
+
+// TestDecodeRejectsUnsortedOutList checks that Decode round-trips a built
+// FCDG and rejects an encoding whose out-list is not (target, label)
+// ordered: readers use the lists as stored, without sorting them again.
+func TestDecodeRejectsUnsortedOutList(t *testing.T) {
+	ext, f := buildFCDG(t, paperex.CFG())
+	var w wire.Writer
+	f.Encode(&w)
+	r := wire.NewReader(w.Bytes())
+	if d := Decode(r, ext); r.Err() != nil || d.String() != f.String() {
+		t.Fatalf("round trip: err %v\n%s\nwant\n%s", r.Err(), d, f)
+	}
+	es := slices.Clone(f.OutEdges(paperex.IfNLt))
+	if len(es) < 2 {
+		t.Fatalf("out-edges of %d = %v, want at least two", paperex.IfNLt, es)
+	}
+	es[0], es[1] = es[1], es[0]
+	f.succ[paperex.IfNLt] = es
+	w = wire.Writer{}
+	f.Encode(&w)
+	r = wire.NewReader(w.Bytes())
+	Decode(r, ext)
+	if r.Err() == nil {
+		t.Fatalf("Decode accepted the out-of-order list %v", es)
 	}
 }

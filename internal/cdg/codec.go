@@ -1,33 +1,20 @@
 package cdg
 
 import (
-	"slices"
-
 	"repro/internal/cfg"
 	"repro/internal/ecfg"
 	"repro/internal/wire"
 )
 
-// Encode serializes the dependence edges (succ and pred lists verbatim, so
-// iteration orders survive the round trip) plus the back-edge markers. The
-// dense caches of a forward graph are not written: Decode rebuilds them
-// with the same deterministic computeTopo/buildDense pass Forward runs, so
-// a decoded FCDG is indistinguishable from a freshly built one.
+// Encode serializes the dependence edges: the succ and pred lists
+// verbatim, so iteration orders survive the round trip. The topological
+// order and dense tables are not written: Decode rebuilds them with the
+// same deterministic computeTopo/buildDense pass Build runs, so a decoded
+// FCDG is indistinguishable from a freshly built one.
 func (g *Graph) Encode(w *wire.Writer) {
 	w.Varint(int64(g.Root))
-	w.Bool(g.topo != nil) // forward graphs carry topo + dense caches
 	encodeEdgeLists(w, g.succ)
 	encodeEdgeLists(w, g.pred)
-	nb := 0
-	for _, es := range g.back {
-		nb += len(es)
-	}
-	w.Uvarint(uint64(nb))
-	for _, es := range g.back {
-		for _, e := range es {
-			cfg.EncodeEdge(w, e)
-		}
-	}
 }
 
 // encodeEdgeLists writes the non-empty lists of a per-node table as
@@ -70,13 +57,13 @@ func decodeEdgeLists(r *wire.Reader, eg *cfg.Graph, lists [][]cfg.Edge) {
 	}
 }
 
-// Decode reads a Graph written by Encode, attached to ext. For forward
-// graphs the topological order and dense condition caches are recomputed;
-// a cyclic edge set masquerading as a forward graph is rejected through
-// r.Failf (the caller treats it as a cache miss).
+// Decode reads a Graph written by Encode, attached to ext, and recomputes
+// its topological order and dense condition tables. An out-list that is
+// not strictly (target, label)-ordered or whose edges leave another node,
+// or a cyclic edge set, is rejected through r.Failf (the caller treats it
+// as a cache miss).
 func Decode(r *wire.Reader, ext *ecfg.Ext) *Graph {
 	root := cfg.NodeID(r.Varint())
-	forward := r.Bool()
 	g := newGraph(ext, root)
 	if r.Err() != nil {
 		return g
@@ -88,23 +75,21 @@ func Decode(r *wire.Reader, ext *ecfg.Ext) *Graph {
 	}
 	decodeEdgeLists(r, eg, g.succ)
 	decodeEdgeLists(r, eg, g.pred)
-	nb := r.Count(3)
-	for i := 0; i < nb; i++ {
-		e := cfg.DecodeEdge(r, eg)
-		if r.Err() != nil {
-			return g
+	if r.Err() != nil {
+		return g
+	}
+	for n, es := range g.succ {
+		for i, e := range es {
+			if int(e.From) != n || i > 0 && byTargetLabel(es[i-1], e) >= 0 {
+				r.Failf("cdg out-edge %v of node %d out of order", e, n)
+				return g
+			}
 		}
-		g.back[e.From] = append(g.back[e.From], e)
 	}
-	for _, es := range g.back {
-		slices.SortFunc(es, byTargetLabel)
+	if err := g.computeTopo(); err != nil {
+		r.Failf("decoded forward CDG: %v", err)
+		return g
 	}
-	if forward {
-		if err := g.computeTopo(); err != nil {
-			r.Failf("decoded forward CDG: %v", err)
-			return g
-		}
-		g.buildDense()
-	}
+	g.buildDense()
 	return g
 }

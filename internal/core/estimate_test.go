@@ -334,8 +334,10 @@ func TestDeterministicLoopZeroVariance(t *testing.T) {
 	}
 	ope := old.Procs["DLOOP"]
 	var tb float64
-	for _, v := range a.FCDG.Children(h, cfg.True) {
-		tb += ope.Node[v].Time
+	for _, e := range a.FCDG.OutEdges(h) {
+		if e.Label == cfg.True {
+			tb += ope.Node[e.To].Time
+		}
 	}
 	const trip = 4.0
 	pT := trip / (trip + 1)
@@ -706,9 +708,11 @@ func TestLoopFrequencyVariance(t *testing.T) {
 	}
 	F := pe.Freq.Freq.At(cond)
 	var sumT, sumV float64
-	for _, v := range a.FCDG.Children(ph, ecfg.LoopBodyLabel) {
-		sumT += pe.Node[v].Time
-		sumV += pe.Node[v].Var
+	for _, e := range a.FCDG.OutEdges(ph) {
+		if e.Label == ecfg.LoopBodyLabel {
+			sumT += pe.Node[e.To].Time
+			sumV += pe.Node[e.To].Var
+		}
 	}
 	want := F*F*sumV + varF*sumT*sumT + varF*sumV
 	if math.Abs(pe.Node[ph].Var-want) > 1e-9 {
