@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: check fmt vet lint build test benchmark-smoke test-vm test-bl bench bench-frontend bench-analysis bench-tree bench-vm oracle oracle-bl selfcheck dataflow-selfcheck serve-smoke cache-smoke fuzz-smoke bench-cache
+.PHONY: check fmt vet lint build test benchmark-smoke test-vm test-bl bench bench-frontend bench-analysis bench-plan bench-tree bench-vm oracle oracle-bl selfcheck dataflow-selfcheck serve-smoke cache-smoke fuzz-smoke bench-cache
 
 # STATICCHECK_VERSION pins the analyzer CI installs; keep in sync with
 # .github/workflows/ci.yml.
@@ -74,6 +74,12 @@ bench-frontend:
 bench-analysis:
 	$(GO) test ./internal/analysis -run '^$$' -bench AnalyzeProgram -benchtime 2s -count 5
 	$(GO) test ./internal/dataflow -run '^$$' -bench Dataflow -benchtime 2s -count 5
+
+# bench-plan times the counter planner alone (PlanFlow over every
+# procedure of the first 20 cold-large programs, analysis built
+# beforehand), with allocations per op.
+bench-plan:
+	$(GO) test ./internal/profiler -run '^$$' -bench '^BenchmarkPlan$$' -benchtime 2s -count 5
 
 # bench-tree times the tree-walker alone on the Table 1 programs (SIMPLE
 # and LOOPS at a reduced size), with allocations per run.

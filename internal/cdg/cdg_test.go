@@ -9,6 +9,9 @@ import (
 	"repro/internal/cfg"
 	"repro/internal/ecfg"
 	"repro/internal/interval"
+	"repro/internal/lang"
+	"repro/internal/livermore"
+	"repro/internal/lower"
 	"repro/internal/paperex"
 	"repro/internal/wire"
 )
@@ -288,6 +291,37 @@ func TestLoopCarriedDependencesDropped(t *testing.T) {
 		for _, e := range f.InEdges(n) {
 			if e.From != 4 || e.Label != cfg.False {
 				t.Errorf("node %d unexpected in-edge %v", n, e)
+			}
+		}
+	}
+}
+
+// TestNoHeaderDependenceFromInsideItsLoop runs Build on LOOPS' KERN16
+// and KERN17, whose GOTOs leave and re-enter loop bodies, and checks that
+// no FCDG edge lands on a loop header from a node inside that header's
+// interval: such a dependence says "this branch re-executes the loop",
+// which the preheader's loop condition already counts.
+func TestNoHeaderDependenceFromInsideItsLoop(t *testing.T) {
+	prog, err := lang.Parse(livermore.Source(100, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := lower.Lower(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"KERN16", "KERN17"} {
+		p := res.Procs[name]
+		if p == nil {
+			t.Fatalf("LOOPS has no procedure %s", name)
+		}
+		ext, f := buildFCDG(t, p.G)
+		iv := ext.Intervals
+		for x := cfg.NodeID(1); x <= ext.G.MaxID(); x++ {
+			for _, e := range f.OutEdges(x) {
+				if iv.IsHeader(e.To) && iv.Contains(e.To, x) {
+					t.Errorf("%s: FCDG edge %v lands on header %d from inside its interval", name, e, e.To)
+				}
 			}
 		}
 	}

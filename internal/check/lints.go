@@ -3,6 +3,7 @@ package check
 import (
 	"repro/internal/analysis"
 	"repro/internal/lang"
+	"repro/internal/staticfreq"
 )
 
 // checkLints runs the source-level lints over the procedure's AST and its
@@ -86,29 +87,14 @@ func lintCond(u *lang.Unit, cond lang.Expr, line, col int, r *reporter) {
 // lintDo flags constant DO loops with a non-positive trip count (including
 // a constant zero step, which would never terminate).
 func lintDo(u *lang.Unit, st *lang.DoLoop, r *reporter) {
-	lo, okLo := lang.FoldInt(u, st.Lo)
-	hi, okHi := lang.FoldInt(u, st.Hi)
-	step, okStep := int64(1), true
 	if st.Step != nil {
-		step, okStep = lang.FoldInt(u, st.Step)
+		if step, ok := lang.FoldInt(u, st.Step); ok && step == 0 {
+			r.warnAt(st.Line, st.Col, "use a nonzero step", "DO step is the constant 0: the loop never advances")
+			return
+		}
 	}
-	if okStep && step == 0 {
-		r.warnAt(st.Line, st.Col, "use a nonzero step", "DO step is the constant 0: the loop never advances")
-		return
-	}
-	if !okLo || !okHi || !okStep {
-		return
-	}
-	trip := (hi - lo + step) / step
-	if trip <= 0 {
+	if b, ok := staticfreq.FoldDo(u, st); ok && b.Trip == 0 {
 		r.warnAt(st.Line, st.Col, "the body is dead at run time",
-			"DO loop never executes: constant bounds %d,%d,%d give trip count %d", lo, hi, step, max64(trip, 0))
+			"DO loop never executes: constant bounds %d,%d,%d give trip count %d", b.Lo, b.Hi, b.Step, b.Trip)
 	}
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -30,7 +30,7 @@ func checkPlan(a *analysis.Proc, r *reporter) {
 // counters and inference rules as a linear system over the non-pseudo FCDG
 // conditions and checks that the coefficient matrix has full column rank.
 // Full rank means the system determines every TOTAL_FREQ(u,l) uniquely for
-// any counter readings — independent of the runtime recovery fixpoint, which
+// any counter readings — independent of the runtime recovery schedule, which
 // is one particular way of solving the same system.
 //
 // The encoding mirrors the recovery semantics exactly:
@@ -132,7 +132,7 @@ func (s *linsys) addExec(row []float64, u cfg.NodeID, scale float64) bool {
 }
 
 // addTaking adds scale·taking(be) for a CFG back edge, mirroring the
-// recovery fixpoint: the edge's own condition when it is one, otherwise
+// recovery schedule: the edge's own condition when it is one, otherwise
 // exec(source) when the source is single-exit.
 func (s *linsys) addTaking(row []float64, be cfg.Edge, scale float64) bool {
 	c := cdg.Condition{Node: be.From, Label: be.Label}
@@ -151,7 +151,7 @@ func (s *linsys) addTaking(row []float64, be cfg.Edge, scale float64) bool {
 	return false
 }
 
-func (s *linsys) addRule(r profiler.RuleView) {
+func (s *linsys) addRule(r profiler.Rule) {
 	ext := s.p.A.Ext
 	switch r.Kind {
 	case profiler.RuleBranchBalance:

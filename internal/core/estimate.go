@@ -109,10 +109,10 @@ type Options struct {
 	// staticfreq.Program); they take precedence over the profile.
 	StaticFreq map[string]map[cdg.Condition]float64
 	// DeterministicTests marks extra DO-test nodes, per procedure, whose
-	// branch is proven deterministic (e.g. by a counter plan's doConstTrip
-	// rule, profiler.Plan.ConstTripTests). EstimateProgram always unions
-	// this set with staticfreq.ConstTripTests, so it only matters for
-	// proofs the static analysis cannot see.
+	// branch is proven deterministic (e.g. by a counter plan's
+	// RuleDoConstTrip rule, profiler.Plan.ConstTripTests). EstimateProgram
+	// always unions this set with staticfreq.ConstTripTests, so it only
+	// matters for proofs the static analysis cannot see.
 	DeterministicTests map[string]map[cfg.NodeID]bool
 	// BernoulliDoTests restores the pre-fix model that prices every DO
 	// test as an i.i.d. Bernoulli branch, assigning nonzero VAR even to
@@ -147,7 +147,7 @@ func EstimateProgram(prog *analysis.Program, profile map[string]freq.Totals,
 
 	// Deterministic DO tests per procedure: the static analysis' proofs
 	// unioned with any caller-supplied ones (e.g. a counter plan's
-	// doConstTrip rules). With BernoulliDoTests set the union is left
+	// RuleDoConstTrip rules). With BernoulliDoTests set the union is left
 	// empty, restoring the old model.
 	det := make(map[string]map[cfg.NodeID]bool, len(prog.Procs))
 	for name, a := range prog.Procs {

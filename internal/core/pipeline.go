@@ -459,7 +459,7 @@ func (p *Pipeline) EstimateWithProfile(profile profiler.ProgramProfile, m cost.M
 	return pe, err
 }
 
-// withPlanDetTests merges the counter plans' doConstTrip proofs into the
+// withPlanDetTests merges the counter plans' RuleDoConstTrip proofs into the
 // estimator options, so DO tests the planner proved deterministic are
 // priced as deterministic even if the static frequency analysis alone
 // could not fold them, and pins the dataflow framework's exact 0/1

@@ -30,7 +30,7 @@ import (
 //     on every run, STOP-terminated ones included: the stop-aware recovery
 //     (profiler.Plan.RecoverRun) caps in-flight loops at their observed
 //     partial trips and discounts the frozen frames' committed-but-never-
-//     reached nodes, so the doConstTrip completion assumption no longer
+//     reached nodes, so the RuleDoConstTrip completion assumption no longer
 //     leaks into the totals. A third of the corpus generates with
 //     progen.Opts.Stops to keep that path hot.
 const corpusSize = 200

@@ -22,20 +22,20 @@ func (p *Plan) Encode(w *wire.Writer) {
 	}
 	w.Uvarint(uint64(len(p.rules)))
 	for _, r := range p.rules {
-		w.U8(uint8(r.kind))
-		w.Varint(int64(r.node))
-		encodeCond(w, r.dropped)
-		w.Uvarint(uint64(len(r.others)))
-		for _, c := range r.others {
+		w.U8(uint8(r.Kind))
+		w.Varint(int64(r.Node))
+		encodeCond(w, r.Dropped)
+		w.Uvarint(uint64(len(r.Others)))
+		for _, c := range r.Others {
 			encodeCond(w, c)
 		}
-		w.Uvarint(uint64(len(r.backEdges)))
-		for _, e := range r.backEdges {
+		w.Uvarint(uint64(len(r.BackEdges)))
+		for _, e := range r.BackEdges {
 			cfg.EncodeEdge(w, e)
 		}
-		w.Varint(r.trip)
-		w.Int(r.counter)
-		w.F64(r.staticFreq)
+		w.Varint(r.Trip)
+		w.Int(r.Counter)
+		w.F64(r.StaticFreq)
 	}
 	w.Uvarint(uint64(len(p.conds)))
 	for _, c := range p.conds {
@@ -90,25 +90,25 @@ func DecodePlan(r *wire.Reader, a *analysis.Proc) *Plan {
 	}
 	nr := r.Count(6)
 	for i := 0; i < nr; i++ {
-		ru := rule{kind: ruleKind(r.U8())}
-		ru.node = cfg.NodeID(r.Varint())
-		ru.dropped = decodeCond(r, eg)
+		ru := Rule{Kind: RuleKind(r.U8())}
+		ru.Node = cfg.NodeID(r.Varint())
+		ru.Dropped = decodeCond(r, eg)
 		no := r.Count(2)
 		for j := 0; j < no; j++ {
-			ru.others = append(ru.others, decodeCond(r, eg))
+			ru.Others = append(ru.Others, decodeCond(r, eg))
 		}
 		ne := r.Count(3)
 		for j := 0; j < ne; j++ {
-			ru.backEdges = append(ru.backEdges, cfg.DecodeEdge(r, eg))
+			ru.BackEdges = append(ru.BackEdges, cfg.DecodeEdge(r, eg))
 		}
-		ru.trip = r.Varint()
-		ru.counter = r.Int()
-		ru.staticFreq = r.F64()
-		if r.Err() == nil && (ru.kind < branchBalance || ru.kind > staticCond) {
-			r.Failf("invalid rule kind %d", int(ru.kind))
+		ru.Trip = r.Varint()
+		ru.Counter = r.Int()
+		ru.StaticFreq = r.F64()
+		if r.Err() == nil && (ru.Kind < RuleBranchBalance || ru.Kind > RuleStaticCond) {
+			r.Failf("invalid rule kind %d", int(ru.Kind))
 		}
-		if r.Err() == nil && ru.kind == doAddTrip && (ru.counter < 0 || ru.counter >= len(p.Counters)) {
-			r.Failf("rule counter index %d out of range", ru.counter)
+		if r.Err() == nil && ru.Kind == RuleDoAddTrip && (ru.Counter < 0 || ru.Counter >= len(p.Counters)) {
+			r.Failf("rule counter index %d out of range", ru.Counter)
 		}
 		if r.Err() != nil {
 			return p

@@ -19,9 +19,9 @@ import (
 // one clause. The axioms are the counted and the pseudo conditions.
 //
 // The planner keeps the least fixpoint of the current plan and tests a
-// trial elimination by delete–re-derive over the trial's cone only; the
-// recovery schedule (schedule.go) replays the fixpoint's derivation order
-// once per plan.
+// trial elimination by delete–re-derive over the trial's cone only. The
+// recovery schedule (schedule.go) is the order in which one more solve of
+// the final plan's system derives its facts.
 
 // hornReq is one clause requirement: fact a, or fact b when b >= 0. A
 // requirement with a < 0 can never hold.
@@ -34,9 +34,8 @@ type hornClause struct {
 	// outs[out0:out1] and reqs[req0:req1] of the hornSystem.
 	out0, out1 int32
 	req0, req1 int32
-	// rule is the plan-rule index, or -1 for the exec clause of node.
+	// rule is the plan-rule index, or -1 for an exec clause.
 	rule int32
-	node cfg.NodeID
 }
 
 type hornSystem struct {
@@ -122,7 +121,7 @@ func newHorn(a *analysis.Proc) *hornSystem {
 		ci := int32(len(h.cl))
 		h.execClause[u] = ci
 		h.outs = append(h.outs, h.execFact(u))
-		h.cl = append(h.cl, hornClause{out0: ci, out1: ci + 1, req0: r0, req1: int32(len(h.reqs)), rule: -1, node: u})
+		h.cl = append(h.cl, hornClause{out0: ci, out1: ci + 1, req0: r0, req1: int32(len(h.reqs)), rule: -1})
 	}
 	// Index the exec clauses' requirements by condition (counting sort,
 	// keeping clause order within each condition).
@@ -202,7 +201,7 @@ func (h *hornSystem) forUses(f int32, fn func(hornUse)) {
 // when the condition the rule recovers is not an FCDG condition (a decoded
 // plan that does not belong to this procedure); unresolvable inputs
 // become requirements that never hold.
-func (h *hornSystem) addRule(i int, r *rule) (int32, error) {
+func (h *hornSystem) addRule(i int, r *Rule) (int32, error) {
 	ext := h.a.Ext
 	ci := int32(len(h.cl))
 	r0 := int32(len(h.reqs))
@@ -211,18 +210,18 @@ func (h *hornSystem) addRule(i int, r *rule) (int32, error) {
 		f, _ := h.condFact(c)
 		return hornReq{f, -1}
 	}
-	out := r.dropped
-	switch r.kind {
-	case branchBalance:
-		req(hornReq{h.execFact(r.node), -1})
-		for _, o := range r.others {
+	out := r.Dropped
+	switch r.Kind {
+	case RuleBranchBalance:
+		req(hornReq{h.execFact(r.Node), -1})
+		for _, o := range r.Others {
 			req(cond(o))
 		}
-	case staticCond:
-		req(hornReq{h.execFact(r.node), -1})
-	case loopIdentity:
-		req(hornReq{h.execFact(ext.Preheader[r.node]), -1})
-		for _, be := range r.backEdges {
+	case RuleStaticCond:
+		req(hornReq{h.execFact(r.Node), -1})
+	case RuleLoopIdentity:
+		req(hornReq{h.execFact(ext.Preheader[r.Node]), -1})
+		for _, be := range r.BackEdges {
 			q := cond(cdg.Condition{Node: be.From, Label: be.Label})
 			if singleLabel(ext.G, be.From) {
 				if q.a < 0 {
@@ -233,15 +232,15 @@ func (h *hornSystem) addRule(i int, r *rule) (int32, error) {
 			}
 			req(q)
 		}
-	case doConstTrip, doAddTrip:
+	case RuleDoConstTrip, RuleDoAddTrip:
 		// The DO rules recover the loop condition (preheader, U).
 		if out == (cdg.Condition{}) {
-			out = cdg.Condition{Node: ext.Preheader[r.node], Label: cfg.Uncond}
+			out = cdg.Condition{Node: ext.Preheader[r.Node], Label: cfg.Uncond}
 		}
-		req(hornReq{h.execFact(ext.Preheader[r.node]), -1})
+		req(hornReq{h.execFact(ext.Preheader[r.Node]), -1})
 	default:
 		h.reqs = h.reqs[:r0]
-		return -1, fmt.Errorf("profiler: invalid rule kind %d", int(r.kind))
+		return -1, fmt.Errorf("profiler: invalid rule kind %d", int(r.Kind))
 	}
 	f, ok := h.condFact(out)
 	if !ok {
@@ -250,11 +249,11 @@ func (h *hornSystem) addRule(i int, r *rule) (int32, error) {
 	}
 	o0 := int32(len(h.outs))
 	h.outs = append(h.outs, f)
-	if r.kind == doConstTrip || r.kind == doAddTrip {
+	if r.Kind.isDo() {
 		// The DO rules also fix the test's T and F takings when those are
 		// (non-pseudo) conditions.
 		for _, l := range []cfg.Label{cfg.True, cfg.False} {
-			if f, ok := h.condAt(r.node, l); ok && !h.pseudo[f] {
+			if f, ok := h.condAt(r.Node, l); ok && !h.pseudo[f] {
 				h.outs = append(h.outs, f)
 			}
 		}
@@ -272,7 +271,7 @@ func (h *hornSystem) addRule(i int, r *rule) (int32, error) {
 	for _, o := range h.outs[o0:] {
 		h.ruleProd[o] = append(h.ruleProd[o], ci)
 	}
-	h.cl = append(h.cl, hornClause{out0: o0, out1: int32(len(h.outs)), req0: r0, req1: int32(len(h.reqs)), rule: int32(i), node: r.node})
+	h.cl = append(h.cl, hornClause{out0: o0, out1: int32(len(h.outs)), req0: r0, req1: int32(len(h.reqs)), rule: int32(i)})
 	h.count = append(h.count, 0)
 	h.stamp = append(h.stamp, 0)
 	return ci, nil
@@ -338,12 +337,23 @@ func (h *hornSystem) learn(f int32) {
 	})
 }
 
-// propagate fires the ready clauses to a fixpoint.
-func (h *hornSystem) propagate() {
+// propagate fires the ready clauses to a fixpoint. A non-nil record is
+// called with each clause that derives a new fact, just before its facts
+// are learnt: every exec clause, and every rule clause whose first output
+// is still unknown. A rule clause whose first output is already known has
+// nothing to add, so while recording it is skipped whole.
+func (h *hornSystem) propagate(record func(ci int32)) {
 	for len(h.ready) > 0 {
 		ci := h.ready[len(h.ready)-1]
 		h.ready = h.ready[:len(h.ready)-1]
-		for _, o := range h.clauseOuts(ci) {
+		outs := h.clauseOuts(ci)
+		if record != nil {
+			if h.cl[ci].rule >= 0 && h.known[outs[0]] {
+				continue
+			}
+			record(ci)
+		}
+		for _, o := range outs {
 			if !h.known[o] {
 				h.learn(o)
 			}
@@ -351,8 +361,9 @@ func (h *hornSystem) propagate() {
 	}
 }
 
-// solve computes the least fixpoint from the axioms alone.
-func (h *hornSystem) solve() {
+// solve computes the least fixpoint from the axioms alone, passing record
+// to propagate.
+func (h *hornSystem) solve(record func(ci int32)) {
 	h.epoch++
 	copy(h.known, h.axiom)
 	for ci := range h.cl {
@@ -360,7 +371,7 @@ func (h *hornSystem) solve() {
 			h.ready = append(h.ready, int32(ci))
 		}
 	}
-	h.propagate()
+	h.propagate(record)
 }
 
 // try tests one greedy elimination against the current least fixpoint:
@@ -370,7 +381,7 @@ func (h *hornSystem) solve() {
 // or gain derivations, so only the cone is reset and re-derived from its
 // supports outside it. On success the change stays and the fixpoint is
 // the new plan's; otherwise everything is restored.
-func (h *hornSystem) try(drop []cdg.Condition, i int, r *rule) bool {
+func (h *hornSystem) try(drop []cdg.Condition, i int, r *Rule) bool {
 	h.epoch++
 	h.cone = h.cone[:0]
 	add := func(f int32) {
@@ -416,7 +427,7 @@ func (h *hornSystem) try(drop []cdg.Condition, i int, r *rule) bool {
 			}
 		}
 	}
-	h.propagate()
+	h.propagate(nil)
 	ok := true
 	for _, f := range h.cone {
 		if h.isCond(f) && !h.pseudo[f] && !h.known[f] {

@@ -7,74 +7,10 @@ import (
 	"repro/internal/cfg"
 )
 
-// RuleKind is the exported mirror of the plan's internal rule kinds, in the
-// same order, for static verification of a placement (package check builds
-// a linear system out of the rules and proves it has full rank).
-type RuleKind int
-
-// Exported rule kinds.
-const (
-	RuleBranchBalance RuleKind = iota // dropped = exec(node) − Σ others
-	RuleLoopIdentity                  // (ph,U) = exec(ph) + Σ back-edge takings
-	RuleDoConstTrip                   // (ph,U), (test,T) from exec(ph) × const trip
-	RuleDoAddTrip                     // (ph,U), (test,T) from a TripAdd reading
-	RuleStaticCond                    // dropped = staticFreq × exec(node)
-)
-
-func (k RuleKind) String() string {
-	switch k {
-	case RuleBranchBalance:
-		return "branch-balance"
-	case RuleLoopIdentity:
-		return "loop-identity"
-	case RuleDoConstTrip:
-		return "do-const-trip"
-	case RuleDoAddTrip:
-		return "do-add-trip"
-	case RuleStaticCond:
-		return "static-cond"
-	}
-	return "unknown"
-}
-
-// RuleView is a read-only view of one inference rule of a smart plan.
-// Slices are copies; mutating them does not affect the plan.
-type RuleView struct {
-	Kind RuleKind
-	// Node is the branch node (RuleBranchBalance, RuleStaticCond) or the
-	// loop header / DO test node (loop rules).
-	Node cfg.NodeID
-	// Dropped is the condition the rule recovers. For the DO rules it is
-	// the zero Condition: they recover the loop condition (preheader, U)
-	// and, when present, the test's T and F conditions implicitly.
-	Dropped cdg.Condition
-	// Others are the sibling conditions summed by RuleBranchBalance.
-	Others []cdg.Condition
-	// BackEdges are the CFG back edges of a RuleLoopIdentity.
-	BackEdges []cfg.Edge
-	// Trip is the constant trip count of a RuleDoConstTrip.
-	Trip int64
-	// StaticFreq is the compile-time FREQ of a RuleStaticCond.
-	StaticFreq float64
-}
-
-// Rules exposes the plan's inference rules for independent verification.
-func (p *Plan) Rules() []RuleView {
-	out := make([]RuleView, 0, len(p.rules))
-	for i := range p.rules {
-		r := &p.rules[i]
-		out = append(out, RuleView{
-			Kind:       RuleKind(r.kind),
-			Node:       r.node,
-			Dropped:    r.dropped,
-			Others:     append([]cdg.Condition(nil), r.others...),
-			BackEdges:  append([]cfg.Edge(nil), r.backEdges...),
-			Trip:       r.trip,
-			StaticFreq: r.staticFreq,
-		})
-	}
-	return out
-}
+// Rules returns the plan's inference rules, for independent verification
+// (package check proves they determine every condition). The slice is the
+// plan's own and is shared: callers must not mutate it.
+func (p *Plan) Rules() []Rule { return p.rules }
 
 // Conds returns the non-pseudo FCDG conditions the plan must determine —
 // the unknowns of the recovery system. The slice is a copy.
@@ -83,15 +19,15 @@ func (p *Plan) Conds() []cdg.Condition {
 }
 
 // ConstTripTests returns the DO-test nodes the plan proved to be exit-free
-// counted loops with a compile-time-constant trip count (the doConstTrip
-// rule of Section 3's third optimization). Such a test is deterministic —
-// per loop entry it takes T exactly trip times and F once — so the
-// estimator may drop the Bernoulli model for its branch.
+// counted loops with a compile-time-constant trip count (the
+// RuleDoConstTrip rule of Section 3's third optimization). Such a test is
+// deterministic — per loop entry it takes T exactly trip times and F once
+// — so the estimator may drop the Bernoulli model for its branch.
 func (p *Plan) ConstTripTests() []cfg.NodeID {
 	var out []cfg.NodeID
 	for i := range p.rules {
-		if p.rules[i].kind == doConstTrip {
-			out = append(out, p.rules[i].node)
+		if p.rules[i].Kind == RuleDoConstTrip {
+			out = append(out, p.rules[i].Node)
 		}
 	}
 	return out
@@ -135,12 +71,12 @@ func (p *Plan) Derivations() ([]Derivation, error) {
 	for _, st := range rec.steps {
 		args := rec.args[a0:st.end]
 		a0 = st.end
-		if st.kind == stepExec {
+		if st.rule < 0 {
 			continue
 		}
 		r := &p.rules[st.rule]
-		d := Derivation{Kind: RuleKind(r.kind), Node: r.node, Derives: []cdg.Condition{f.CondAt(int(st.dst))}, Inputs: []string{name(st.in)}}
-		if st.kind == stepDo {
+		d := Derivation{Kind: r.Kind, Node: r.Node, Derives: []cdg.Condition{f.CondAt(int(st.dst))}, Inputs: []string{name(st.in)}}
+		if r.Kind.isDo() {
 			for _, s := range args {
 				if s >= 0 {
 					d.Derives = append(d.Derives, f.CondAt(int(s)))
@@ -151,13 +87,13 @@ func (p *Plan) Derivations() ([]Derivation, error) {
 				d.Inputs = append(d.Inputs, name(a))
 			}
 		}
-		switch r.kind {
-		case doConstTrip:
-			d.Inputs = append(d.Inputs, fmt.Sprintf("trip=%d", r.trip))
-		case doAddTrip:
-			d.Inputs = append(d.Inputs, p.Counters[r.counter].String())
-		case staticCond:
-			d.Inputs = append(d.Inputs, fmt.Sprintf("freq=%g", r.staticFreq))
+		switch r.Kind {
+		case RuleDoConstTrip:
+			d.Inputs = append(d.Inputs, fmt.Sprintf("trip=%d", r.Trip))
+		case RuleDoAddTrip:
+			d.Inputs = append(d.Inputs, p.Counters[r.Counter].String())
+		case RuleStaticCond:
+			d.Inputs = append(d.Inputs, fmt.Sprintf("freq=%g", r.StaticFreq))
 		}
 		out = append(out, d)
 	}

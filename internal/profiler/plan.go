@@ -45,7 +45,6 @@ import (
 	"repro/internal/cfg"
 	"repro/internal/dom"
 	"repro/internal/ecfg"
-	"repro/internal/lang"
 	"repro/internal/lower"
 	"repro/internal/staticfreq"
 )
@@ -84,34 +83,59 @@ func (c Counter) String() string {
 	}
 }
 
-// rule is one inference rule the recovery fixpoint may apply.
-type rule struct {
-	kind ruleKind
-	// node is the branch node (branchBalance) or loop header (loop rules).
-	node cfg.NodeID
-	// dropped is the condition the rule recovers.
-	dropped cdg.Condition
-	// others are the sibling conditions summed by branchBalance.
-	others []cdg.Condition
-	// backEdges are the CFG back edges of a loopIdentity.
-	backEdges []cfg.Edge
-	// trip is the constant trip count (doConst) and counter the TripAdd
-	// index (doTrip).
-	trip    int64
-	counter int
-	// staticFreq is the compile-time FREQ of a staticCond rule.
-	staticFreq float64
+// Rule is one inference rule of a smart plan: a conservation identity
+// the recovery schedule applies to derive an eliminated condition.
+type Rule struct {
+	Kind RuleKind
+	// Node is the branch node (RuleBranchBalance, RuleStaticCond) or the
+	// loop header / DO test node (loop rules).
+	Node cfg.NodeID
+	// Dropped is the condition the rule recovers. For the DO rules it is
+	// the zero Condition: they recover the loop condition (preheader, U)
+	// and, when present, the test's T and F conditions implicitly.
+	Dropped cdg.Condition
+	// Others are the sibling conditions summed by RuleBranchBalance.
+	Others []cdg.Condition
+	// BackEdges are the CFG back edges of a RuleLoopIdentity.
+	BackEdges []cfg.Edge
+	// Trip is the constant trip count of a RuleDoConstTrip; Counter is the
+	// index of a RuleDoAddTrip's TripAdd counter.
+	Trip    int64
+	Counter int
+	// StaticFreq is the compile-time FREQ of a RuleStaticCond.
+	StaticFreq float64
 }
 
-type ruleKind int
+// RuleKind names the identity a Rule applies.
+type RuleKind int
 
+// Rule kinds. Their numeric order is part of the plan encoding.
 const (
-	branchBalance ruleKind = iota // dropped = exec(node) − Σ others
-	loopIdentity                  // (ph,U) = exec(ph) + Σ back-edge takings
-	doConstTrip                   // (ph,U), (test,T) from exec(ph) × const trip
-	doAddTrip                     // (ph,U), (test,T) from TripAdd reading
-	staticCond                    // dropped = staticFreq × exec(node)
+	RuleBranchBalance RuleKind = iota // dropped = exec(node) − Σ others
+	RuleLoopIdentity                  // (ph,U) = exec(ph) + Σ back-edge takings
+	RuleDoConstTrip                   // (ph,U), (test,T) from exec(ph) × const trip
+	RuleDoAddTrip                     // (ph,U), (test,T) from a TripAdd reading
+	RuleStaticCond                    // dropped = staticFreq × exec(node)
 )
+
+func (k RuleKind) String() string {
+	switch k {
+	case RuleBranchBalance:
+		return "branch-balance"
+	case RuleLoopIdentity:
+		return "loop-identity"
+	case RuleDoConstTrip:
+		return "do-const-trip"
+	case RuleDoAddTrip:
+		return "do-add-trip"
+	case RuleStaticCond:
+		return "static-cond"
+	}
+	return "unknown"
+}
+
+// isDo reports whether k is one of the DO-loop trip rules.
+func (k RuleKind) isDo() bool { return k == RuleDoConstTrip || k == RuleDoAddTrip }
 
 // Plan is a counter placement for one procedure.
 type Plan struct {
@@ -119,7 +143,7 @@ type Plan struct {
 	// Counters in deterministic order.
 	Counters []Counter
 	// rules recover the eliminated conditions.
-	rules []rule
+	rules []Rule
 	// conds caches the non-pseudo FCDG conditions.
 	conds []cdg.Condition
 	// Naive marks a per-block plan (no condition recovery).
@@ -211,14 +235,14 @@ func planImpl(a *analysis.Proc, level Level, static map[cdg.Condition]float64, f
 		f, _ := h.condFact(c)
 		h.axiom[f] = true
 	}
-	h.solve()
+	h.solve(nil)
 	counted := func(c cdg.Condition) bool {
 		f, ok := h.condFact(c)
 		return ok && h.axiom[f]
 	}
 	// try keeps rule r, recovering the dropped conditions, when the plan
 	// stays solvable without their counters.
-	try := func(r rule, drop ...cdg.Condition) bool {
+	try := func(r Rule, drop ...cdg.Condition) bool {
 		p.trials++
 		if !h.try(drop, len(p.rules), &r) {
 			return false
@@ -234,12 +258,12 @@ func planImpl(a *analysis.Proc, level Level, static map[cdg.Condition]float64, f
 		if !ok || !counted(c) {
 			continue
 		}
-		try(rule{kind: staticCond, node: c.Node, dropped: c, staticFreq: v}, c)
+		try(Rule{Kind: RuleStaticCond, Node: c.Node, Dropped: c, StaticFreq: v}, c)
 	}
 
 	// Pass 1 — loops, innermost first (headers sorted by depth descending
 	// so inner-loop eliminations are tried before outer ones).
-	gotoExits := gotoExitHeaders(a)
+	gotoExits := staticfreq.GotoExits(a)
 	headers := append([]cfg.NodeID(nil), a.Intervals.Headers()...)
 	sort.Slice(headers, func(i, j int) bool {
 		di, dj := a.Intervals.Depth(headers[i]), a.Intervals.Depth(headers[j])
@@ -269,8 +293,8 @@ func planImpl(a *analysis.Proc, level Level, static map[cdg.Condition]float64, f
 			}
 		}
 		// General loop: infer the frequency from entries + back edges.
-		try(rule{kind: loopIdentity, node: hd, dropped: loopCond,
-			backEdges: a.Intervals.BackEdges(hd)}, loopCond)
+		try(Rule{Kind: RuleLoopIdentity, Node: hd, Dropped: loopCond,
+			BackEdges: a.Intervals.BackEdges(hd)}, loopCond)
 	}
 
 	// Pass 2 — branch conservation: for each node whose CFG labels are all
@@ -304,7 +328,7 @@ func planImpl(a *analysis.Proc, level Level, static map[cdg.Condition]float64, f
 					others = append(others, c)
 				}
 			}
-			try(rule{kind: branchBalance, node: u, dropped: cand, others: others}, cand)
+			try(Rule{Kind: RuleBranchBalance, Node: u, Dropped: cand, Others: others}, cand)
 			break
 		}
 	}
@@ -319,8 +343,8 @@ func planImpl(a *analysis.Proc, level Level, static map[cdg.Condition]float64, f
 	tripAdds := map[cfg.NodeID]int{}
 	var initNodes []cfg.NodeID
 	for i := range p.rules {
-		if p.rules[i].kind == doAddTrip {
-			init := inits[p.rules[i].node]
+		if p.rules[i].Kind == RuleDoAddTrip {
+			init := inits[p.rules[i].Node]
 			if _, dup := tripAdds[init]; !dup {
 				tripAdds[init] = 0
 				initNodes = append(initNodes, init)
@@ -333,8 +357,8 @@ func planImpl(a *analysis.Proc, level Level, static map[cdg.Condition]float64, f
 		p.Counters = append(p.Counters, Counter{Kind: TripAdd, Node: n})
 	}
 	for i := range p.rules {
-		if p.rules[i].kind == doAddTrip {
-			p.rules[i].counter = tripAdds[inits[p.rules[i].node]]
+		if p.rules[i].Kind == RuleDoAddTrip {
+			p.rules[i].Counter = tripAdds[inits[p.rules[i].Node]]
 		}
 	}
 	// Fix the recovery schedule now, from the planner's own Horn system;
@@ -375,51 +399,21 @@ func branchComplete(g *cfg.Graph, u cfg.NodeID, conds []cdg.Condition) bool {
 }
 
 // doLoopRule checks whether header h is an exit-free counted DO loop and
-// returns the matching rule (doConstTrip when the trip count folds to a
-// constant, doAddTrip otherwise). gotoExits is gotoExitHeaders(p.A).
-func (p *Plan) doLoopRule(h cfg.NodeID, gotoExits map[cfg.NodeID]bool) (rule, bool) {
-	node := p.A.Ext.G.Node(h)
-	op, ok := node.Payload.(lower.OpDoTest)
+// returns the matching rule (RuleDoConstTrip when the trip count folds to
+// a constant, RuleDoAddTrip otherwise). gotoExits is
+// staticfreq.GotoExits(p.A).
+func (p *Plan) doLoopRule(h cfg.NodeID, gotoExits []bool) (Rule, bool) {
+	op, ok := p.A.Ext.G.Node(h).Payload.(lower.OpDoTest)
 	if !ok || gotoExits[h] {
-		return rule{}, false
+		return Rule{}, false
 	}
-	l := op.L
-	lo, okLo := lang.FoldInt(p.A.P.Unit, l.Lo)
-	hi, okHi := lang.FoldInt(p.A.P.Unit, l.Hi)
-	step := int64(1)
-	okStep := true
-	if l.Step != nil {
-		step, okStep = lang.FoldInt(p.A.P.Unit, l.Step)
-	}
-	if okLo && okHi && okStep && step != 0 {
-		trip := (hi - lo + step) / step
-		if trip < 0 {
-			trip = 0
-		}
-		return rule{kind: doConstTrip, node: h, trip: trip}, true
+	if b, ok := staticfreq.FoldDo(p.A.P.Unit, op.L); ok {
+		return Rule{Kind: RuleDoConstTrip, Node: h, Trip: b.Trip}, true
 	}
 	if trip, ok := p.flowTrips[h]; ok {
-		return rule{kind: doConstTrip, node: h, trip: trip}, true
+		return Rule{Kind: RuleDoConstTrip, Node: h, Trip: trip}, true
 	}
-	return rule{kind: doAddTrip, node: h}, true
-}
-
-// gotoExitHeaders returns the loop headers whose interval has an exit
-// other than the header's own F edge. Exit-free means every postexit of the
-// interval is fed by the test itself; any other source is a GOTO out of
-// the loop. This is the paper's FCDG test "just look for an edge to a
-// POSTEXIT node" (from a node other than the header).
-func gotoExitHeaders(a *analysis.Proc) map[cfg.NodeID]bool {
-	out := map[cfg.NodeID]bool{}
-	for _, pe := range a.Ext.Postexits {
-		h := a.Ext.ExitedInterval[pe]
-		for _, e := range a.Ext.G.InEdges(pe) {
-			if !e.Pseudo() && e.From != h {
-				out[h] = true
-			}
-		}
-	}
-	return out
+	return Rule{Kind: RuleDoAddTrip, Node: h}, true
 }
 
 // doInits maps each DO test node to the DoInit node feeding it. In the
@@ -454,7 +448,7 @@ func PlanNaive(a *analysis.Proc) *Plan {
 	skip := map[cfg.NodeID]bool{}
 	var adds []cfg.NodeID
 	inits := p.doInits()
-	gotoExits := gotoExitHeaders(a)
+	gotoExits := staticfreq.GotoExits(a)
 	for _, h := range a.Intervals.Headers() {
 		r, ok := p.doLoopRule(h, gotoExits)
 		if !ok {
@@ -466,7 +460,7 @@ func PlanNaive(a *analysis.Proc) *Plan {
 		}
 		skip[h] = true    // test block
 		skip[body] = true // body block leader
-		if r.kind == doAddTrip {
+		if r.Kind == RuleDoAddTrip {
 			adds = append(adds, inits[h])
 		}
 		// Constant trips need no counter at all; both blocks derive from

@@ -22,10 +22,16 @@ func (r Readings) Add(other Readings) {
 // procedure from the counter readings, in one pass over the plan's
 // recovery schedule. The result feeds freq.Compute directly.
 //
+// The schedule runs in the order the plan's Horn system derives its
+// facts. On consistent readings — those of completed runs — every
+// dependency order gives bit-identical totals: the values are
+// integer-valued float64s below 2^53, so every sum, difference and product
+// is exact, and two rules that derive the same slot agree bit for bit.
 // On readings from a STOP-terminated run the trip rules over-estimate
-// in-flight loops (they assume every entered DO completes); use RecoverRun
-// when the run itself is available — its stop record makes the recovery
-// exact there too.
+// in-flight loops (they assume every entered DO completes), and where two
+// rules then disagree the schedule's order decides which value stands; use
+// RecoverRun when the run itself is available — its stop record makes the
+// recovery exact there too.
 func (p *Plan) Recover(readings Readings) (freq.Totals, error) {
 	return p.recoverWith(readings, nil)
 }
@@ -52,14 +58,17 @@ func (p *Plan) recoverWith(readings Readings, adj *stopAdjust) (freq.Totals, err
 		st := &rec.steps[k]
 		args := rec.args[a0:st.end]
 		a0 = st.end
-		switch st.kind {
-		case stepExec:
+		if st.rule < 0 {
 			sum := 0.0
 			for _, a := range args {
 				sum += val[a]
 			}
 			val[st.dst] = sum - adj.pendingAt(cfg.NodeID(st.dst-rec.nc))
-		case stepBranch:
+			continue
+		}
+		r := &p.rules[st.rule]
+		switch r.Kind {
+		case RuleBranchBalance:
 			sum := 0.0
 			for _, a := range args {
 				sum += val[a]
@@ -69,31 +78,30 @@ func (p *Plan) recoverWith(readings Readings, adj *stopAdjust) (freq.Totals, err
 				v = 0 // numerical guard; exact inputs never go negative
 			}
 			val[st.dst] = v
-		case stepLoop:
+		case RuleLoopIdentity:
 			sum := val[st.in]
 			for _, a := range args {
 				sum += val[a]
 			}
 			val[st.dst] = sum
-		case stepStatic:
-			val[st.dst] = p.rules[st.rule].staticFreq * val[st.in]
-		case stepDo:
-			r := &p.rules[st.rule]
+		case RuleStaticCond:
+			val[st.dst] = r.StaticFreq * val[st.in]
+		case RuleDoConstTrip, RuleDoAddTrip:
 			entries := val[st.in]
 			// Frames frozen inside this DO entered it without (yet)
 			// completing: each took the body edge only (trip − remaining
 			// + 1) times and never took the exit edge. On completed runs n
 			// and sr are zero and the rule reduces to the paper's
 			// entries×trip identity.
-			n, sr := adj.inflightAt(r.node)
+			n, sr := adj.inflightAt(r.Node)
 			var tripSum float64
-			if r.kind == doConstTrip {
-				tripSum = entries*float64(r.trip) - sr + n
+			if r.Kind == RuleDoConstTrip {
+				tripSum = entries*float64(r.Trip) - sr + n
 			} else {
 				// The TripAdd reading already reflects actual body
 				// takings: the STOP-handler dump subtracts each live
 				// register's remainder (see SimulateReadings).
-				tripSum = readings[r.counter]
+				tripSum = readings[r.Counter]
 			}
 			val[st.dst] = tripSum + entries - n
 			if body := args[0]; body >= 0 {

@@ -1,10 +1,13 @@
 package profiler
 
 import (
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/corpus"
 	"repro/internal/interp"
 	"repro/internal/lang"
 	"repro/internal/lower"
@@ -143,4 +146,98 @@ func TestDerivationsCoverEliminated(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestScheduleWellFormed checks that every recovery schedule is
+// straight-line code over defined values, on the digest corpus and the
+// first 20 cold-large programs under every smart placement: each step
+// reads only counted slots, pseudo conditions (identically 0) and slots an
+// earlier step wrote; every slot recovery reports is written; and a plan
+// round-tripped through its encoding rebuilds exactly the same steps and
+// operands.
+func TestScheduleWellFormed(t *testing.T) {
+	srcs := corpus.Digest(t)
+	for j, src := range corpus.ColdLarge(20) {
+		srcs[fmt.Sprintf("cold/%02d", j)] = src
+	}
+	schedules := 0
+	for name, src := range srcs {
+		prog, err := lang.Parse(src)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		res, err := lower.Lower(prog)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		ap, err := analysis.AnalyzeProgram(res)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for proc, a := range ap.Procs {
+			for _, pl := range digestPlanners {
+				plan, err := pl.plan(a)
+				if err != nil {
+					t.Fatalf("%s %s %s: %v", name, proc, pl.name, err)
+				}
+				rec := plan.recovery()
+				if err := scheduleDefect(plan, rec); err != nil {
+					t.Errorf("%s %s %s: %v", name, proc, pl.name, err)
+				}
+				dec := decoded(t, plan).recovery()
+				if !slices.Equal(dec.steps, rec.steps) || !slices.Equal(dec.args, rec.args) {
+					t.Errorf("%s %s %s: decoded plan's schedule differs from the fresh one", name, proc, pl.name)
+				}
+				schedules++
+			}
+		}
+	}
+	t.Logf("checked %d schedules", schedules)
+}
+
+// scheduleDefect returns the first read of an undefined slot in rec, or
+// the first reported slot no step writes; nil when rec is well formed.
+func scheduleDefect(p *Plan, rec *recovery) error {
+	if rec.err != nil {
+		return rec.err
+	}
+	defined := make([]bool, rec.nslot)
+	for _, s := range rec.condSlot {
+		if s >= 0 {
+			defined[s] = true
+		}
+	}
+	for i := 0; i < int(rec.nc); i++ {
+		if p.A.FCDG.CondAt(i).Label.IsPseudo() {
+			defined[i] = true
+		}
+	}
+	a0 := int32(0)
+	for k, st := range rec.steps {
+		ops := rec.args[a0:st.end]
+		a0 = st.end
+		reads, writes := ops, []int32{st.dst}
+		if st.rule >= 0 {
+			reads = append([]int32{st.in}, ops...)
+			if p.rules[st.rule].Kind.isDo() {
+				reads, writes = reads[:1], append(writes, ops...)
+			}
+		}
+		for _, s := range reads {
+			if s < 0 || !defined[s] {
+				return fmt.Errorf("step %d reads slot %d before any step writes it", k, s)
+			}
+		}
+		for _, s := range writes {
+			if s >= 0 {
+				defined[s] = true
+			}
+		}
+	}
+	for _, s := range rec.out {
+		if !defined[s] {
+			return fmt.Errorf("reported slot %d is never written", s)
+		}
+	}
+	return nil
 }

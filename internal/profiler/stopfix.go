@@ -10,13 +10,13 @@ import (
 // A run that ends in STOP freezes a stack of activations mid-flight: the
 // stopping frame at its STOP node and every suspended caller at its CALL
 // node. The raw counter readings of such a run are still exact takings —
-// counters increment when a branch is taken — but two ingredients of the
-// recovery fixpoint silently assume the run completed:
+// counters increment when a branch is taken — but two kinds of step of
+// the recovery schedule silently assume the run completed:
 //
-//  1. The DO trip rules (doConstTrip, doAddTrip) convert loop entries into
-//     body/exit takings as if every entry ran its full trip count. An entry
-//     frozen mid-loop took the body edge only (trip − remaining + 1) times
-//     and never took the exit edge.
+//  1. The DO trip rules (RuleDoConstTrip, RuleDoAddTrip) convert loop
+//     entries into body/exit takings as if every entry ran its full trip
+//     count. An entry frozen mid-loop took the body edge only (trip −
+//     remaining + 1) times and never took the exit edge.
 //
 //  2. The node-execution derivation exec(u) = Σ in-condition takings
 //     assumes a taken in-condition implies u executed. A frame frozen at s

@@ -155,18 +155,6 @@ func (pl Plans) Profile(run *interp.Result) (ProgramProfile, error) {
 	return out, nil
 }
 
-// ProfileProgram runs smart plans over every procedure of an analyzed
-// program and recovers full totals from the simulated counter readings.
-// The run must come from the same lowered program. Callers profiling the
-// same program repeatedly should BuildPlans once and use Plans.Profile.
-func ProfileProgram(prog *analysis.Program, run *interp.Result) (ProgramProfile, error) {
-	plans, err := BuildPlans(prog)
-	if err != nil {
-		return nil, err
-	}
-	return plans.Profile(run)
-}
-
 // LoopVariance extracts, for every loop condition of a procedure, the
 // empirical E[F²] second moment of the per-entry iteration count — the
 // paper's Section 5 refinement ("the variance term can also be computed by

@@ -29,6 +29,7 @@ import (
 	"repro/internal/cdg"
 	"repro/internal/cfg"
 	"repro/internal/ecfg"
+	"repro/internal/interp"
 	"repro/internal/lang"
 	"repro/internal/lower"
 )
@@ -50,10 +51,11 @@ func Analyze(a *analysis.Proc) map[cdg.Condition]float64 {
 		}
 	}
 
+	gotoExits := GotoExits(a)
 	for _, n := range a.P.G.Nodes() {
 		switch op := n.Payload.(type) {
 		case lower.OpDoTest:
-			trip, ok := constTrip(a, n.ID, op)
+			trip, ok := constTrip(a, n.ID, op, gotoExits)
 			if !ok {
 				continue
 			}
@@ -167,12 +169,13 @@ func Exact(a *analysis.Proc) map[cdg.Condition]float64 {
 // preheader case with a known trip count.
 func ConstTripTests(a *analysis.Proc) map[cfg.NodeID]int64 {
 	out := make(map[cfg.NodeID]int64)
+	gotoExits := GotoExits(a)
 	for _, n := range a.P.G.Nodes() {
 		op, ok := n.Payload.(lower.OpDoTest)
 		if !ok {
 			continue
 		}
-		if trip, ok := constTrip(a, n.ID, op); ok {
+		if trip, ok := constTrip(a, n.ID, op, gotoExits); ok {
 			out[n.ID] = trip
 		}
 	}
@@ -182,25 +185,14 @@ func ConstTripTests(a *analysis.Proc) map[cfg.NodeID]int64 {
 // constTrip reports whether the DO test at node id belongs to an exit-free
 // loop whose trip count is known at compile time — by syntactic constant
 // folding of the bounds, or failing that by the dataflow framework's
-// flow-proven constant trips — and the trip count if so.
-func constTrip(a *analysis.Proc, id cfg.NodeID, op lower.OpDoTest) (int64, bool) {
-	if !a.Intervals.IsHeader(id) || !exitFree(a, id) {
+// flow-proven constant trips — and the trip count if so. gotoExits is
+// GotoExits(a).
+func constTrip(a *analysis.Proc, id cfg.NodeID, op lower.OpDoTest, gotoExits []bool) (int64, bool) {
+	if !a.Intervals.IsHeader(id) || gotoExits[id] {
 		return 0, false
 	}
-	l := op.L
-	lo, okLo := lang.FoldInt(a.P.Unit, l.Lo)
-	hi, okHi := lang.FoldInt(a.P.Unit, l.Hi)
-	step := int64(1)
-	okStep := true
-	if l.Step != nil {
-		step, okStep = lang.FoldInt(a.P.Unit, l.Step)
-	}
-	if okLo && okHi && okStep && step != 0 {
-		trip := (hi - lo + step) / step
-		if trip < 0 {
-			trip = 0
-		}
-		return trip, true
+	if b, ok := FoldDo(a.P.Unit, op.L); ok {
+		return b.Trip, true
 	}
 	if a.Flow != nil {
 		if trip, ok := a.Flow.ConstTrips[id]; ok {
@@ -210,20 +202,45 @@ func constTrip(a *analysis.Proc, id cfg.NodeID, op lower.OpDoTest) (int64, bool)
 	return 0, false
 }
 
-// exitFree reports whether every postexit of the interval headed by id is
-// fed only by the test itself ("no conditional loop exits").
-func exitFree(a *analysis.Proc, id cfg.NodeID) bool {
+// DoBounds are the constant bounds of a counted DO loop and its trip
+// count.
+type DoBounds struct{ Lo, Hi, Step, Trip int64 }
+
+// FoldDo folds the bounds of DO loop l to compile-time constants and
+// returns them with the loop's trip count, MAX(0, (hi-lo+step)/step) as
+// interp.TripCount defines it. ok is false when a bound does not fold or
+// the step is the constant 0.
+func FoldDo(u *lang.Unit, l *lang.DoLoop) (b DoBounds, ok bool) {
+	lo, okLo := lang.FoldInt(u, l.Lo)
+	hi, okHi := lang.FoldInt(u, l.Hi)
+	step, okStep := int64(1), true
+	if l.Step != nil {
+		step, okStep = lang.FoldInt(u, l.Step)
+	}
+	if !okLo || !okHi || !okStep {
+		return DoBounds{}, false
+	}
+	trip, msg := interp.TripCount(lo, hi, step)
+	return DoBounds{Lo: lo, Hi: hi, Step: step, Trip: trip}, msg == ""
+}
+
+// GotoExits marks, indexed by node of a's extended graph, the loop
+// headers whose interval has an exit other than the header's own F edge.
+// Exit-free means every postexit of the interval is fed by the test
+// itself; any other source is a GOTO out of the loop. This is the paper's
+// FCDG test "just look for an edge to a POSTEXIT node" (from a node other
+// than the header), and its "no conditional loop exits".
+func GotoExits(a *analysis.Proc) []bool {
+	out := make([]bool, a.Ext.G.MaxID()+1)
 	for _, pe := range a.Ext.Postexits {
-		if a.Ext.ExitedInterval[pe] != id {
-			continue
-		}
+		h := a.Ext.ExitedInterval[pe]
 		for _, e := range a.Ext.G.InEdges(pe) {
-			if !e.Pseudo() && e.From != id {
-				return false
+			if !e.Pseudo() && e.From != h {
+				out[h] = true
 			}
 		}
 	}
-	return true
+	return out
 }
 
 // Program analyzes every procedure of an analyzed program.
