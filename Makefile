@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: check fmt vet lint build test benchmark-smoke test-vm test-bl bench bench-frontend bench-analysis bench-plan bench-tree bench-vm oracle oracle-bl selfcheck dataflow-selfcheck serve-smoke cache-smoke fuzz-smoke bench-cache
+.PHONY: check fmt vet lint build test benchmark-smoke test-tree test-bl bench bench-frontend bench-analysis bench-plan bench-tree bench-vm oracle oracle-bl selfcheck dataflow-selfcheck serve-smoke cache-smoke fuzz-smoke bench-cache
 
 # STATICCHECK_VERSION pins the analyzer CI installs; keep in sync with
 # .github/workflows/ci.yml.
@@ -49,11 +49,11 @@ test:
 benchmark-smoke:
 	cd bench && $(GO) test -race .
 
-# test-vm re-runs the tier-1 suite with the bytecode VM as the ambient
-# execution engine (CI's extra bench-smoke leg). "vm-batch" names the same
-# runner, so it needs no leg of its own.
-test-vm:
-	REPRO_ENGINE=vm $(GO) test -race ./...
+# test-tree re-runs the tier-1 suite with the reference tree-walker as
+# the ambient execution engine (CI's extra bench-smoke leg); the plain
+# suite already runs on the default engine, the bytecode VM.
+test-tree:
+	REPRO_ENGINE=tree $(GO) test -race ./...
 
 # test-bl re-runs the tier-1 suite with Ball–Larus path profiling as the
 # ambient counter-placement strategy.

@@ -42,7 +42,7 @@ func main() {
 	detLoopEvery := flag.Int("detloop-every", 6, "every k-th case uses the branch-free-plus-constant-trip-DO family (0 = never)")
 	constFactsEvery := flag.Int("constfacts-every", 3, "every k-th random case carries the progen dataflow gadget block (0 = never)")
 	stopsEvery := flag.Int("stops-every", 0, "every k-th random case generates with the stopping family (0 = never); pair with -invariants of the takings-level checks")
-	engine := flag.String("engine", "", "execution engine for profiled runs: tree|vm|vm-batch (default: REPRO_ENGINE, else tree)")
+	engine := flag.String("engine", "", "execution engine for profiled runs: tree|vm|vm-batch (default: REPRO_ENGINE, else vm)")
 	plan := flag.String("plan", "", "counter-placement strategy for profiled runs: sarkar|ball-larus (default: REPRO_PLAN, else sarkar)")
 	noMinimize := flag.Bool("no-minimize", false, "skip shrinking failing cases")
 	quiet := flag.Bool("quiet", false, "suppress the human-readable summary on stderr")

@@ -35,7 +35,7 @@ func main() {
 	loopvar := flag.Bool("loopvar", false, "also collect loop-frequency variance (extra instrumented run per seed)")
 	show := flag.Bool("print", false, "print program output (PRINT statements)")
 	runCheck := flag.Bool("check", false, "run the static checker passes; error findings abort")
-	engine := flag.String("engine", "", "execution engine: tree|vm|vm-batch (default: REPRO_ENGINE, else tree)")
+	engine := flag.String("engine", "", "execution engine: tree|vm|vm-batch (default: REPRO_ENGINE, else vm)")
 	plan := flag.String("plan", "", "counter-placement strategy: sarkar|ball-larus (default: REPRO_PLAN, else sarkar)")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines for analysis and per-seed profiling runs")
 	cacheDir := artifact.AddCLIFlags(flag.CommandLine)

@@ -1,6 +1,7 @@
 package interp_test
 
 import (
+	"os"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -9,9 +10,9 @@ import (
 	"repro/internal/lang"
 	"repro/internal/lower"
 
-	// Link the bytecode engine into this test binary so the internal
-	// interp tests exercise the VM dispatch path when REPRO_ENGINE=vm is
-	// set (the tier-1 VM leg in CI).
+	// Link the bytecode engine into this test binary so the interp tests
+	// exercise the VM dispatch path, the default engine (REPRO_ENGINE=tree
+	// runs them on the tree-walker, CI's extra tier-1 leg).
 	_ "repro/internal/vm"
 )
 
@@ -62,6 +63,18 @@ func TestEffectiveEngineResolvesExplicit(t *testing.T) {
 	}
 	if got := interp.EffectiveEngine(interp.EngineVM); got != interp.EngineVM {
 		t.Errorf("EffectiveEngine(vm) = %v", got)
+	}
+}
+
+// TestEffectiveEngineDefault: EngineDefault resolves to the bytecode VM
+// unless REPRO_ENGINE names another engine.
+func TestEffectiveEngineDefault(t *testing.T) {
+	want := interp.EngineVM
+	if env, err := interp.ParseEngine(os.Getenv("REPRO_ENGINE")); err == nil && env != interp.EngineDefault {
+		want = env
+	}
+	if got := interp.EffectiveEngine(interp.EngineDefault); got != want {
+		t.Errorf("EffectiveEngine(default) = %v, want %v", got, want)
 	}
 }
 

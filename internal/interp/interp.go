@@ -4,6 +4,9 @@
 // executed trace, and the exact number of times every node and every
 // labelled edge executes is recorded — the ground truth that execution
 // profiling approximates and that estimation is validated against.
+// The tree-walker is the reference engine; the bytecode VM (internal/vm)
+// is the production one, bit-identical to it, and the default
+// (EffectiveEngine).
 //
 // Semantics follow Fortran 77 where the subset overlaps it: scalars and
 // arrays are passed by reference, arrays are 1-based and column-major,
@@ -147,13 +150,16 @@ type Engine int
 const (
 	// EngineDefault defers the choice: the REPRO_ENGINE environment
 	// variable when set ("tree", "vm" or "vm-batch"), otherwise the
-	// tree-walker.
+	// bytecode VM.
 	EngineDefault Engine = iota
-	// EngineTree is the reference tree-walking interpreter in this package.
+	// EngineTree is the reference tree-walking interpreter in this package:
+	// the engine the VM is differentially tested against, and the one that
+	// runs OnNode hooks.
 	EngineTree
-	// EngineVM is the slot-indexed bytecode VM (internal/vm). Programs the
-	// bytecode compiler cannot handle, and runs that set OnNode, silently
-	// fall back to the tree-walker with identical results.
+	// EngineVM is the slot-indexed bytecode VM (internal/vm), the
+	// production engine. Runs that set OnNode, and malformed programs the
+	// bytecode compiler rejects, silently fall back to the tree-walker
+	// with identical results.
 	EngineVM
 	// EngineVMBatch is a second name for EngineVM, kept because flags,
 	// requests and benchmark configs spell it "vm-batch". Both run every
@@ -371,13 +377,13 @@ func defaultEngine() Engine {
 }
 
 // EffectiveEngine resolves EngineDefault: the REPRO_ENGINE environment
-// variable when set, the tree-walker otherwise.
+// variable when set, the bytecode VM otherwise.
 func EffectiveEngine(e Engine) Engine {
 	if e == EngineDefault {
 		e = defaultEngine()
 	}
 	if e == EngineDefault {
-		e = EngineTree
+		e = EngineVM
 	}
 	return e
 }
@@ -403,9 +409,9 @@ type Options struct {
 	// Requires Model to be set; silently never fires otherwise.
 	OnNodeCost func(p *lower.Proc, n cfg.NodeID, costSoFar float64)
 	// Engine selects the execution substrate. Both engines produce
-	// bit-identical Results; EngineVM compiles the program to bytecode
-	// first (use vm.Compile + Program.Run, or core.Pipeline, to amortize
-	// compilation over many seeds).
+	// bit-identical Results; the VM (the default) compiles the program to
+	// bytecode first (use vm.Compile + Program.Run, or core.Pipeline, to
+	// amortize compilation over many seeds).
 	Engine Engine
 	// PathSpec, when non-nil, adds Ball–Larus path instrumentation (see
 	// path.go): the run maintains a per-activation path register and
@@ -629,13 +635,13 @@ func (m *machine) call(p *lower.Proc, caller *frame, callStmt *lang.CallStmt) er
 		get = varsGetter(p.Unit, f.vars)
 	}
 	g := p.G
-	// Path-instrumented activations run a separate copy of the dispatch
-	// loop: keeping the Ball–Larus state and per-edge bookkeeping out of
-	// the common loop keeps the uninstrumented hot path at its original
-	// register pressure (folding them in costs ~30% tree throughput).
+	// Ball–Larus path bookkeeping (see path.go), nil when the run or this
+	// procedure is uninstrumented. The register lives in the activation,
+	// so it recurses correctly through OpCall.
+	var path *pathReg
 	if m.opt.PathSpec != nil {
 		if ps := m.opt.PathSpec.Procs[p.G.Name]; ps != nil {
-			return m.loopPaths(p, f, counts, costs, ps, get)
+			path = &pathReg{spec: ps, counts: m.result.Paths[p.G.Name], prev: -1}
 		}
 	}
 	pc := g.Entry
@@ -658,11 +664,17 @@ func (m *machine) call(p *lower.Proc, caller *frame, callStmt *lang.CallStmt) er
 		label, done, err := m.exec(f, pc, op)
 		if err != nil {
 			if errors.Is(err, errStop) {
+				if path != nil {
+					path.cut(pc)
+				}
 				m.recordStopFrame(p, f, pc)
 			}
 			return err
 		}
 		if done {
+			if path != nil {
+				path.end()
+			}
 			return nil
 		}
 		taken := -1
@@ -677,6 +689,9 @@ func (m *machine) call(p *lower.Proc, caller *frame, callStmt *lang.CallStmt) er
 				Msg: fmt.Sprintf("no out-edge labelled %s from node %d", label, pc)}
 		}
 		counts.Edge[pc][taken]++
+		if path != nil {
+			path.edge(pc, taken)
+		}
 		pc = g.OutEdges(pc)[taken].To
 	}
 }
@@ -750,75 +765,6 @@ func (m *machine) bindFrame(f *frame, p *lower.Proc, caller *frame, callStmt *la
 		}
 	}
 	return nil
-}
-
-// loopPaths is the dispatch loop of a path-instrumented activation: the
-// common loop plus the Ball–Larus path register. It must stay a
-// line-for-line copy of machine.call's loop — steps, costs, hooks, counts
-// and error behaviour included — so instrumentation never perturbs
-// execution.
-func (m *machine) loopPaths(p *lower.Proc, f *frame, counts *Counts, costs []float64, ps *PathProcSpec, get func(name string) (Value, bool)) error {
-	// The path register and previous completed path id are per-activation
-	// locals, so they recurse correctly through OpCall.
-	pcnt := m.result.Paths[p.G.Name]
-	var (
-		preg  int64
-		pprev int64 = -1
-	)
-	g := p.G
-	pc := g.Entry
-	for {
-		m.steps++
-		if m.steps > m.max {
-			return &RuntimeError{Unit: p.G.Name, Line: m.lineOf(p, pc), Msg: "step limit exceeded"}
-		}
-		counts.Node[pc]++
-		if costs != nil {
-			m.result.Cost += costs[pc]
-			if m.opt.OnNodeCost != nil {
-				m.opt.OnNodeCost(p, pc, m.result.Cost)
-			}
-		}
-		op, _ := g.Node(pc).Payload.(lower.Op)
-		if m.opt.OnNode != nil {
-			m.opt.OnNode(p, pc, get)
-		}
-		label, done, err := m.exec(f, pc, op)
-		if err != nil {
-			// A STOP unwinding through this activation cuts its current
-			// path short: record the (node, register) prefix — the STOP
-			// node itself here, the CALL node in suspended callers.
-			if errors.Is(err, errStop) {
-				pcnt.Partials = append(pcnt.Partials, PathPartial{Node: pc, Reg: preg})
-				m.recordStopFrame(p, f, pc)
-			}
-			return err
-		}
-		if done {
-			// END completes the activation's final path.
-			pcnt.Bump(pprev, preg)
-			return nil
-		}
-		taken := -1
-		for k, e := range g.OutEdges(pc) {
-			if e.Label == label {
-				taken = k
-				break
-			}
-		}
-		if taken < 0 {
-			return &RuntimeError{Unit: p.G.Name, Line: m.lineOf(p, pc),
-				Msg: fmt.Sprintf("no out-edge labelled %s from node %d", label, pc)}
-		}
-		counts.Edge[pc][taken]++
-		preg += ps.Inc[pc][taken]
-		if ps.Bump[pc][taken] {
-			pcnt.Bump(pprev, preg)
-			pprev = preg
-			preg = ps.Reset[pc][taken]
-		}
-		pc = g.OutEdges(pc)[taken].To
-	}
 }
 
 // varsGetter builds the per-activation scalar accessor OnNode receives:

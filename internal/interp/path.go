@@ -198,3 +198,33 @@ func (pc *PathCounts) Bumps() (bumps, touched int64) {
 	}
 	return bumps, touched
 }
+
+// pathReg is the path state of one instrumented tree-walker activation:
+// the register, the previously completed path id (-1 when none), and the
+// counters completions go to.
+type pathReg struct {
+	spec      *PathProcSpec
+	counts    *PathCounts
+	reg, prev int64
+}
+
+// edge applies the k-th out-edge of node n: add its increment and, on a
+// bump edge, complete the current path and restart at the edge's Reset.
+func (r *pathReg) edge(n cfg.NodeID, k int) {
+	r.reg += r.spec.Inc[n][k]
+	if r.spec.Bump[n][k] {
+		r.counts.Bump(r.prev, r.reg)
+		r.prev = r.reg
+		r.reg = r.spec.Reset[n][k]
+	}
+}
+
+// end completes the activation's final path at END.
+func (r *pathReg) end() { r.counts.Bump(r.prev, r.reg) }
+
+// cut records the prefix a STOP unwinding through the activation cut
+// short at node n: the STOP node in the stopping frame, the CALL node in
+// each suspended caller.
+func (r *pathReg) cut(n cfg.NodeID) {
+	r.counts.Partials = append(r.counts.Partials, PathPartial{Node: n, Reg: r.reg})
+}

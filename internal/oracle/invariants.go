@@ -20,7 +20,6 @@ import (
 	"repro/internal/profiler"
 	"repro/internal/report"
 	"repro/internal/stats"
-	"repro/internal/vm"
 )
 
 // Invariant is one named correctness property checked per case. Check
@@ -425,9 +424,8 @@ func checkPlanEquiv(ctx *evalCtx) error {
 			// The case profiled under Sarkar: re-run instrumented. Path
 			// instrumentation never changes execution, so this is the same
 			// trace with path counters attached.
-			r, rerr := interp.Run(ctx.res, interp.Options{
-				Seed: seed, Model: &ctx.model, MaxSteps: ctx.c.MaxSteps,
-				Engine: ctx.c.Engine, PathSpec: spec,
+			r, rerr := ctx.run(interp.Options{
+				Seed: seed, Model: &ctx.model, MaxSteps: ctx.c.MaxSteps, PathSpec: spec,
 			})
 			if rerr != nil {
 				return fmt.Errorf("seed %d: instrumented re-run: %w", seed, rerr)
@@ -470,9 +468,8 @@ func checkPlanEquiv(ctx *evalCtx) error {
 }
 
 func checkEngineEquiv(ctx *evalCtx) error {
-	prog, err := vm.Compile(ctx.res)
-	if err != nil {
-		return fmt.Errorf("bytecode compile bailed on a generated program: %w", err)
+	if ctx.progErr != nil {
+		return fmt.Errorf("bytecode compile bailed on a generated program: %w", ctx.progErr)
 	}
 	vmRef := interp.EffectiveEngine(ctx.c.Engine).VMBased()
 	for i, seed := range ctx.c.ProfileSeeds {
@@ -484,7 +481,7 @@ func checkEngineEquiv(ctx *evalCtx) error {
 			opt.Engine = interp.EngineTree
 			other, rerr = interp.Run(ctx.res, opt)
 		} else {
-			other, rerr = prog.Run(opt)
+			other, rerr = ctx.prog.Run(opt)
 		}
 		if rerr != nil {
 			return fmt.Errorf("seed %d: opposite-engine run failed: %w", seed, rerr)
@@ -501,7 +498,7 @@ func checkEngineEquiv(ctx *evalCtx) error {
 		batchErr error
 	)
 	m := ctx.model
-	_, err = prog.RunBatch(interp.Options{Model: &m, MaxSteps: ctx.c.MaxSteps},
+	_, err := ctx.prog.RunBatch(interp.Options{Model: &m, MaxSteps: ctx.c.MaxSteps},
 		ctx.c.ProfileSeeds, 2,
 		func(idx int, seed uint64, r *interp.Result, rerr error) bool {
 			mu.Lock()

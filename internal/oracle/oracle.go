@@ -45,6 +45,7 @@ import (
 	"repro/internal/pathprof"
 	"repro/internal/profiler"
 	"repro/internal/progen"
+	"repro/internal/vm"
 )
 
 // Kind classifies the program family a case was drawn from.
@@ -161,7 +162,11 @@ type evalCtx struct {
 	// pathPlans caches the Ball–Larus numberings, built on first use (by
 	// the plan-equiv invariant, or eagerly under StrategyBallLarus).
 	pathPlans *pathprof.Plans
-	runs      []*interp.Result
+	// prog is the program compiled once for the bytecode VM, nil when the
+	// compiler bailed (progErr says why); every run of the case uses it.
+	prog    *vm.Program
+	progErr error
+	runs    []*interp.Result
 	// profile accumulates the smart-recovered totals over all runs.
 	profile map[string]freq.Totals
 	// exact accumulates profiler.ExactTotals over all runs.
@@ -224,8 +229,9 @@ func (c *Case) eval(src string, m cost.Model) (*evalCtx, error) {
 		}
 		spec = ctx.pathPlans.Spec()
 	}
+	ctx.prog, ctx.progErr = vm.Compile(ctx.res)
 	for _, seed := range c.ProfileSeeds {
-		run, err := interp.Run(ctx.res, interp.Options{Seed: seed, Model: &m, MaxSteps: c.MaxSteps, Engine: c.Engine, PathSpec: spec})
+		run, err := ctx.run(interp.Options{Seed: seed, Model: &m, MaxSteps: c.MaxSteps, PathSpec: spec})
 		if err != nil {
 			return nil, &PipelineError{Stage: "run", Err: err}
 		}
@@ -262,6 +268,18 @@ func (c *Case) eval(src string, m cost.Model) (*evalCtx, error) {
 		return nil, fmt.Errorf("estimate: %w", err)
 	}
 	return ctx, nil
+}
+
+// run executes the case's program once on the case's engine: the
+// compiled program on the VM, the tree-walker on the tree engine or when
+// the compiler bailed.
+func (ctx *evalCtx) run(opt interp.Options) (*interp.Result, error) {
+	opt.Engine = ctx.c.Engine
+	var c interp.Compiled
+	if ctx.prog != nil && interp.EffectiveEngine(opt.Engine).VMBased() {
+		c = ctx.prog
+	}
+	return interp.NewLane(ctx.res, c, opt).RunSeed(opt.Seed)
 }
 
 // pathProfPlans returns the case's Ball–Larus plans, building them on

@@ -68,7 +68,7 @@ type AnalyzeRequest struct {
 	// Source is the program text (required).
 	Source string `json:"source"`
 	// Engine selects the execution substrate: tree|vm|vm-batch, or empty
-	// for the server default (REPRO_ENGINE, then the tree-walker).
+	// for the server default (REPRO_ENGINE, then the bytecode VM).
 	Engine string `json:"engine,omitempty"`
 	// Plan selects counter placement: sarkar|ball-larus, or empty for the
 	// server default (REPRO_PLAN, then Sarkar).

@@ -8,12 +8,14 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	artstore "repro/internal/artifact"
+	"repro/internal/interp"
 	"repro/internal/obs"
 	"repro/internal/report"
 )
@@ -288,6 +290,26 @@ func TestAnalyzeAcrossEngines(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestAnalyzeDefaultEngine: a request that names no engine runs on the
+// resolved default and echoes it: the bytecode VM unless REPRO_ENGINE
+// names another.
+func TestAnalyzeDefaultEngine(t *testing.T) {
+	svc := New(Config{Metrics: &obs.Registry{}})
+	ts := httptest.NewServer(svc)
+	defer ts.Close()
+	want := "vm"
+	if os.Getenv("REPRO_ENGINE") != "" {
+		want = interp.EffectiveEngine(interp.EngineDefault).String()
+	}
+	resp, out := postAnalyze(t, ts.URL, AnalyzeRequest{Source: srcOK, Seeds: []uint64{1, 2}})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	if out.Engine != want {
+		t.Fatalf("echoed engine %q, want %q", out.Engine, want)
 	}
 }
 

@@ -361,3 +361,176 @@ func TestLocalArrayReuseReadsZero(t *testing.T) {
 		t.Fatalf("second seed on a recycled lane differs:\n%s\nwant twice:\n%s", got.String(), out)
 	}
 }
+
+// TestExtentsReadLocalsAndRNG: array extents that read a local scalar or
+// a local array element, or that call RAND or IRAND, compile (no
+// bailout) and run exactly as on the tree-walker. The tree-walker binds a
+// frame's locals one by one in slot order, so an extent sees the locals
+// of earlier slots (zero, or a freshly zeroed array) and fails on one of
+// its own or a later slot. Every case runs seeds 1-3 on the tree-walker,
+// as single VM runs, and as a one-lane VM batch (the later seeds on
+// recycled frames); values, PRINT output (which prints draws taken after
+// the allocations, so the RNG stream is compared too) and runtime errors
+// must agree.
+func TestExtentsReadLocalsAndRNG(t *testing.T) {
+	t.Parallel()
+	cases := map[string]struct{ src, want string }{
+		// K's slot comes before X's: K is bound, and still zero.
+		"local scalar before": {`      PROGRAM P
+      INTEGER K
+      REAL X(K + 3)
+      K = 4
+      X(3) = 2.5
+      PRINT *, X(3), RAND()
+      X(K) = 1.0
+      END
+`, "X: subscript 4 out of bounds 1..3 in dimension 1"},
+		// N's slot comes after A's: N is not bound yet.
+		"local scalar after": {`      PROGRAM P
+      INTEGER N
+      REAL A(N + 3)
+      N = 2
+      A(1) = 1.0
+      END
+`, "no scalar N"},
+		"local scalar zero extent": {`      PROGRAM P
+      INTEGER K
+      REAL X(K)
+      X(1) = 1.0
+      END
+`, "array X has non-positive extent 0"},
+		// Every activation reads its own K as zero, on fresh and on
+		// recycled frames alike.
+		"local scalar per activation": {`      PROGRAM P
+      INTEGER I
+      DO 10 I = 1, 3
+      CALL W(I)
+   10 CONTINUE
+      END
+      SUBROUTINE W(I)
+      INTEGER I, K
+      REAL T(K + 2)
+      PRINT *, I, K, T(2), RAND()
+      T(2) = 1.5
+      K = 7
+      END
+`, ""},
+		"RAND and IRAND": {`      PROGRAM P
+      INTEGER B(IRAND(5) + 2), I
+      REAL C(INT(RAND() * 4.0) + 1)
+      C(1) = 0.5
+      PRINT *, C(1), RAND(), IRAND(1000)
+      DO 10 I = 1, 8
+      B(I) = I
+   10 CONTINUE
+      END
+`, "B: subscript"},
+		// A's slot comes before Z's: A is allocated, every element zero.
+		"local array before": {`      PROGRAM P
+      INTEGER A(4)
+      REAL Z(A(1) + 2)
+      Z(2) = 1.0
+      Z(3) = 1.0
+      END
+`, "Z: subscript 3 out of bounds 1..2 in dimension 1"},
+		// Z's slot comes after Y's: Z is not allocated yet, and the
+		// tree-walker says so before it evaluates the subscript.
+		"local array after": {`      PROGRAM P
+      INTEGER Y(INT(Z(IRAND(3))) + 1)
+      REAL Z(2)
+      Y(1) = 1
+      END
+`, "Z is not an array"},
+		// With a constant subscript there is nothing to evaluate first.
+		"local array after, constant subscript": {`      PROGRAM P
+      INTEGER Y(Z(1) + 1)
+      INTEGER Z(2)
+      Y(1) = 1
+      END
+`, "Z is not an array"},
+		"local subscript": {`      PROGRAM P
+      INTEGER A(4), K
+      REAL Z(A(K + 1) + 2)
+      Z(2) = 1.0
+      PRINT *, Z(2)
+      END
+`, ""},
+		"local subscript out of bounds": {`      PROGRAM P
+      INTEGER A(4), K
+      REAL Z(A(K) + 2)
+      Z(2) = 1.0
+      END
+`, "A: subscript 0 out of bounds 1..4 in dimension 1"},
+		"unbound local subscript": {`      PROGRAM P
+      INTEGER A(4), M
+      REAL B(A(M) + 1)
+      B(1) = 1.0
+      END
+`, "no scalar M"},
+		// An array parameter is reshaped after every local is bound.
+		"parameter reads local": {`      PROGRAM P
+      INTEGER A(5)
+      CALL S(A)
+      END
+      SUBROUTINE S(V)
+      INTEGER V(K + 2), K
+      V(2) = 1
+      V(3) = 1
+      END
+`, "V: subscript 3 out of bounds 1..2 in dimension 1"},
+		"parameter draws": {`      PROGRAM P
+      INTEGER A(5), I
+      CALL S(A, 4)
+      END
+      SUBROUTINE S(V, N)
+      INTEGER V(IRAND(N)), N, I
+      PRINT *, RAND()
+      DO 10 I = 1, N + 1
+      V(I) = I
+   10 CONTINUE
+      END
+`, "V: subscript"},
+	}
+	seeds := []uint64{1, 2, 3}
+	for name, tc := range cases {
+		res := lowerSrc(t, tc.src)
+		prog, err := Compile(res)
+		if err != nil {
+			t.Fatalf("%s: compile: %v", name, err)
+		}
+		var treeOut, vmOut, batchOut bytes.Buffer
+		var want []*interp.Result
+		var treeErrs []error
+		for _, s := range seeds {
+			opt := interp.Options{Seed: s, MaxSteps: 100000}
+			o := opt
+			o.Out, o.Engine = &treeOut, interp.EngineTree
+			tr, terr := interp.Run(res, o)
+			o = opt
+			o.Out = &vmOut
+			vr, verr := prog.Run(o)
+			if fmt.Sprint(terr) != fmt.Sprint(verr) {
+				t.Fatalf("%s seed %d: errors differ:\ntree: %v\nvm:   %v", name, s, terr, verr)
+			}
+			if d := diffResults(tr, vr); d != "" {
+				t.Fatalf("%s seed %d: %s", name, s, d)
+			}
+			if tc.want == "" && terr != nil || tc.want != "" && (terr == nil || !strings.Contains(terr.Error(), tc.want)) {
+				t.Fatalf("%s seed %d: error %v, want %q", name, s, terr, tc.want)
+			}
+			want, treeErrs = append(want, tr), append(treeErrs, terr)
+		}
+		got, errs := batchAll(t, prog.RunBatch, interp.Options{Out: &batchOut, MaxSteps: 100000}, seeds, 1)
+		for i, s := range seeds {
+			if fmt.Sprint(errs[i]) != fmt.Sprint(treeErrs[i]) {
+				t.Fatalf("%s seed %d: batch error %v, tree %v", name, s, errs[i], treeErrs[i])
+			}
+			if d := diffResults(want[i], got[i]); d != "" {
+				t.Fatalf("%s seed %d: batch: %s", name, s, d)
+			}
+		}
+		if vmOut.String() != treeOut.String() || batchOut.String() != treeOut.String() {
+			t.Fatalf("%s: PRINT output differs:\ntree:  %q\nvm:    %q\nbatch: %q", name, treeOut.String(), vmOut.String(), batchOut.String())
+		}
+	}
+}

@@ -108,7 +108,7 @@ func (ls *laneState) Detach() { ls.build() }
 func (ls *laneState) RunSeed(seed uint64) (*interp.Result, error) {
 	ls.reset(seed)
 	rs := &ls.rs
-	err := rs.runProc(rs.prog.mainIdx, nil, 0)
+	err := rs.runMain()
 	if errors.Is(err, errStop) {
 		rs.result.Stopped = true
 		err = nil

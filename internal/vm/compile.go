@@ -11,9 +11,11 @@ import (
 	"repro/internal/obs"
 )
 
-// BailoutError reports a lowered construct the bytecode compiler does not
-// handle. Callers fall back to the tree-walker; the check pass "vmcompile"
-// surfaces bailouts as diagnostics so the de-optimization is visible.
+// BailoutError reports a malformed lowered construct the bytecode compiler
+// rejects, such as an argument whose kind does not match its parameter.
+// Callers fall back to the tree-walker, which reports any failure at run
+// time; the check pass "vmcompile" surfaces bailouts as diagnostics so the
+// de-optimization is visible.
 type BailoutError struct {
 	Proc      string
 	Line      int
@@ -122,8 +124,10 @@ type procComp struct {
 
 	depth   int
 	curNode cfg.NodeID
-	inDims  bool
-	zero    int32 // see zeroSlot; -1 until first use
+	// unboundFrom is the first slot of the locals not yet bound (see
+	// compilePrologue), len(Slots) outside local-array extents.
+	unboundFrom int
+	zero        int32 // see zeroSlot; -1 until first use
 }
 
 func compileProc(res *lower.Result, p *lower.Proc, byName map[string]int, loose bool) (*procCode, error) {
@@ -141,6 +145,8 @@ func compileProc(res *lower.Result, p *lower.Proc, byName map[string]int, loose 
 		constIdx: make(map[interp.Value]int32),
 		strIdx:   make(map[string]int32),
 		zero:     -1,
+
+		unboundFrom: len(p.Unit.Slots),
 	}
 	if err := c.allocSlots(); err != nil {
 		return nil, err
@@ -573,12 +579,12 @@ func (c *procComp) expr(e lang.Expr) error {
 		case lang.SymArray:
 			return c.bail("variable", "array %s used as a scalar", x.Name)
 		default:
-			if c.inDims && !sym.IsParam {
-				return c.bail("array bounds", "dimension of %s depends on a local variable", x.Name)
-			}
-			if sym.IsParam {
+			switch {
+			case sym.IsParam:
 				c.emit(instr{op: opRef, a: c.refSlot[x.Name]})
-			} else {
+			case c.unbound(sym):
+				c.fail("no scalar %s", x.Name)
+			default:
 				c.emit(instr{op: opLocal, a: c.valSlot[x.Name]})
 			}
 			c.push()
@@ -589,7 +595,10 @@ func (c *procComp) expr(e lang.Expr) error {
 		if sym == nil || sym.Kind != lang.SymArray {
 			return c.bail("subscript", "%s is not an array", x.Name)
 		}
-		if err := c.elem(x, opElem, opElemAff); err != nil {
+		if c.unbound(sym) {
+			// The tree-walker finds no array before it evaluates a subscript.
+			c.fail("%s is not an array", x.Name)
+		} else if err := c.elem(x, opElem, opElemAff); err != nil {
 			return err
 		}
 		c.push()
@@ -616,9 +625,6 @@ func (c *procComp) expr(e lang.Expr) error {
 		c.depth--
 		return nil
 	case *lang.Intrinsic:
-		if c.inDims && (x.ID == lang.IntrRAND || x.ID == lang.IntrIRAND) {
-			return c.bail("array bounds", "dimension depends on %s", x.Name)
-		}
 		for _, a := range x.Args {
 			if err := c.expr(a); err != nil {
 				return err
@@ -647,9 +653,7 @@ func (c *procComp) elem(x *lang.Index, generic, affine opcode) error {
 		}
 		subs = append(subs, sub)
 	}
-	// Extent expressions keep the generic path, so a local subscript there
-	// still bails in expr.
-	if len(subs) == len(x.Subs) && !c.inDims {
+	if len(subs) == len(x.Subs) {
 		in.op, in.d = affine, int32(len(c.out.affs))
 		c.out.affs = append(c.out.affs, subs...)
 		c.emit(in)
@@ -711,7 +715,7 @@ func (c *procComp) intConst(e lang.Expr) (int64, bool) {
 	return 0, false
 }
 
-// intLocal reports the value slot of an INTEGER local scalar. Stores
+// intLocal reports the value slot of a bound INTEGER local scalar. Stores
 // convert to the cell's type, so the slot always holds a TInt.
 func (c *procComp) intLocal(e lang.Expr) (int32, bool) {
 	x, ok := e.(*lang.Var)
@@ -719,7 +723,7 @@ func (c *procComp) intLocal(e lang.Expr) (int32, bool) {
 		return 0, false
 	}
 	sym := c.p.Unit.Symbols[x.Name]
-	if sym == nil || sym.Kind != lang.SymScalar || sym.IsParam || sym.Type != lang.TInt {
+	if sym == nil || sym.Kind != lang.SymScalar || sym.IsParam || sym.Type != lang.TInt || c.unbound(sym) {
 		return 0, false
 	}
 	return c.valSlot[x.Name], true
@@ -737,6 +741,19 @@ func (c *procComp) zeroSlot() int32 {
 	return c.zero
 }
 
+// unbound reports whether the local sym has no storage yet where the code
+// being compiled runs (see compilePrologue).
+func (c *procComp) unbound(sym *lang.Symbol) bool {
+	return !sym.IsParam && sym.Slot >= c.unboundFrom
+}
+
+// fail emits the runtime error the tree-walker raises where an extent
+// reads a local that is not bound yet. The caller accounts for the value
+// the failing read stands in for.
+func (c *procComp) fail(format string, args ...any) {
+	c.emit(instr{op: opFail, a: c.internStr(fmt.Sprintf(format, args...))})
+}
+
 // push records one value pushed onto the stack.
 func (c *procComp) push() {
 	c.depth++
@@ -746,21 +763,24 @@ func (c *procComp) push() {
 }
 
 // compilePrologue emits the activation sequence: allocate local arrays
-// (sorted name order), reinterpret array parameters with the callee's
-// declared shape (parameter order — the tree-walker's order), count the
-// activation, and jump to the CFG entry node.
+// (slot order), reinterpret array parameters with the callee's declared
+// shape (parameter order), count the activation, and jump to the CFG
+// entry node. The tree-walker binds locals in slot order too, so a local
+// array's extent sees only the locals of earlier slots.
 func (c *procComp) compilePrologue() error {
 	c.curNode = 0
 	c.out.entry = int32(len(c.out.ins))
 	unit := c.p.Unit
 	for _, name := range c.localArrays {
 		sym := unit.Symbols[name]
+		c.unboundFrom = sym.Slot
 		if err := c.dims(sym); err != nil {
 			return err
 		}
 		c.emit(instr{op: opAllocArray, a: c.arrSlot[name], b: int32(len(sym.Dims)), c: c.metaIdx[name]})
 		c.depth -= len(sym.Dims)
 	}
+	c.unboundFrom = len(unit.Slots)
 	for _, name := range unit.Params {
 		sym := unit.Symbols[name]
 		if sym == nil || sym.Kind != lang.SymArray {
@@ -781,12 +801,10 @@ func (c *procComp) compilePrologue() error {
 	return nil
 }
 
-// dims compiles array extent expressions. Both engines allocate locals in
-// slot (sorted-name) order; only extents built from constants and
-// parameters (no locals, no RNG) are compilable.
+// dims compiles an array's extent expressions, all of them before the
+// allocation checks any: the tree-walker's order, so RNG draws and the
+// first failing extent line up.
 func (c *procComp) dims(sym *lang.Symbol) error {
-	c.inDims = true
-	defer func() { c.inDims = false }()
 	for _, de := range sym.Dims {
 		if err := c.expr(de); err != nil {
 			return err

@@ -22,8 +22,8 @@ import (
 // Procedure calls never leave the loop: opCall pushes the caller onto an
 // explicit call stack and re-points the cached locals at the callee, and
 // opEnd pops it back, so an activation costs a frame bind plus a register
-// reload instead of Go recursion through runProc — and the step/cost
-// accumulators stay in registers across the whole call tree.
+// reload instead of Go recursion — and the step/cost accumulators stay in
+// registers across the whole call tree.
 //
 // The same loop runs Ball–Larus path-instrumented code. Its counter code
 // is compiled into the instruction stream (opPathEdge stubs, see
@@ -1128,6 +1128,9 @@ activation:
 				rs.recordStopFrame(pi, pc, f, cfg.NodeID(in.a))
 				retErr = errStop
 				break activation
+			case opFail:
+				retErr = runtimeError(pc.name, 0, pc.strs[in.a])
+				break activation
 			default:
 				retErr = &interp.RuntimeError{Unit: pc.name, Line: 0,
 					Msg: fmt.Sprintf("vm: bad opcode %d at ip %d", in.op, ip)}
@@ -1137,7 +1140,7 @@ activation:
 	}
 	// STOP and runtime errors break out with callers still suspended on the
 	// explicit stack; release their frames exactly as the recursive unwind
-	// did. The outermost frame belongs to runProc.
+	// did. The outermost frame belongs to runMain.
 	for len(calls) > 0 {
 		rs.arena.putFrame(pi, f)
 		rs.depth--

@@ -27,9 +27,10 @@
 // same step counts, node/edge counters, activation counts, float cost
 // accumulation order, RNG draw order and runtime error messages. Operators,
 // builtins, DO trip counts and the RNG are interp's own (interp.BinOp,
-// interp.Intrinsic, interp.TripCount, interp.SeedRNG). Programs the
-// compiler cannot handle (see BailoutError) and runs that set
-// Options.OnNode fall back to the tree-walker.
+// interp.Intrinsic, interp.TripCount, interp.SeedRNG). It is the
+// production engine (interp.EffectiveEngine's default); malformed programs
+// the compiler rejects (see BailoutError) and runs that set Options.OnNode
+// fall back to the tree-walker, the reference.
 package vm
 
 import (
@@ -87,6 +88,7 @@ const (
 	opEnd               // return from the procedure
 	opStop              // STOP: unwind every frame
 	opPathEdge          // Ball–Larus edge stub: apply path flat edge b, jump to a
+	opFail              // raise a runtime error with text strs[a] (line 0)
 
 	// Affine element forms, emitted by the compiler (not the peephole
 	// pass) when every subscript is an integer constant, an INTEGER local,
@@ -495,28 +497,16 @@ func (rs *runState) initPaths() {
 	}
 }
 
-// runProc executes one activation of proc pi with the staged args.
-func (rs *runState) runProc(pi int, args []argSlot, callLine int) error {
+// runMain executes the main program's activation; exec runs every call
+// inside it.
+func (rs *runState) runMain() error {
+	pi := rs.prog.mainIdx
 	pc := rs.procs[pi]
-	rs.depth++
-	if rs.depth > 10000 {
-		rs.depth--
-		return &interp.RuntimeError{Unit: pc.name, Line: 0, Msg: "call stack overflow (runaway recursion?)"}
-	}
 	f := rs.arena.getFrame(pi, pc)
-	f.callLine = callLine
-	for i, pb := range pc.params {
-		if pb.isArray {
-			f.arrays[pb.slot] = args[i].arr
-		} else {
-			f.refs[pb.slot] = args[i].cell
-		}
-	}
-	// Path-instrumented runs execute the same loop over code with the
-	// Ball–Larus edge stubs compiled in (see instrument).
+	rs.depth++
 	err := rs.exec(pc, f, pi)
-	rs.arena.putFrame(pi, f)
 	rs.depth--
+	rs.arena.putFrame(pi, f)
 	return err
 }
 

@@ -6,11 +6,14 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/corpus"
 	"repro/internal/cost"
 	"repro/internal/interp"
 	"repro/internal/lang"
+	"repro/internal/livermore"
 	"repro/internal/lower"
 	"repro/internal/progen"
+	"repro/internal/simplecfd"
 )
 
 func lowerSrc(t *testing.T, src string) *lower.Result {
@@ -627,6 +630,25 @@ func TestCheckProc(t *testing.T) {
 			if err := CheckProc(p); err != nil {
 				t.Fatalf("seed %d proc %s: %v", seed, p.G.Name, err)
 			}
+		}
+	}
+}
+
+// TestVMCompilesCorpus: the bytecode compiler bails on no program the
+// pipeline is measured or pinned on — the digest corpus, the first 40
+// cold-large programs, and the Table 1 programs at their benchmark sizes —
+// so none of them falls back to the tree-walker.
+func TestVMCompilesCorpus(t *testing.T) {
+	t.Parallel()
+	srcs := corpus.Digest(t)
+	for j, src := range corpus.ColdLarge(40) {
+		srcs[fmt.Sprintf("cold-large/%d", j)] = src
+	}
+	srcs["LOOPS"] = livermore.Source(100, 1)
+	srcs["SIMPLE"] = simplecfd.Source(100, 10)
+	for name, src := range srcs {
+		if _, err := Compile(lowerSrc(t, src)); err != nil {
+			t.Errorf("%s: %v", name, err)
 		}
 	}
 }
