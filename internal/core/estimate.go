@@ -129,26 +129,15 @@ type Options struct {
 func EstimateProgram(prog *analysis.Program, profile map[string]freq.Totals,
 	costs map[string]cost.Table, opt Options) (*ProgramEstimate, error) {
 
-	out := &ProgramEstimate{Prog: prog, Procs: make(map[string]*ProcEstimate)}
+	return estimateProgram(prog, profile, costs, deterministicTests(prog, opt), opt)
+}
 
-	// Per-proc frequency tables first.
-	freqs := make(map[string]*freq.Table, len(prog.Procs))
-	for name, a := range prog.Procs {
-		totals, ok := profile[name]
-		if !ok {
-			return nil, fmt.Errorf("core: no profile for procedure %s", name)
-		}
-		tab, err := freq.ComputeOpts(a.FCDG, totals, freq.Opts{Static: opt.StaticFreq[name]})
-		if err != nil {
-			return nil, fmt.Errorf("core: %s: %w", name, err)
-		}
-		freqs[name] = tab
-	}
-
-	// Deterministic DO tests per procedure: the static analysis' proofs
-	// unioned with any caller-supplied ones (e.g. a counter plan's
-	// RuleDoConstTrip rules). With BernoulliDoTests set the union is left
-	// empty, restoring the old model.
+// deterministicTests returns the DO tests EstimateProgram prices as
+// deterministic, per procedure: the static analysis' proofs unioned with
+// any caller-supplied ones (e.g. a counter plan's RuleDoConstTrip rules).
+// With BernoulliDoTests set the union is left empty, restoring the old
+// model.
+func deterministicTests(prog *analysis.Program, opt Options) map[string]map[cfg.NodeID]bool {
 	det := make(map[string]map[cfg.NodeID]bool, len(prog.Procs))
 	for name, a := range prog.Procs {
 		m := make(map[cfg.NodeID]bool)
@@ -163,6 +152,29 @@ func EstimateProgram(prog *analysis.Program, profile map[string]freq.Totals,
 			}
 		}
 		det[name] = m
+	}
+	return det
+}
+
+// estimateProgram is EstimateProgram with the deterministic DO tests
+// already derived; det is only read.
+func estimateProgram(prog *analysis.Program, profile map[string]freq.Totals,
+	costs map[string]cost.Table, det map[string]map[cfg.NodeID]bool, opt Options) (*ProgramEstimate, error) {
+
+	out := &ProgramEstimate{Prog: prog, Procs: make(map[string]*ProcEstimate)}
+
+	// Per-proc frequency tables first.
+	freqs := make(map[string]*freq.Table, len(prog.Procs))
+	for name, a := range prog.Procs {
+		totals, ok := profile[name]
+		if !ok {
+			return nil, fmt.Errorf("core: no profile for procedure %s", name)
+		}
+		tab, err := freq.ComputeOpts(a.FCDG, totals, freq.Opts{Static: opt.StaticFreq[name]})
+		if err != nil {
+			return nil, fmt.Errorf("core: %s: %w", name, err)
+		}
+		freqs[name] = tab
 	}
 
 	// calleeTime/calleeVar accumulate solved TIME(START)/VAR(START).

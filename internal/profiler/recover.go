@@ -37,16 +37,32 @@ func (p *Plan) Recover(readings Readings) (freq.Totals, error) {
 }
 
 func (p *Plan) recoverWith(readings Readings, adj *stopAdjust) (freq.Totals, error) {
+	val, err := p.recoverSlots(readings, adj)
+	if err != nil {
+		return nil, err
+	}
+	return p.totals(val), nil
+}
+
+// recoverable reports why the plan cannot recover conditions, or nil.
+func (p *Plan) recoverable() error {
 	if p.Naive {
-		return nil, fmt.Errorf("profiler: naive plans count blocks, not conditions; use ExactTotals for analysis")
+		return fmt.Errorf("profiler: naive plans count blocks, not conditions; use ExactTotals for analysis")
+	}
+	return p.recovery().err
+}
+
+// recoverSlots runs the recovery schedule over the readings and returns
+// the value of every slot; the recovered conditions are the slots listed
+// in the schedule's out.
+func (p *Plan) recoverSlots(readings Readings, adj *stopAdjust) ([]float64, error) {
+	if err := p.recoverable(); err != nil {
+		return nil, err
 	}
 	if len(readings) != len(p.Counters) {
 		return nil, fmt.Errorf("profiler: %d readings for %d counters", len(readings), len(p.Counters))
 	}
 	rec := p.recovery()
-	if rec.err != nil {
-		return nil, rec.err
-	}
 	val := make([]float64, rec.nslot)
 	for i, s := range rec.condSlot {
 		if s >= 0 {
@@ -112,10 +128,16 @@ func (p *Plan) recoverWith(readings Readings, adj *stopAdjust) (freq.Totals, err
 			}
 		}
 	}
+	return val, nil
+}
+
+// totals builds the condition-keyed profile of the recovered slots.
+func (p *Plan) totals(val []float64) freq.Totals {
+	out := p.recovery().out
 	f := p.A.FCDG
-	totals := make(freq.Totals, len(rec.out))
-	for _, s := range rec.out {
+	totals := make(freq.Totals, len(out))
+	for _, s := range out {
 		totals[f.CondAt(int(s))] = val[s]
 	}
-	return totals, nil
+	return totals
 }

@@ -28,6 +28,8 @@ type artifact struct {
 
 	// pipe is the loaded pipeline; nil when the front end failed.
 	pipe *core.Pipeline
+	// procs is every procedure's response text, sorted by name.
+	procs []procText
 	// diags are the static check findings (or the parse failure rendered
 	// as a diagnostic, ptranlint-style).
 	diags []report.Diagnostic
@@ -41,19 +43,33 @@ type artifact struct {
 	compileMs float64
 }
 
+// lintPasses are the check passes the collector runs inside analysis:
+// all but "plan", whose proof runs on the pipeline's own plans instead of
+// planning every procedure a second time (see compile).
+var lintPasses = func() []string {
+	var out []string
+	for _, name := range check.PassNames() {
+		if name != "plan" {
+			out = append(out, name)
+		}
+	}
+	return out
+}()
+
 // compile runs the front end once: parse → lower → analyze with the static
 // check passes, then warms the artifact's derived caches (counter plans,
-// and the bytecode program when the engine wants it) so cache hits skip
-// every per-program cost. Detached from any request context on purpose —
-// the artifact outlives the requester — but bounded by the server's
-// compile budget.
+// and the bytecode program when the engine wants it) and renders the
+// response text every request repeats, so cache hits skip every
+// per-program cost. Detached from any request context on purpose — the
+// artifact outlives the requester — but bounded by the server's compile
+// budget.
 func (a *artifact) compile(src string, eng interp.Engine, strat core.Strategy, budget time.Duration, disk *artstore.Store) {
 	a.once.Do(func() {
 		t0 := time.Now()
 		defer func() { a.compileMs = float64(time.Since(t0)) / float64(time.Millisecond) }()
 		ctx, cancel := context.WithTimeout(context.Background(), budget)
 		defer cancel()
-		collector := &check.Collector{}
+		collector := &check.Collector{Opts: check.Options{Passes: lintPasses}}
 		pipe, err := core.LoadCtx(ctx, src, core.LoadOptions{
 			CheckProc: collector.CheckProc,
 			Engine:    eng,
@@ -84,14 +100,24 @@ func (a *artifact) compile(src string, eng interp.Engine, strat core.Strategy, b
 			a.err = err
 			return
 		}
-		if _, err := pipe.Plans(); err != nil {
+		plans, err := pipe.Plans()
+		if err != nil {
 			a.err = fmt.Errorf("counter planning: %w", err)
 			return
 		}
+		// The "plan" pass: prove the deployed plans sound.
+		for name, plan := range plans {
+			for _, d := range check.VerifyPlan(plan) {
+				d.Pass, d.Proc = "plan", name
+				diags = append(diags, d)
+			}
+		}
+		report.Sort(diags)
 		// Trigger the one-time bytecode compile now (a bailout is cached
 		// and surfaces as the engine-fallback warning, not an error).
 		pipe.EngineFallback()
 		a.diags = diags
+		a.procs = newProcTexts(pipe.An, plans)
 		a.pipe = pipe
 	})
 }

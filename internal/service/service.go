@@ -13,6 +13,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -258,9 +259,17 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	defer func() { s.observeLatency(float64(time.Since(t0)) / float64(time.Millisecond)) }()
 
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxSourceBytes)
+	// Per-request trace: decode, queue wait, compile (zero-width on a warm
+	// hit), profile, estimate. The compiled artifact is shared across
+	// requests, so its pipeline carries no trace; the request measures
+	// around it.
+	tr := obs.NewTrace()
+
+	sp := tr.Start("decode")
 	var req AnalyzeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	err := s.decodeRequest(w, r, &req)
+	sp.End()
+	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			s.writeError(w, http.StatusRequestEntityTooLarge,
@@ -305,12 +314,7 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
 
-	// Per-request trace: queue wait, compile (zero-width on a warm hit),
-	// profile, estimate. The compiled artifact is shared across requests,
-	// so its pipeline carries no trace; the request measures around it.
-	tr := obs.NewTrace()
-
-	sp := tr.Start("queue_wait")
+	sp = tr.Start("queue_wait")
 	err = s.lim.acquire(ctx)
 	sp.End()
 	if err != nil {
@@ -361,7 +365,7 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 			CacheHit: hit,
 		}
 		resp.Spans = tr.Spans()
-		s.writeJSON(w, http.StatusUnprocessableEntity, resp)
+		s.writeResponse(w, http.StatusUnprocessableEntity, resp, nil)
 		return
 	}
 	pipe := art.pipe
@@ -421,49 +425,36 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	if est.Main != nil {
 		resp.Main = est.Main.A.P.G.Name
 	}
-	plans, _ := pipe.Plans()
-	names := make([]string, 0, len(est.Procs))
-	for name := range est.Procs {
-		names = append(names, name)
+	procs := make([]procResult, len(art.procs))
+	for i := range art.procs {
+		t := &art.procs[i]
+		procs[i] = procResult{text: t, est: est.Procs[t.name], totals: prof[t.name]}
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		pe := est.Procs[name]
-		pr := ProcReport{
-			Name: name,
-			Estimate: report.Metrics{
-				"time":    pe.Time,
-				"var":     pe.Var,
-				"std_dev": pe.StdDev(),
-			},
-		}
-		if plan := plans[name]; plan != nil {
-			pr.Counters = make([]string, len(plan.Counters))
-			for i, c := range plan.Counters {
-				pr.Counters[i] = c.String()
-			}
-		}
-		if totals := prof[name]; len(totals) > 0 {
-			pr.Totals = make(report.Metrics, len(totals))
-			for c, v := range totals {
-				pr.Totals[fmt.Sprintf("%v", c)] = v
-			}
-		}
-		resp.Procs = append(resp.Procs, pr)
-	}
-	s.writeJSON(w, http.StatusOK, resp)
+	s.writeResponse(w, http.StatusOK, resp, procs)
 }
 
-func (s *Service) writeJSON(w http.ResponseWriter, code int, v any) {
+// decodeRequest reads the whole body, bounded by MaxSourceBytes, and
+// decodes it into req.
+func (s *Service) decodeRequest(w http.ResponseWriter, r *http.Request, req *AnalyzeRequest) error {
+	var body bytes.Buffer
+	if n := r.ContentLength; n > 0 && n <= s.cfg.MaxSourceBytes {
+		body.Grow(int(n) + bytes.MinRead)
+	}
+	if _, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxSourceBytes)); err != nil {
+		return err
+	}
+	return json.Unmarshal(body.Bytes(), req)
+}
+
+// writeError writes an error reply, indented as every response is.
+func (s *Service) writeError(w http.ResponseWriter, code int, msg string) {
+	t0 := time.Now()
+	b, _ := json.MarshalIndent(errorReply{Error: msg}, "", "  ")
+	b = append(b, '\n')
+	s.reg.Add("service.encode_ns_total", int64(time.Since(t0)))
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-func (s *Service) writeError(w http.ResponseWriter, code int, msg string) {
-	s.writeJSON(w, code, errorReply{Error: msg})
+	w.Write(b)
 }
 
 // observeLatency folds one analyze duration into the sliding window.
