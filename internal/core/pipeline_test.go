@@ -3,10 +3,14 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
+	"sync"
 	"testing"
 
+	"repro/internal/cost"
 	"repro/internal/dfst"
 	"repro/internal/interp"
+	"repro/internal/progen"
 )
 
 // cancelWriter cancels its context on the first PRINT it receives.
@@ -80,4 +84,46 @@ func TestLoadSurfacesSplitBudget(t *testing.T) {
 	if !errors.Is(err, dfst.ErrSplitBudget) {
 		t.Fatalf("LoadOpts = %v, want %v", err, dfst.ErrSplitBudget)
 	}
+}
+
+// TestEstimateSharedInputsConcurrent: estimates from the pipeline's
+// cached static inputs and COST tables equal the uncached derivation,
+// under two cost models, with goroutines sharing the caches from first
+// use.
+func TestEstimateSharedInputsConcurrent(t *testing.T) {
+	p, err := Load(progen.GenerateOpts(3, 48, 3, progen.Opts{ConstFacts: true}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, _, err := p.Profile(interp.Options{}, 1, 2, 3, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	models := []cost.Model{cost.Optimized, cost.Unoptimized}
+	want := make([]*ProgramEstimate, len(models))
+	for i, m := range models {
+		if want[i], err = EstimateProgram(p.An, toTotals(prof), p.CostTables(m), p.withPlanDetTests(Options{})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			i := g % len(models)
+			got, err := p.EstimateWithProfile(prof, models[i], Options{})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for name, w := range want[i].Procs {
+				g := got.Procs[name]
+				if math.Float64bits(g.Time) != math.Float64bits(w.Time) || math.Float64bits(g.Var) != math.Float64bits(w.Var) {
+					t.Errorf("%s under %s: TIME %v VAR %v, uncached %v %v", name, models[i].Name, g.Time, g.Var, w.Time, w.Var)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -51,10 +51,15 @@ func ExactTotals(a *analysis.Proc, run *interp.Result) freq.Totals {
 // body takings that actually happened.
 func (p *Plan) SimulateReadings(run *interp.Result) Readings {
 	out := make(Readings, len(p.Counters))
-	for i, c := range p.Counters {
-		out[i] = p.counterValue(i, c, run)
-	}
+	p.readInto(out, run)
 	return out
+}
+
+// readInto stores SimulateReadings(run) in r.
+func (p *Plan) readInto(r Readings, run *interp.Result) {
+	for i, c := range p.Counters {
+		r[i] = p.counterValue(i, c, run)
+	}
 }
 
 func (p *Plan) counterValue(i int, c Counter, run *interp.Result) float64 {
