@@ -38,7 +38,6 @@ func Registry() []Pass {
 		{Name: "deadcode", Desc: "flow lint: statements unreachable under propagated constants", Run: checkDeadCode},
 		{Name: "deadstore", Desc: "flow lint: scalar stores whose value no path reads", Run: checkDeadStore},
 		{Name: "defassign", Desc: "flow lint: locals read before assignment on some path", Run: checkDefAssign},
-		{Name: "vmcompile", Desc: "bytecode compile coverage: constructs forcing tree-walker fallback", Run: checkVMCompile},
 	}
 }
 

@@ -53,7 +53,27 @@ func VerifyPlan(p *profiler.Plan) []report.Diagnostic {
 	if p.Naive {
 		return nil // naive plans count blocks, not conditions: nothing to certify
 	}
+	rules := p.Rules()
 	s := newLinsys(p)
+	// Size the row slab: a condition counter adds one equation, a DO rule
+	// one per loop condition it derives, and any other rule one.
+	rows := len(rules)
+	for _, c := range p.Counters {
+		if c.Kind == profiler.CondCounter {
+			rows++
+		}
+	}
+	for _, r := range rules {
+		if r.Kind == profiler.RuleDoConstTrip || r.Kind == profiler.RuleDoAddTrip {
+			if s.has(cdg.Condition{Node: r.Node, Label: cfg.True}) {
+				rows++
+			}
+			if s.has(cdg.Condition{Node: r.Node, Label: cfg.False}) {
+				rows++
+			}
+		}
+	}
+	s.slab = make([]float64, rows*len(s.conds))
 	for _, c := range p.Counters {
 		if c.Kind == profiler.CondCounter {
 			row := s.row()
@@ -61,7 +81,7 @@ func VerifyPlan(p *profiler.Plan) []report.Diagnostic {
 			s.rows = append(s.rows, row)
 		}
 	}
-	for _, r := range p.Rules() {
+	for _, r := range rules {
 		s.addRule(r)
 	}
 	free := s.freeColumns()
@@ -84,6 +104,8 @@ type linsys struct {
 	conds []cdg.Condition
 	ci    map[cdg.Condition]int
 	rows  [][]float64
+	// slab holds the zeroed rows row has not handed out yet.
+	slab []float64
 }
 
 func newLinsys(p *profiler.Plan) *linsys {
@@ -95,7 +117,13 @@ func newLinsys(p *profiler.Plan) *linsys {
 	return &linsys{p: p, conds: conds, ci: ci}
 }
 
-func (s *linsys) row() []float64 { return make([]float64, len(s.conds)) }
+// row returns a fresh zeroed row, carved from the slab.
+func (s *linsys) row() []float64 {
+	n := len(s.conds)
+	r := s.slab[:n:n]
+	s.slab = s.slab[n:]
+	return r
+}
 
 // addCond adds scale·x_c to the row; pseudo conditions are identically zero
 // and contribute nothing. It reports whether the condition was representable

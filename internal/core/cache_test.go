@@ -137,6 +137,16 @@ func TestCacheIncrementalOneMiss(t *testing.T) {
 	if p.cache == nil || !p.cache.missed["CSUB"] || p.cache.missed["CMAIN"] {
 		t.Fatalf("miss attribution wrong: %v", p.cache.missed)
 	}
+	ref, err := LoadOpts(edited, LoadOptions{Engine: interp.EngineVM, Plan: StrategySarkar})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotTime, gotVar := estimateAll(t, p)
+	refTime, refVar := estimateAll(t, ref)
+	if gotTime != refTime || gotVar != refVar {
+		t.Fatalf("edited reload estimates differ from uncached: TIME %v vs %v, VAR %v vs %v",
+			gotTime, refTime, gotVar, refVar)
+	}
 
 	// The edited program's artifacts were saved; reloading it hits fully.
 	hitBefore = metric("artifact.hit")
@@ -145,87 +155,6 @@ func TestCacheIncrementalOneMiss(t *testing.T) {
 	}
 	if got := metric("artifact.hit") - hitBefore; got != 2 {
 		t.Fatalf("re-reload: %d hits, want 2", got)
-	}
-}
-
-// bailSrc loads and analyzes fine, but BSUB assigns a string literal —
-// outside the VM subset — so bytecode compilation bails at BSUB.
-const bailSrc = `      PROGRAM BMAIN
-      REAL X
-      X = 1.0
-      CALL BSUB(X)
-      PRINT *, X
-      END
-
-      SUBROUTINE BSUB(X)
-      REAL X
-      REAL A(3)
-      A(1) = 'AB'
-      X = X + A(1)
-      RETURN
-      END
-`
-
-// TestCacheBailoutInvalidatedByEdit: the cache records nothing about VM
-// compilation, so a warm load of a program that bails re-attempts the
-// compile and falls back exactly like a cold load, and once an edit
-// removes the construct that bailed, the reload runs on the VM.
-func TestCacheBailoutInvalidatedByEdit(t *testing.T) {
-	store := openStore(t)
-	opts := LoadOptions{Cache: store, Engine: interp.EngineVM, Plan: StrategySarkar}
-
-	cold, err := LoadOpts(bailSrc, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fb, coldErr := cold.EngineFallback()
-	if !fb {
-		t.Fatal("cold load of bailing program did not fall back")
-	}
-	if !strings.Contains(coldErr.Error(), "BSUB") {
-		t.Fatalf("bailout does not name BSUB: %v", coldErr)
-	}
-
-	hitBefore := metric("artifact.hit")
-	warm, err := LoadOpts(bailSrc, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := metric("artifact.hit") - hitBefore; got != 2 {
-		t.Fatalf("warm load: %d hits, want 2", got)
-	}
-	if fb, warmErr := warm.EngineFallback(); !fb {
-		t.Fatal("warm load of bailing program did not fall back")
-	} else if warmErr.Error() != coldErr.Error() {
-		t.Fatalf("warm bailout %q, cold %q", warmErr, coldErr)
-	}
-
-	// Edit the bailing procedure to be VM-compatible: exactly its entry
-	// misses, and the program runs on the VM.
-	edited := strings.Replace(bailSrc, "A(1) = 'AB'", "A(1) = 2.0", 1)
-	hitBefore, missBefore := metric("artifact.hit"), metric("artifact.miss")
-	fixed, err := LoadOpts(edited, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := metric("artifact.miss") - missBefore; got != 1 {
-		t.Fatalf("edited reload: %d misses, want exactly 1 (BSUB)", got)
-	}
-	if got := metric("artifact.hit") - hitBefore; got != 1 {
-		t.Fatalf("edited reload: %d hits, want exactly 1 (BMAIN)", got)
-	}
-	if fb, fbErr := fixed.EngineFallback(); fb {
-		t.Fatalf("edited program fell back to the tree-walker: %v", fbErr)
-	}
-	fixedTime, fixedVar := estimateAll(t, fixed)
-	ref, err := LoadOpts(edited, LoadOptions{Engine: interp.EngineVM, Plan: StrategySarkar})
-	if err != nil {
-		t.Fatal(err)
-	}
-	refTime, refVar := estimateAll(t, ref)
-	if fixedTime != refTime || fixedVar != refVar {
-		t.Fatalf("cached estimates differ from uncached: TIME %v vs %v, VAR %v vs %v",
-			fixedTime, refTime, fixedVar, refVar)
 	}
 }
 

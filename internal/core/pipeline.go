@@ -188,63 +188,45 @@ func LoadCtx(ctx context.Context, src string, opts LoadOptions) (*Pipeline, erro
 	return p, nil
 }
 
-// compiledVM returns the bytecode program, compiling it on first use. A
-// compile bailout is cached too: every subsequent run falls back to the
-// tree-walker without retrying.
-func (p *Pipeline) compiledVM() (*vm.Program, error) {
-	p.vmOnce.Do(func() {
-		sp := p.Trace.Start("compile")
-		p.vmProg, p.vmErr = vm.Compile(p.Res)
-		sp.End()
-		if p.vmErr != nil {
-			obs.Default.Add("pipeline.vm_bailout", 1)
-		}
-	})
-	return p.vmProg, p.vmErr
-}
-
 // compiledFor resolves o's engine, or the pipeline's when o leaves it at
-// EngineDefault: the cached compiled VM program, or nil for the
-// tree-walker. A compile bailout is not silent: each resolution it forces
-// onto the tree-walker bumps the pipeline.engine_fallbacks_total metric
-// (the one-time compile failure itself is pipeline.vm_bailout), and
-// EngineFallback exposes the cause so callers can attach a warning
-// diagnostic to their reports.
-func (p *Pipeline) compiledFor(o interp.Options) interp.Compiled {
+// EngineDefault: the bytecode program, compiled once on first use, or nil
+// for the tree-walker. lang.Analyze accepts only programs the compiler
+// can translate, so a compile error is a bug, and it is returned, never
+// worked around on another engine.
+func (p *Pipeline) compiledFor(o interp.Options) (interp.Compiled, error) {
 	eng := o.Engine
 	if eng == interp.EngineDefault {
 		eng = p.Engine
 	}
 	if !interp.EffectiveEngine(eng).VMBased() {
-		return nil
+		return nil, nil
 	}
-	prog, err := p.compiledVM()
-	if err != nil {
-		obs.Default.Add("pipeline.engine_fallbacks_total", 1)
-		return nil
+	p.vmOnce.Do(func() {
+		sp := p.Trace.Start("compile")
+		p.vmProg, p.vmErr = vm.Compile(p.Res)
+		sp.End()
+	})
+	if p.vmErr != nil {
+		return nil, p.vmErr
 	}
-	return prog
+	return p.vmProg, nil
+}
+
+// CompileEngine compiles the program for the pipeline's engine now, so
+// the first run pays nothing for it; on the tree engine it does nothing.
+func (p *Pipeline) CompileEngine() error {
+	_, err := p.compiledFor(interp.Options{})
+	return err
 }
 
 // runSingle executes one seed under the resolved engine, as a lane that
 // runs one seed.
 func (p *Pipeline) runSingle(o interp.Options) (*interp.Result, error) {
-	return interp.NewLane(p.Res, p.compiledFor(o), o).RunSeed(o.Seed)
-}
-
-// EngineFallback reports whether the pipeline's resolved engine asked for
-// the bytecode VM but the compiler bailed, silently downgrading runs to
-// the tree-walker — and the bailout error when so. Results are still
-// bit-identical; the degradation is purely throughput, which is exactly
-// why it deserves a warning rather than silence.
-func (p *Pipeline) EngineFallback() (bool, error) {
-	if !interp.EffectiveEngine(p.Engine).VMBased() {
-		return false, nil
+	c, err := p.compiledFor(o)
+	if err != nil {
+		return nil, err
 	}
-	if _, err := p.compiledVM(); err != nil {
-		return true, err
-	}
-	return false, nil
+	return interp.NewLane(p.Res, c, o).RunSeed(o.Seed)
 }
 
 // profilePlans returns the per-procedure counter plans, computing them on
@@ -373,7 +355,10 @@ func (p *Pipeline) ProfileCtx(ctx context.Context, opts interp.Options, seeds ..
 	if sum == nil {
 		prof = make([]profiler.ProgramProfile, len(seeds))
 	}
-	c := p.compiledFor(opts)
+	c, err := p.compiledFor(opts)
+	if err != nil {
+		return nil, nil, err
+	}
 
 	// Only the last seed's run is retained, for the returned Result.
 	errs := make([]error, len(seeds))

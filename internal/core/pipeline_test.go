@@ -4,12 +4,15 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/cost"
 	"repro/internal/dfst"
 	"repro/internal/interp"
+	"repro/internal/profiler"
 	"repro/internal/progen"
 )
 
@@ -126,4 +129,50 @@ func TestEstimateSharedInputsConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestPrintStringDiscardedOutput: a program that PRINTs a string literal
+// profiles the same whether its output is written or discarded, on every
+// engine. With Options.Out nil, PRINT skips the literal and still
+// evaluates the other items, so the RNG draw in the PRINT lines up.
+func TestPrintStringDiscardedOutput(t *testing.T) {
+	const src = `      PROGRAM P
+      INTEGER N
+      N = 3
+      PRINT *, 'N =', N, RAND()
+      IF (RAND() .LT. 0.5) N = 4
+      END
+`
+	var ref profiler.ProgramProfile
+	for _, eng := range []interp.Engine{interp.EngineTree, interp.EngineVM, interp.EngineVMBatch} {
+		p, err := LoadOpts(src, LoadOptions{Engine: eng})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := cost.Optimized
+		quiet, qrun, err := p.Profile(interp.Options{Model: &m}, 1, 2, 3, 4)
+		if err != nil {
+			t.Fatalf("%s, output discarded: %v", eng, err)
+		}
+		var out strings.Builder
+		loud, lrun, err := p.Profile(interp.Options{Model: &m, Out: &out}, 1, 2, 3, 4)
+		if err != nil {
+			t.Fatalf("%s, output written: %v", eng, err)
+		}
+		if !strings.HasPrefix(out.String(), "N = 3 ") {
+			t.Fatalf("%s: output %q", eng, out.String())
+		}
+		if !reflect.DeepEqual(quiet, loud) {
+			t.Fatalf("%s: profiles differ:\ndiscarded %v\nwritten   %v", eng, quiet, loud)
+		}
+		if qrun.Cost != lrun.Cost || qrun.Steps != lrun.Steps || !reflect.DeepEqual(qrun.ByProc, lrun.ByProc) {
+			t.Fatalf("%s: last runs differ: cost %v vs %v, steps %d vs %d",
+				eng, qrun.Cost, lrun.Cost, qrun.Steps, lrun.Steps)
+		}
+		if ref == nil {
+			ref = quiet
+		} else if !reflect.DeepEqual(quiet, ref) {
+			t.Fatalf("%s: profile differs from the tree-walker's", eng)
+		}
+	}
 }

@@ -157,9 +157,8 @@ const (
 	// runs OnNode hooks.
 	EngineTree
 	// EngineVM is the slot-indexed bytecode VM (internal/vm), the
-	// production engine. Runs that set OnNode, and malformed programs the
-	// bytecode compiler rejects, silently fall back to the tree-walker
-	// with identical results.
+	// production engine. Runs that set OnNode take the tree-walker, with
+	// identical results.
 	EngineVM
 	// EngineVMBatch is a second name for EngineVM, kept because flags,
 	// requests and benchmark configs spell it "vm-batch". Both run every
@@ -235,17 +234,13 @@ func (o *Options) treeOnly() bool { return o.OnNode != nil }
 
 // compile resolves opt's engine for a one-shot entry point: the freshly
 // compiled VM program, or nil for the tree-walker (the tree engine, a
-// tree-only hook, a compile bailout, or no VM linked in). Use vm.Compile,
-// or core.Pipeline, to amortize compilation over many calls.
-func compile(res *lower.Result, opt *Options) Compiled {
+// tree-only hook, or no VM linked in). Use vm.Compile, or core.Pipeline,
+// to amortize compilation over many calls.
+func compile(res *lower.Result, opt *Options) (Compiled, error) {
 	if !EffectiveEngine(opt.Engine).VMBased() || opt.treeOnly() || vmCompile == nil {
-		return nil
+		return nil, nil
 	}
-	c, err := vmCompile(res)
-	if err != nil {
-		return nil
-	}
-	return c
+	return vmCompile(res)
 }
 
 // NewLane returns a lane running res under opt: one of c's when c is set
@@ -296,7 +291,11 @@ type BatchStats struct {
 // the whole batch, and reports every per-seed outcome through sink (see
 // RunBatchOn).
 func RunBatch(res *lower.Result, opt Options, seeds []uint64, lanes int, sink BatchSink) (BatchStats, error) {
-	return RunBatchOn(context.Background(), res, compile(res, &opt), opt, seeds, lanes, sink)
+	c, err := compile(res, &opt)
+	if err != nil {
+		return BatchStats{}, err
+	}
+	return RunBatchOn(context.Background(), res, c, opt, seeds, lanes, sink)
 }
 
 // RunBatchOn is the seed loop every engine shares. Seeds run on up to
@@ -557,7 +556,11 @@ func Run(res *lower.Result, opt Options) (*Result, error) {
 	if res.Main == nil {
 		return nil, fmt.Errorf("interp: program has no main unit")
 	}
-	if c := compile(res, &opt); c != nil {
+	c, err := compile(res, &opt)
+	if err != nil {
+		return nil, err
+	}
+	if c != nil {
 		return c.NewLane(opt).RunSeed(opt.Seed)
 	}
 	m := &machine{
@@ -601,7 +604,7 @@ func Run(res *lower.Result, opt Options) (*Result, error) {
 			m.costs[name] = tab
 		}
 	}
-	err := m.call(res.Main, nil, nil)
+	err = m.call(res.Main, nil, nil)
 	if errors.Is(err, errStop) {
 		m.result.Stopped = true
 		err = nil
@@ -708,7 +711,7 @@ func (m *machine) bindFrame(f *frame, p *lower.Proc, caller *frame, callStmt *la
 	if callStmt != nil {
 		for i, name := range p.Unit.Params {
 			sym := p.Unit.Symbols[name]
-			b, err := m.argBinding(caller, callStmt.Args[i], sym, &cells[sym.Slot], callStmt.Line)
+			b, err := m.argBinding(caller, callStmt.Args[i], &cells[sym.Slot])
 			if err != nil {
 				return err
 			}
@@ -740,10 +743,6 @@ func (m *machine) bindFrame(f *frame, p *lower.Proc, caller *frame, callStmt *la
 			b := f.vars[sym.Slot]
 			if sym.Kind != lang.SymArray {
 				continue
-			}
-			if b.arr == nil {
-				return &RuntimeError{Unit: p.G.Name, Line: callStmt.Line,
-					Msg: fmt.Sprintf("argument for array parameter %s is not an array", name)}
 			}
 			dims, err := m.extents(f, sym)
 			if err != nil {
@@ -958,25 +957,18 @@ func (m *machine) allocArray(f *frame, sym *lang.Symbol) (*Array, error) {
 
 // argBinding prepares the binding a callee parameter receives. An argument
 // passed by value is copied into spill, the callee's cell for the
-// parameter.
-func (m *machine) argBinding(caller *frame, arg lang.Expr, paramSym *lang.Symbol, spill *Value, line int) (binding, error) {
+// parameter. lang.Analyze has matched the argument's kind to the
+// parameter's.
+func (m *machine) argBinding(caller *frame, arg lang.Expr, spill *Value) (binding, error) {
 	switch a := arg.(type) {
 	case *lang.Var:
-		b := caller.vars[a.Sym.Slot]
-		// Whole array or scalar by reference.
-		if b.arr != nil || (b.cell != nil && paramSym.Kind != lang.SymArray) {
-			return b, nil
-		}
 		// PARAMETER constant passed by value-copy.
 		if a.Sym.Kind == lang.SymConst {
 			*spill = constValue(a.Sym)
 			return binding{cell: spill}, nil
 		}
-		if b.cell != nil {
-			return b, nil
-		}
-		return binding{}, &RuntimeError{Unit: caller.proc.G.Name, Line: line,
-			Msg: fmt.Sprintf("undefined argument %s", a.Name)}
+		// Whole array or scalar by reference.
+		return caller.vars[a.Sym.Slot], nil
 	case *lang.Index:
 		cellPtr, err := m.elemPtr(caller, a)
 		if err != nil {
@@ -1091,8 +1083,12 @@ func convert(v Value, t lang.Type) Value {
 
 func (m *machine) print(f *frame, s *lang.Print) error {
 	if m.opt.Out == nil {
-		// Still evaluate for effect parity (RAND advances, errors surface).
+		// Still evaluate the values for effect parity (RAND advances,
+		// errors surface); string literals have no effect.
 		for _, e := range s.Items {
+			if _, ok := e.(*lang.StrLit); ok {
+				continue
+			}
 			if _, err := m.eval(f, e); err != nil {
 				return err
 			}

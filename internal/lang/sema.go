@@ -14,6 +14,10 @@ import (
 // jumps into DO bodies or IF arms from outside), and checks CALL sites
 // against subroutine signatures. It resolves every name once: each symbol
 // gets its Slot, and every Var, Index and DoLoop its Sym/VarSym.
+//
+// Every program it accepts compiles to bytecode: a whole array is a value
+// only as a CALL argument, a string literal only as a PRINT item, and each
+// CALL argument's kind (whole array or not) matches its parameter's.
 func Analyze(prog *Program) error {
 	mains := 0
 	seen := map[string]bool{}
@@ -29,10 +33,38 @@ func Analyze(prog *Program) error {
 	if mains != 1 {
 		return fmt.Errorf("program must have exactly one PROGRAM unit, found %d", mains)
 	}
+	var calls []*CallStmt
 	for _, u := range prog.Units {
 		a := &analyzer{prog: prog, unit: u, resolve: true}
 		if err := a.run(); err != nil {
 			return err
+		}
+		calls = append(calls, a.calls...)
+	}
+	// Argument kinds need the callee's symbols, and a callee may come
+	// later in the file than its caller.
+	for _, st := range calls {
+		if err := checkCallArgs(prog.Unit(st.Name), st); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkCallArgs matches each argument of st to callee's parameter: an
+// array parameter takes a whole array, a scalar parameter anything else.
+func checkCallArgs(callee *Unit, st *CallStmt) error {
+	for i, arg := range st.Args {
+		param := callee.Symbols[callee.Params[i]]
+		v, _ := arg.(*Var)
+		whole := v != nil && v.Sym.Kind == SymArray
+		switch {
+		case param.Kind == SymArray && !whole:
+			return errf(st.Line, st.Col, "CALL %s: argument %d for array parameter %s is not an array",
+				st.Name, i+1, param.Name)
+		case param.Kind != SymArray && whole:
+			return errf(st.Line, st.Col, "CALL %s: array %s passed to scalar parameter %s",
+				st.Name, v.Name, param.Name)
 		}
 	}
 	return nil
@@ -53,6 +85,8 @@ type analyzer struct {
 	gotos []gotoRef
 	// blockSeq generates unique block IDs.
 	blockSeq int
+	// calls collects the unit's CALL statements for checkCallArgs.
+	calls []*CallStmt
 }
 
 type gotoRef struct {
@@ -137,15 +171,18 @@ func (a *analyzer) run() error {
 	}
 
 	// Array bounds must be integer expressions over constants and (in
-	// subroutines) parameters.
-	for _, sym := range u.Symbols {
-		for _, dim := range sym.Dims {
-			ty, err := a.typeOf(dim)
-			if err != nil {
-				return fmt.Errorf("unit %s: array %s bound: %v", u.Name, sym.Name, err)
-			}
-			if ty != TInt {
-				return fmt.Errorf("unit %s: array %s bound must be INTEGER", u.Name, sym.Name)
+	// subroutines) parameters. Each symbol's Dims are one declaration
+	// item's, so checking the items in source order checks them all.
+	for _, d := range u.Decls {
+		for _, item := range d.Items {
+			for _, dim := range item.Dims {
+				ty, err := a.typeOf(dim)
+				if err != nil {
+					return errf(d.Line, d.Col, "unit %s: array %s bound: %v", u.Name, item.Name, err)
+				}
+				if ty != TInt {
+					return errf(d.Line, d.Col, "unit %s: array %s bound must be INTEGER", u.Name, item.Name)
+				}
 			}
 		}
 	}
@@ -305,10 +342,17 @@ func (a *analyzer) checkStmt(s Stmt, path string) error {
 				st.Name, len(st.Args), len(callee.Params))
 		}
 		for _, arg := range st.Args {
+			if v, ok := arg.(*Var); ok {
+				if sym := a.lookup(v.Name); sym.Kind == SymArray {
+					v.Sym = sym // a whole array: passed by reference
+					continue
+				}
+			}
 			if _, err := a.typeOf(arg); err != nil {
 				return errf(st.Line, st.Col, "%v", err)
 			}
 		}
+		a.calls = append(a.calls, st)
 		return nil
 	case *Return:
 		if a.unit.IsMain {
@@ -319,6 +363,9 @@ func (a *analyzer) checkStmt(s Stmt, path string) error {
 		return nil
 	case *Print:
 		for _, e := range st.Items {
+			if _, ok := e.(*StrLit); ok {
+				continue
+			}
 			if _, err := a.typeOf(e); err != nil {
 				return errf(st.Line, st.Col, "%v", err)
 			}
@@ -395,14 +442,12 @@ func (a *analyzer) typeOf(e Expr) (Type, error) {
 	case *LogLit:
 		return TLogical, nil
 	case *StrLit:
-		return TNone, nil // only legal in PRINT; callers needing a value reject TNone
+		return TNone, fmt.Errorf("string used as a value")
 	case *Var:
 		sym := a.lookup(x.Name)
 		x.Sym = sym
 		if sym.Kind == SymArray {
-			// Whole-array reference: legal only as a CALL argument; typeOf
-			// is also used there, so return the element type.
-			return sym.Type, nil
+			return TNone, fmt.Errorf("whole array %s used as a value", x.Name)
 		}
 		return sym.Type, nil
 	case *Index:

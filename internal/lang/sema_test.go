@@ -1,6 +1,7 @@
 package lang
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -269,5 +270,86 @@ func TestHugeExponentFoldsQuickly(t *testing.T) {
 	}
 	if got := u.Symbols["K"].ConstValue; got != int64(1) {
 		t.Errorf("K folds to %v, want 1", got)
+	}
+}
+
+// TestValueAndArgumentKinds: a whole array is a value only as a CALL
+// argument, a string literal only as a PRINT item, and every CALL
+// argument's kind matches its parameter's. Each rejection names the
+// statement's line and column. The bytecode compiler has code for
+// nothing else, so these rules are what keep every accepted program
+// compilable.
+func TestValueAndArgumentKinds(t *testing.T) {
+	main := func(body string) string {
+		return "      PROGRAM P\n      REAL A(3), B(2)\n      INTEGER K(2)\n" + body + "      END\n"
+	}
+	sub := "      SUBROUTINE SA(V)\n      REAL V(3)\n      V(1) = 0.0\n      END\n" +
+		"      SUBROUTINE SS(X)\n      X = 1.0\n      END\n" +
+		"      SUBROUTINE SN(X)\n      END\n"
+	cases := []struct {
+		name, src, want string // want "" = accepted
+	}{
+		// Class 1: a whole array used as a value.
+		{"array in expression", main("      X = A + 1.0\n"), "line 4:7: whole array A used as a value"},
+		{"array in PRINT", main("      PRINT *, A\n"), "line 4:7: whole array A used as a value"},
+		{"array as IF condition", main("      IF (A .GT. 0.0) X = 1.0\n"), "line 4:7: whole array A used as a value"},
+		{"array in arithmetic IF", main("      IF (A) 10, 20, 20\n   10 CONTINUE\n   20 CONTINUE\n"), "line 4:7: whole array A used as a value"},
+		{"array as computed GOTO index", main("      GOTO (10, 20), K\n   10 CONTINUE\n   20 CONTINUE\n"), "line 4:7: whole array K used as a value"},
+		{"array as DO bound", main("      DO 10 I = 1, K\n   10 CONTINUE\n"), "line 4:7: whole array K used as a value"},
+		{"array as intrinsic argument", main("      X = SQRT(A)\n"), "line 4:7: whole array A used as a value"},
+		{"array as subscript", main("      A(K) = 1.0\n"), "line 4:7: whole array K used as a value"},
+		{"array as array bound", main("      REAL C(K)\n"), "line 4:7: unit P: array C bound: whole array K used as a value"},
+		// Class 2: a string literal anywhere except a PRINT item.
+		{"string assigned", main("      X = 'AB'\n"), "line 4:7: string used as a value"},
+		{"string as CALL argument", main("      CALL SS('AB')\n") + sub, "line 4:7: string used as a value"},
+		{"string as array bound", main("      REAL C('AB')\n"), "line 4:7: unit P: array C bound: string used as a value"},
+		// Class 3: an argument whose kind does not match its parameter.
+		{"scalar to array parameter", main("      CALL SA(X)\n") + sub, "line 4:7: CALL SA: argument 1 for array parameter V is not an array"},
+		{"constant to array parameter", "      PROGRAM P\n      PARAMETER (N = 3)\n      CALL SA(N)\n      END\n" + sub, "line 3:7: CALL SA: argument 1 for array parameter V is not an array"},
+		{"element to array parameter", main("      CALL SA(A(1))\n") + sub, "line 4:7: CALL SA: argument 1 for array parameter V is not an array"},
+		{"expression to array parameter", main("      CALL SA(X + 1.0)\n") + sub, "line 4:7: CALL SA: argument 1 for array parameter V is not an array"},
+		{"array to scalar parameter", main("      CALL SS(A)\n") + sub, "line 4:7: CALL SS: array A passed to scalar parameter X"},
+		{"array to unread scalar parameter", main("      CALL SN(B)\n") + sub, "line 4:7: CALL SN: array B passed to scalar parameter X"},
+		{"array parameter passed on to a scalar one", main("      CALL SA(A)\n") + sub +
+			"      SUBROUTINE SP(V)\n      REAL V(3)\n      CALL SS(V)\n      END\n", "line 17:7: CALL SS: array V passed to scalar parameter X"},
+		{"callee declared before its caller", sub + main("      CALL SS(A)\n"), "line 13:7: CALL SS: array A passed to scalar parameter X"},
+		{"string stored in a callee's array", `      PROGRAM BMAIN
+      REAL X
+      X = 1.0
+      CALL BSUB(X)
+      PRINT *, X
+      END
+
+      SUBROUTINE BSUB(X)
+      REAL X
+      REAL A(3)
+      A(1) = 'AB'
+      X = X + A(1)
+      RETURN
+      END
+`, "line 11:7: string used as a value"},
+		// Legal neighbours.
+		{"element to scalar parameter", main("      CALL SS(A(2))\n") + sub, ""},
+		{"array to array parameter", main("      CALL SA(A)\n") + sub, ""},
+		{"array parameter passed on to an array one", main("      CALL SP(A)\n") + sub +
+			"      SUBROUTINE SP(V)\n      REAL V(3)\n      CALL SA(V)\n      END\n", ""},
+		{"strings in PRINT", main("      PRINT *, 'A(1) =', A(1), 'K', K(2)\n"), ""},
+	}
+	for _, c := range cases {
+		_, err := Parse(c.src)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: rejected: %v", c.name, err)
+		case c.want == "":
+		case err == nil:
+			t.Errorf("%s: accepted, want %q", c.name, c.want)
+		case err.Error() != c.want:
+			t.Errorf("%s: error %q, want %q", c.name, err, c.want)
+		default:
+			var se *SyntaxError
+			if !errors.As(err, &se) {
+				t.Errorf("%s: %T is not a *SyntaxError", c.name, err)
+			}
+		}
 	}
 }

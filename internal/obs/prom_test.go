@@ -7,15 +7,15 @@ import (
 
 func TestWritePrometheus(t *testing.T) {
 	r := &Registry{}
-	r.Add("pipeline.engine_fallbacks_total", 3)
+	r.Add("pipeline.path_fallbacks", 3)
 	r.Add("service.requests_total", 10)
 	r.SetGauge("service.inflight", 2)
 	var b strings.Builder
 	if err := WritePrometheus(&b, r); err != nil {
 		t.Fatal(err)
 	}
-	want := "# TYPE repro_pipeline_engine_fallbacks_total counter\n" +
-		"repro_pipeline_engine_fallbacks_total 3\n" +
+	want := "# TYPE repro_pipeline_path_fallbacks counter\n" +
+		"repro_pipeline_path_fallbacks 3\n" +
 		"# TYPE repro_service_inflight gauge\n" +
 		"repro_service_inflight 2\n" +
 		"# TYPE repro_service_requests_total counter\n" +

@@ -9,9 +9,9 @@ import (
 
 // FuzzParsePipeline feeds arbitrary source text through the whole pipeline.
 // The pipeline may reject the input (parse/lower/analyze error) or the run
-// may diverge past MaxSteps — both are fine — but it must never panic, and
-// whenever it does accept a program, the core estimation invariants must
-// hold on it.
+// may diverge past MaxSteps — both are fine — but it must never panic, a
+// program the front end accepts must compile to bytecode, and the core
+// estimation invariants must hold on it.
 func FuzzParsePipeline(f *testing.F) {
 	f.Add("      PROGRAM T\n      X1 = 1.0\n      PRINT *, X1\n      END\n")
 	f.Add("      PROGRAM T\n   10 IF (RAND() .LT. 0.5) GOTO 10\n      END\n")
@@ -26,10 +26,10 @@ func FuzzParsePipeline(f *testing.F) {
 		c := &Case{Seed: 1, Size: 1, Depth: 1, ProfileSeeds: []uint64{1, 2}, MaxSteps: 200_000, Src: src}
 		ctx, err := c.eval(src, baseModel)
 		if err != nil {
-			// Rejections must be classified pipeline errors, not ad-hoc ones
-			// — except recover/estimate failures, which can only follow a
-			// successful run and are bugs if the pipeline accepted the
-			// program.
+			// Rejections must be classified pipeline errors, not ad-hoc ones.
+			// A bytecode compile failure is not one: the front end accepted
+			// the program. Nor are recover/estimate failures, which can only
+			// follow a successful run.
 			var pe *PipelineError
 			if !errors.As(err, &pe) {
 				t.Fatalf("pipeline failed outside a stage boundary: %v\n%s", err, src)

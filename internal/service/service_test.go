@@ -558,3 +558,23 @@ func TestRuntimeErrorIs422(t *testing.T) {
 		}
 	}
 }
+
+// TestPrintStringIs200: a program that PRINTs a string literal runs with
+// its output discarded, as every daemon run does, and gets a 200.
+func TestPrintStringIs200(t *testing.T) {
+	svc := New(Config{Metrics: &obs.Registry{}})
+	ts := httptest.NewServer(svc)
+	defer ts.Close()
+	src := `      PROGRAM P
+      INTEGER N
+      N = 3
+      PRINT *, 'N =', N
+      END
+`
+	for _, engine := range []string{"tree", "vm", "vm-batch"} {
+		resp, out := postAnalyze(t, ts.URL, AnalyzeRequest{Source: src, Engine: engine})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, want 200: %+v", engine, resp.StatusCode, out)
+		}
+	}
+}

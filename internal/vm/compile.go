@@ -11,22 +11,6 @@ import (
 	"repro/internal/obs"
 )
 
-// BailoutError reports a malformed lowered construct the bytecode compiler
-// rejects, such as an argument whose kind does not match its parameter.
-// Callers fall back to the tree-walker, which reports any failure at run
-// time; the check pass "vmcompile" surfaces bailouts as diagnostics so the
-// de-optimization is visible.
-type BailoutError struct {
-	Proc      string
-	Line      int
-	Construct string
-	Reason    string
-}
-
-func (e *BailoutError) Error() string {
-	return fmt.Sprintf("vm: %s: cannot compile %s: %s", e.Proc, e.Construct, e.Reason)
-}
-
 // CompileOptions tune the bytecode compiler.
 type CompileOptions struct {
 	// NoFuse disables the superinstruction peephole pass (fuse.go). The
@@ -38,20 +22,16 @@ type CompileOptions struct {
 // Compile translates every procedure of a lowered program into bytecode
 // and runs the superinstruction fusion pass over each. The returned
 // Program is immutable and safe for concurrent Run calls — compile once,
-// run every seed.
+// run every seed. lang.Analyze rejects every construct the compiler has no
+// code for, so an error here is a bug in the front end or the compiler.
 func Compile(res *lower.Result) (*Program, error) {
 	return CompileOpts(res, CompileOptions{})
 }
 
-// CompileOpts is Compile with explicit options. A bailout (the program
-// uses a construct outside the compilable subset) increments the
-// "vm.compile_bailouts" metric in obs.Default, so silent tree-walker
-// fallbacks show up in perf data instead of hiding behind identical
-// results.
+// CompileOpts is Compile with explicit options.
 func CompileOpts(res *lower.Result, opt CompileOptions) (*Program, error) {
 	prog, err := compileAll(res, opt)
 	if err != nil {
-		obs.Default.Add("vm.compile_bailouts", 1)
 		return nil, err
 	}
 	obs.Default.Add("vm.superinstructions", int64(prog.FusedInstructions()))
@@ -72,7 +52,7 @@ func compileAll(res *lower.Result, opt CompileOptions) (*Program, error) {
 		p.byName[name] = i
 	}
 	for _, name := range names {
-		pc, err := compileProc(res, res.Procs[name], p.byName, false)
+		pc, err := compileProc(res, res.Procs[name], p.byName)
 		if err != nil {
 			return nil, err
 		}
@@ -83,15 +63,6 @@ func compileAll(res *lower.Result, opt CompileOptions) (*Program, error) {
 	}
 	p.mainIdx = p.byName[res.Main.G.Name]
 	return p, nil
-}
-
-// CheckProc is the lint-mode entry point: it compiles one procedure in
-// isolation (unresolved callees tolerated, cross-procedure argument binding
-// unchecked) and reports the first construct that would force a
-// tree-walker fallback. Used by the check pass "vmcompile".
-func CheckProc(p *lower.Proc) error {
-	_, err := compileProc(nil, p, nil, true)
-	return err
 }
 
 // fixup marks an instruction field holding a node ID that must be patched
@@ -106,7 +77,6 @@ type procComp struct {
 	res    *lower.Result
 	p      *lower.Proc
 	byName map[string]int
-	loose  bool
 	out    *procCode
 
 	valSlot  map[string]int32
@@ -130,12 +100,11 @@ type procComp struct {
 	zero        int32 // see zeroSlot; -1 until first use
 }
 
-func compileProc(res *lower.Result, p *lower.Proc, byName map[string]int, loose bool) (*procCode, error) {
+func compileProc(res *lower.Result, p *lower.Proc, byName map[string]int) (*procCode, error) {
 	c := &procComp{
 		res:      res,
 		p:        p,
 		byName:   byName,
-		loose:    loose,
 		out:      &procCode{proc: p, name: p.G.Name},
 		valSlot:  make(map[string]int32),
 		refSlot:  make(map[string]int32),
@@ -166,13 +135,13 @@ func compileProc(res *lower.Result, p *lower.Proc, byName map[string]int, loose 
 	return c.out, nil
 }
 
+// bail reports a construct the compiler has no code for.
 func (c *procComp) bail(construct, format string, args ...any) error {
 	line := 0
 	if s, ok := c.p.Stmt[c.curNode]; ok && s != nil {
 		line = s.Pos()
 	}
-	return &BailoutError{Proc: c.p.G.Name, Line: line, Construct: construct,
-		Reason: fmt.Sprintf(format, args...)}
+	return fmt.Errorf("vm: %s line %d: cannot compile %s: %s", c.p.G.Name, line, construct, fmt.Sprintf(format, args...))
 }
 
 // allocSlots assigns every symbol a dense frame slot: parameters to
@@ -431,21 +400,9 @@ func (c *procComp) loopVar(name string) (int32, bool, error) {
 // call compiles argument staging (in parameter order, matching the
 // tree-walker's binding order) and the opCall.
 func (c *procComp) call(s *lang.CallStmt) error {
-	var callee *lower.Proc
-	if c.res != nil {
-		callee = c.res.Procs[s.Name]
-	}
+	callee := c.res.Procs[s.Name]
 	if callee == nil {
-		if !c.loose {
-			return c.bail("CALL", "no subroutine %s", s.Name)
-		}
-		// Lint mode: compile the arguments for coverage, skip the call.
-		for _, arg := range s.Args {
-			if err := c.stageArg(arg, nil); err != nil {
-				return err
-			}
-		}
-		return nil
+		return c.bail("CALL", "no subroutine %s", s.Name)
 	}
 	if len(s.Args) != len(callee.Unit.Params) {
 		return c.bail("CALL", "%s takes %d argument(s), got %d", s.Name, len(callee.Unit.Params), len(s.Args))
@@ -463,10 +420,9 @@ func (c *procComp) call(s *lang.CallStmt) error {
 	return nil
 }
 
-// stageArg emits the staging op for one CALL argument. param is nil in
-// lint mode for unresolved callees (no cross-checking possible).
+// stageArg emits the staging op for one CALL argument.
 func (c *procComp) stageArg(arg lang.Expr, param *lang.Symbol) error {
-	paramIsArray := param != nil && param.Kind == lang.SymArray
+	paramIsArray := param.Kind == lang.SymArray
 	switch a := arg.(type) {
 	case *lang.Var:
 		sym := c.p.Unit.Symbols[a.Name]
@@ -483,7 +439,7 @@ func (c *procComp) stageArg(arg lang.Expr, param *lang.Symbol) error {
 			c.depth--
 			return nil
 		case lang.SymArray:
-			if param != nil && !paramIsArray {
+			if !paramIsArray {
 				return c.bail("CALL argument", "array %s passed to scalar parameter", a.Name)
 			}
 			c.emit(instr{op: opArgArray, a: c.arrSlot[a.Name]})
@@ -900,8 +856,7 @@ func (c *procComp) patch() {
 
 // init registers the compiler with interp so interp.Run and
 // interp.RunBatch can run Options{Engine: EngineVM} here without an import
-// cycle. A compile bailout returns the error and the caller runs the
-// tree-walker.
+// cycle. A compile error is returned to the caller.
 func init() {
 	interp.RegisterVM(func(res *lower.Result) (interp.Compiled, error) {
 		p, err := Compile(res)

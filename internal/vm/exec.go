@@ -368,14 +368,9 @@ activation:
 				ip++
 
 			case opPrintStr:
-				if rs.opt.Out == nil {
-					// The tree-walker evaluates PRINT items for effect parity
-					// when output is discarded, and string literals are not
-					// values; replicate its exact failure.
-					retErr = &interp.RuntimeError{Unit: pc.name, Line: 0, Msg: "string used as value"}
-					break activation
+				if rs.opt.Out != nil {
+					rs.parts = append(rs.parts, pc.strs[in.a])
 				}
-				rs.parts = append(rs.parts, pc.strs[in.a])
 				ip++
 			case opPrintVal:
 				sp--

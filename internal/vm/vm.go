@@ -28,9 +28,9 @@
 // accumulation order, RNG draw order and runtime error messages. Operators,
 // builtins, DO trip counts and the RNG are interp's own (interp.BinOp,
 // interp.Intrinsic, interp.TripCount, interp.SeedRNG). It is the
-// production engine (interp.EffectiveEngine's default); malformed programs
-// the compiler rejects (see BailoutError) and runs that set Options.OnNode
-// fall back to the tree-walker, the reference.
+// production engine (interp.EffectiveEngine's default). It compiles every
+// program lang.Analyze accepts; only runs that set Options.OnNode take the
+// tree-walker, the reference.
 package vm
 
 import (
@@ -82,7 +82,7 @@ const (
 	opActivate          // count one activation (end of prologue)
 	opAllocArray        // a=array slot, b=#dims, c=meta idx: pop dims, allocate
 	opBindArray         // a=array slot, b=#dims, c=meta idx: reinterpret param array
-	opPrintStr          // append strs[a] (errors when Out is nil, like the tree)
+	opPrintStr          // append strs[a] (nothing when Out is nil)
 	opPrintVal          // pop value, append its rendering
 	opPrintFlush        // write the accumulated line
 	opEnd               // return from the procedure
@@ -275,8 +275,8 @@ func (p *Program) pathProcs(spec *interp.PathSpec) []*procCode {
 			continue
 		}
 		// The plain code compiled from the same procedure, so this cannot
-		// bail out.
-		pc, err := compileProc(p.res, plain.proc, p.byName, false)
+		// fail.
+		pc, err := compileProc(p.res, plain.proc, p.byName)
 		if err != nil {
 			panic(fmt.Sprintf("vm: recompiling %s: %v", plain.name, err))
 		}
@@ -605,10 +605,6 @@ func allocLocal(pc *procCode, f *frame, in *instr, ext []interp.Value) error {
 func bindParam(pc *procCode, f *frame, in *instr, ext []interp.Value) error {
 	md := &pc.meta[in.c]
 	arr := f.arrays[in.a]
-	if arr == nil {
-		return &interp.RuntimeError{Unit: pc.name, Line: f.callLine,
-			Msg: fmt.Sprintf("argument for array parameter %s is not an array", md.name)}
-	}
 	dims := make([]int64, len(ext))
 	total := int64(1)
 	for d, v := range ext {

@@ -620,24 +620,9 @@ func TestFusionDifferential(t *testing.T) {
 	}
 }
 
-// TestCheckProc verifies the lint-mode compiler accepts every generated
-// program (the progen surface is fully compilable).
-func TestCheckProc(t *testing.T) {
-	t.Parallel()
-	for seed := uint64(1); seed <= 30; seed++ {
-		res := lowerSrc(t, progen.Generate(seed, 6, 3))
-		for _, p := range res.Procs {
-			if err := CheckProc(p); err != nil {
-				t.Fatalf("seed %d proc %s: %v", seed, p.G.Name, err)
-			}
-		}
-	}
-}
-
-// TestVMCompilesCorpus: the bytecode compiler bails on no program the
+// TestVMCompilesCorpus: the bytecode compiler compiles every program the
 // pipeline is measured or pinned on — the digest corpus, the first 40
-// cold-large programs, and the Table 1 programs at their benchmark sizes —
-// so none of them falls back to the tree-walker.
+// cold-large programs, and the Table 1 programs at their benchmark sizes.
 func TestVMCompilesCorpus(t *testing.T) {
 	t.Parallel()
 	srcs := corpus.Digest(t)
