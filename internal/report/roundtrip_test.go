@@ -14,9 +14,9 @@ import (
 func fullDocument() *Document {
 	doc := NewDocument("ptrand", []Diagnostic{
 		{Severity: Error, Pass: "parse", Line: 3, Col: 7, Message: "unexpected token"},
-		{Severity: Warning, Pass: "engine", Proc: "MAIN", Node: 4,
-			Message: "bytecode compile bailed; runs fell back to the tree-walker",
-			Hint:    "results identical, throughput degraded"},
+		{Severity: Warning, Pass: "deadstore", Proc: "MAIN", Node: 4,
+			Message: "dead store: X is never read",
+			Hint:    "remove the assignment or use the value"},
 	})
 	doc.HotPaths = []HotPath{
 		{Proc: "MAIN", ID: 3, Count: 42, Nodes: []int{1, 4, 7}, FromEntry: true, ToExit: true},
@@ -46,11 +46,11 @@ const goldenDocument = `{
     },
     {
       "severity": "warning",
-      "pass": "engine",
+      "pass": "deadstore",
       "proc": "MAIN",
       "node": 4,
-      "message": "bytecode compile bailed; runs fell back to the tree-walker",
-      "hint": "results identical, throughput degraded"
+      "message": "dead store: X is never read",
+      "hint": "remove the assignment or use the value"
     }
   ],
   "errors": 1,
