@@ -112,13 +112,12 @@ func main() {
 	db.Merge(profile, len(seedList), seedList...)
 	if *loopvar {
 		for _, seed := range seedList {
-			o := opts
-			o.Seed = seed
-			vars, err := profiler.VarianceRun(p.An, o)
+			// The profiling run above already printed this seed's output.
+			moments, err := profiler.VarianceRun(p.An, interp.Options{Seed: seed})
 			if err != nil {
 				fail(err)
 			}
-			db.MergeLoopVar(vars)
+			db.MergeLoopMoments(moments)
 		}
 	}
 	if err := db.Save(*dbPath); err != nil {

@@ -100,6 +100,51 @@ func TestCommandLineTools(t *testing.T) {
 		}
 	})
 
+	t.Run("profrun-loopvar", func(t *testing.T) {
+		// The DO loop runs 2 or 10 times depending on RAND(); seeds 1 and
+		// 2 take one trip count each.
+		lvSrc := filepath.Join(dir, "loopvar.f")
+		if err := os.WriteFile(lvSrc, []byte(`      PROGRAM LVS
+      INTEGER I, N, S
+      S = 0
+      N = 2
+      IF (RAND() .LT. 0.5) N = 10
+      DO 10 I = 1, N
+         S = S + I
+   10 CONTINUE
+      PRINT *, 'SUM', S
+      END
+`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		lvDB := filepath.Join(dir, "loopvar.json")
+		out := runCmd(t, filepath.Join(dir, "profrun"), "-src", lvSrc, "-db", lvDB, "-seeds", "1,2", "-loopvar", "-print")
+		if n := strings.Count(out, "SUM"); n != 2 {
+			t.Errorf("-loopvar -print printed %d program lines for 2 seeds:\n%s", n, out)
+		}
+		data, err := os.ReadFile(lvDB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			LoopMoments map[string]map[string]struct {
+				Entries, Sum float64
+				SumSq        float64 `json:"sum_sq"`
+			} `json:"loop_moments"`
+		}
+		if err := json.Unmarshal(data, &doc); err != nil {
+			t.Fatal(err)
+		}
+		for key, m := range doc.LoopMoments["LVS"] {
+			if m.Entries != 2 || m.Sum != 14 || m.SumSq != 130 {
+				t.Errorf("loop %s moments %+v, want 2 entries of 3 and 11", key, m)
+			}
+		}
+		if len(doc.LoopMoments["LVS"]) != 1 {
+			t.Errorf("loop moments %+v, want one loop", doc.LoopMoments)
+		}
+	})
+
 	t.Run("ptranlint", func(t *testing.T) {
 		bin := filepath.Join(dir, "ptranlint")
 		// The paper's Figure 1 example is checker-clean: exit 0.

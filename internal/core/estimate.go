@@ -98,9 +98,11 @@ func (p *ProgramEstimate) Diagnostics() []report.Diagnostic {
 
 // Options tune the estimator.
 type Options struct {
-	// FreqVar supplies VAR(FREQ) per loop condition per procedure (from
-	// profiler.VarianceRun); nil assumes zero loop-frequency variance,
-	// matching the paper's Figure 3 simplification.
+	// FreqVar supplies VAR(FREQ) per loop condition per procedure: the
+	// variance of the loop moments profiler.VarianceRun returns, as
+	// database.DB.LoopVariance derives it from the moments summed over
+	// runs. Nil assumes zero loop-frequency variance, matching the paper's
+	// Figure 3 simplification.
 	FreqVar map[string]map[cdg.Condition]float64
 	// PropagateCallVariance, when true, sets VAR(COST(u)) of a call node
 	// to the callee's VAR(START) rather than the paper's simplifying 0.

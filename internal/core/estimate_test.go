@@ -664,9 +664,16 @@ func TestLoopFrequencyVariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fv, err := profiler.VarianceRun(p.An, interp.Options{})
+	moments, err := profiler.VarianceRun(p.An, interp.Options{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	fv := make(map[string]map[cdg.Condition]float64, len(moments))
+	for name, m := range moments {
+		fv[name] = make(map[cdg.Condition]float64, len(m))
+		for c, lm := range m {
+			fv[name][c] = lm.Var()
+		}
 	}
 	profile, _, err := p.Profile(interp.Options{}, 1)
 	if err != nil {

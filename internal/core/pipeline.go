@@ -310,24 +310,17 @@ func (p *Pipeline) Profile(opts interp.Options, seeds ...uint64) (profiler.Progr
 // seed on every engine: a caller whose deadline expires mid-profile stops
 // paying after the seeds in flight. Individual engine runs are bounded by
 // opts.MaxSteps, so cancellation latency is at most one seed's step
-// budget — the engines' fused dispatch loops stay free of cancellation
-// checks by design (see the twin-loop note in DESIGN §14).
+// budget; the dispatch loops carry no cancellation checks.
 //
 // Seeds run through interp.RunBatchOn on up to Workers lanes; runs
 // carrying an output writer or per-node hooks use one lane, which runs
-// seeds in order. The lane's sink reads each run while its reusable
-// result storage is still live:
-//
-//   - under the Sarkar plan it stores the run's counter readings
-//     (profiler.SeedSum). After the batch the readings are summed in seed
-//     order and every procedure recovers once, as the paper's program
-//     database does; a seed that froze a frame of a procedure at STOP
-//     recovers that procedure on its own, and its totals are added in.
-//     DESIGN §18 gives the argument that this is bit-identical to summing
-//     per-seed recoveries. Plans that are not integer-linear (only
-//     PlanStatic makes them) recover every seed on its own instead;
-//   - under Ball–Larus it decodes the run's path counts into a private
-//     per-seed profile, and the profiles are merged in seed order.
+// seeds in order. The lane's sink adds each run to the strategy's seed
+// accumulator while its reusable result storage is still live: counter
+// readings under the Sarkar plan (profiler.SeedSum), path counts under
+// Ball–Larus (pathprof.SeedSum). After the batch the accumulator recovers
+// every procedure once from the sum, as the paper's program database
+// does; DESIGN §18 gives the argument that this is bit-identical to
+// summing per-seed recoveries.
 func (p *Pipeline) ProfileCtx(ctx context.Context, opts interp.Options, seeds ...uint64) (profiler.ProgramProfile, *interp.Result, error) {
 	if len(seeds) == 0 {
 		seeds = []uint64{1}
@@ -339,21 +332,19 @@ func (p *Pipeline) ProfileCtx(ctx context.Context, opts interp.Options, seeds ..
 	if err != nil {
 		return nil, nil, err
 	}
-	var (
-		sum  *profiler.SeedSum
-		pp   *pathprof.Plans
-		prof []profiler.ProgramProfile
-	)
+	var acc interface {
+		Add(idx int, run *interp.Result) error
+		Profile() (profiler.ProgramProfile, error)
+	}
 	if EffectiveStrategy(p.Plan) == StrategyBallLarus {
-		if pp, err = p.pathProfPlans(); err != nil {
+		pp, err := p.pathProfPlans()
+		if err != nil {
 			return nil, nil, err
 		}
 		opts.PathSpec = pp.Spec()
+		acc = pp.NewSeedSum(len(seeds))
 	} else {
-		sum = plans.NewSeedSum(len(seeds))
-	}
-	if sum == nil {
-		prof = make([]profiler.ProgramProfile, len(seeds))
+		acc = plans.NewSeedSum(len(seeds))
 	}
 	c, err := p.compiledFor(opts)
 	if err != nil {
@@ -366,14 +357,7 @@ func (p *Pipeline) ProfileCtx(ctx context.Context, opts interp.Options, seeds ..
 	var last *interp.Result
 	sink := func(idx int, _ uint64, run *interp.Result, err error) bool {
 		if err == nil {
-			switch {
-			case sum != nil:
-				err = sum.Add(idx, run)
-			case pp != nil:
-				prof[idx], err = pp.Profile(run)
-			default:
-				prof[idx], err = plans.Profile(run)
-			}
+			err = acc.Add(idx, run)
 		}
 		errs[idx] = err
 		if idx == lastIdx && err == nil {
@@ -396,25 +380,13 @@ func (p *Pipeline) ProfileCtx(ctx context.Context, opts interp.Options, seeds ..
 			return nil, nil, err
 		}
 	}
-	if sum != nil {
-		sp = p.Trace.Start("recover")
-		acc, err := sum.Profile()
-		sp.End()
-		if err != nil {
-			return nil, nil, err
-		}
-		return acc, last, nil
+	sp = p.Trace.Start("recover")
+	prof, err := acc.Profile()
+	sp.End()
+	if err != nil {
+		return nil, nil, err
 	}
-	acc := make(profiler.ProgramProfile)
-	for _, pr := range prof {
-		for name, totals := range pr {
-			if acc[name] == nil {
-				acc[name] = make(freq.Totals)
-			}
-			acc[name].Add(totals)
-		}
-	}
-	return acc, last, nil
+	return prof, last, nil
 }
 
 // HotPaths runs one seed under Ball–Larus path instrumentation and

@@ -16,23 +16,41 @@ import (
 )
 
 // perSeedProfile is the reference profile: every seed run on its own and
-// recovered by Plans.Profile, the per-seed profiles summed in seed order.
+// every procedure recovered from it by the per-procedure primitive of the
+// pipeline's strategy (profiler.Plan.RecoverRun, pathprof.Plan.Recover),
+// the per-seed profiles summed in seed order.
 func perSeedProfile(p *Pipeline, seeds []uint64) (profiler.ProgramProfile, error) {
 	plans, err := p.Plans()
 	if err != nil {
 		return nil, err
 	}
+	var opts interp.Options
+	byProc := make(map[string]func(*interp.Result) (freq.Totals, error), len(plans))
+	for name, plan := range plans {
+		byProc[name] = plan.RecoverRun
+	}
+	if EffectiveStrategy(p.Plan) == StrategyBallLarus {
+		pp, err := p.pathProfPlans()
+		if err != nil {
+			return nil, err
+		}
+		opts.PathSpec = pp.Spec()
+		for name, plan := range pp.ByProc {
+			byProc[name] = plan.Recover
+		}
+	}
 	acc := make(profiler.ProgramProfile)
 	for _, seed := range seeds {
-		run, err := p.runSingle(interp.Options{Seed: seed})
+		opts.Seed = seed
+		run, err := p.runSingle(opts)
 		if err != nil {
 			return nil, err
 		}
-		prof, err := plans.Profile(run)
-		if err != nil {
-			return nil, err
-		}
-		for name, totals := range prof {
+		for name, rec := range byProc {
+			totals, err := rec(run)
+			if err != nil {
+				return nil, err
+			}
 			if acc[name] == nil {
 				acc[name] = make(freq.Totals)
 			}
@@ -58,10 +76,16 @@ func oracleSources(t *testing.T) map[string]string {
 	return srcs
 }
 
-// TestProfileMatchesPerSeedRecovery: Pipeline.Profile under the Sarkar
-// plan equals per-seed recovery summed in seed order, key set and values
-// bit for bit, on every engine's default.
+// TestProfileMatchesPerSeedRecovery: Pipeline.Profile under each counter
+// strategy equals per-seed, per-procedure recovery summed in seed order,
+// key set and values bit for bit, on every engine's default.
 func TestProfileMatchesPerSeedRecovery(t *testing.T) {
+	for _, strat := range []Strategy{StrategySarkar, StrategyBallLarus} {
+		t.Run(strat.String(), func(t *testing.T) { checkProfileMatchesPerSeed(t, strat) })
+	}
+}
+
+func checkProfileMatchesPerSeed(t *testing.T, strat Strategy) {
 	srcs := oracleSources(t)
 	names := make([]string, 0, len(srcs))
 	for name := range srcs {
@@ -70,7 +94,7 @@ func TestProfileMatchesPerSeedRecovery(t *testing.T) {
 	sort.Strings(names)
 	seeds := []uint64{1, 2, 3, 4, 5, 6, 7, 8}
 	for _, name := range names {
-		p, err := LoadOpts(srcs[name], LoadOptions{Plan: StrategySarkar})
+		p, err := LoadOpts(srcs[name], LoadOptions{Plan: strat})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

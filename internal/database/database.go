@@ -33,17 +33,18 @@ type DB struct {
 	// Totals maps procedure name -> "node:label" -> accumulated
 	// TOTAL_FREQ.
 	Totals map[string]map[string]float64 `json:"totals"`
-	// LoopVar maps procedure name -> "node:label" -> VAR(FREQ) of loop
-	// conditions, averaged over merges.
-	LoopVar map[string]map[string]float64 `json:"loop_var,omitempty"`
+	// LoopMoments maps procedure name -> "node:label" -> the raw moments
+	// of a loop condition's per-entry iteration count, summed over merges;
+	// LoopVariance derives VAR(FREQ) from them.
+	LoopMoments map[string]map[string]profiler.LoopMoments `json:"loop_moments,omitempty"`
 }
 
 // New returns an empty database for a program.
 func New(program string) *DB {
 	return &DB{
-		Program: program,
-		Totals:  make(map[string]map[string]float64),
-		LoopVar: make(map[string]map[string]float64),
+		Program:     program,
+		Totals:      make(map[string]map[string]float64),
+		LoopMoments: make(map[string]map[string]profiler.LoopMoments),
 	}
 }
 
@@ -80,16 +81,17 @@ func (db *DB) Merge(profile profiler.ProgramProfile, runs int, seeds ...uint64) 
 	}
 }
 
-// MergeLoopVar records loop-frequency variances (keeping the latest value;
-// variance of merged sample sets would need raw moments, which VarianceRun
-// callers can maintain themselves if needed).
-func (db *DB) MergeLoopVar(vars map[string]map[cdg.Condition]float64) {
-	for proc, m := range vars {
-		if db.LoopVar[proc] == nil {
-			db.LoopVar[proc] = make(map[string]float64)
+// MergeLoopMoments accumulates one profiling session's loop moments
+// (profiler.VarianceRun) into the database.
+func (db *DB) MergeLoopMoments(moments map[string]map[cdg.Condition]profiler.LoopMoments) {
+	for proc, m := range moments {
+		if db.LoopMoments[proc] == nil {
+			db.LoopMoments[proc] = make(map[string]profiler.LoopMoments)
 		}
 		for c, v := range m {
-			db.LoopVar[proc][Key(c)] = v
+			sum := db.LoopMoments[proc][Key(c)]
+			sum.Add(v)
+			db.LoopMoments[proc][Key(c)] = sum
 		}
 	}
 }
@@ -111,17 +113,18 @@ func (db *DB) ProcTotals() (map[string]freq.Totals, error) {
 	return out, nil
 }
 
-// LoopVariance reconstructs the per-procedure VAR(FREQ) maps.
+// LoopVariance derives the per-procedure VAR(FREQ) maps from the summed
+// loop moments: the variance over every loop entry of every merged run.
 func (db *DB) LoopVariance() (map[string]map[cdg.Condition]float64, error) {
-	out := make(map[string]map[cdg.Condition]float64, len(db.LoopVar))
-	for proc, m := range db.LoopVar {
+	out := make(map[string]map[cdg.Condition]float64, len(db.LoopMoments))
+	for proc, m := range db.LoopMoments {
 		pm := make(map[cdg.Condition]float64, len(m))
 		for k, v := range m {
 			c, err := ParseKey(k)
 			if err != nil {
 				return nil, fmt.Errorf("database: proc %s: %w", proc, err)
 			}
-			pm[c] = v
+			pm[c] = v.Var()
 		}
 		out[proc] = pm
 	}

@@ -12,6 +12,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/interp"
 	"repro/internal/paperex"
+	"repro/internal/profiler"
 )
 
 func TestKeyRoundTrip(t *testing.T) {
@@ -123,8 +124,12 @@ func TestLoadErrors(t *testing.T) {
 
 func TestLoopVarRoundTrip(t *testing.T) {
 	db := New("x")
-	db.MergeLoopVar(map[string]map[cdg.Condition]float64{
-		"P": {{Node: 3, Label: cfg.Uncond}: 2.5},
+	// Per-entry counts {1, 2, 3} and {0}: ΣF = 6, ΣF² = 14 over 4 entries.
+	db.MergeLoopMoments(map[string]map[cdg.Condition]profiler.LoopMoments{
+		"P": {{Node: 3, Label: cfg.Uncond}: {Entries: 3, Sum: 6, SumSq: 14}},
+	})
+	db.MergeLoopMoments(map[string]map[cdg.Condition]profiler.LoopMoments{
+		"P": {{Node: 3, Label: cfg.Uncond}: {Entries: 1}},
 	})
 	dir := t.TempDir()
 	path := filepath.Join(dir, "p.json")
@@ -139,7 +144,48 @@ func TestLoopVarRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := lv["P"][cdg.Condition{Node: 3, Label: cfg.Uncond}]; got != 2.5 {
-		t.Errorf("loop var = %g, want 2.5", got)
+	if got := lv["P"][cdg.Condition{Node: 3, Label: cfg.Uncond}]; got != 1.25 {
+		t.Errorf("loop var = %g, want 1.25", got)
+	}
+}
+
+// TestLoopVarPoolsSeeds: a DO loop runs 2 or 10 times depending on RAND(),
+// and seeds 1 and 2 take one trip count each. Merging the two single-seed
+// variance runs gives the variance of the pooled per-entry header counts
+// {3, 11}, which is 16, not the last seed's 0.
+func TestLoopVarPoolsSeeds(t *testing.T) {
+	src := `      PROGRAM LVS
+      INTEGER I, N, S
+      S = 0
+      N = 2
+      IF (RAND() .LT. 0.5) N = 10
+      DO 10 I = 1, N
+         S = S + I
+   10 CONTINUE
+      END
+`
+	p, err := core.Load(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := New("lvs")
+	for _, seed := range []uint64{1, 2} {
+		moments, err := profiler.VarianceRun(p.An, interp.Options{Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		db.MergeLoopMoments(moments)
+	}
+	lv, err := db.LoopVariance()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(lv["LVS"]) != 1 {
+		t.Fatalf("loop variances %v, want one loop", lv)
+	}
+	for c, v := range lv["LVS"] {
+		if v != 16 {
+			t.Errorf("VAR(FREQ%v) = %g over seeds 1 and 2, want 16", c, v)
+		}
 	}
 }

@@ -154,11 +154,11 @@ const (
 	EngineDefault Engine = iota
 	// EngineTree is the reference tree-walking interpreter in this package:
 	// the engine the VM is differentially tested against, and the one that
-	// runs OnNode hooks.
+	// runs the per-node hooks (OnNode, OnNodeCost).
 	EngineTree
 	// EngineVM is the slot-indexed bytecode VM (internal/vm), the
-	// production engine. Runs that set OnNode take the tree-walker, with
-	// identical results.
+	// production engine. Runs that set a per-node hook take the
+	// tree-walker, with identical results.
 	EngineVM
 	// EngineVMBatch is a second name for EngineVM, kept because flags,
 	// requests and benchmark configs spell it "vm-batch". Both run every
@@ -229,8 +229,9 @@ var vmCompile func(*lower.Result) (Compiled, error)
 func RegisterVM(compile func(*lower.Result) (Compiled, error)) { vmCompile = compile }
 
 // treeOnly reports whether opt needs the tree-walker on every engine:
-// OnNode's getter needs name-addressable frames.
-func (o *Options) treeOnly() bool { return o.OnNode != nil }
+// OnNode's getter needs name-addressable frames, and the per-node hooks
+// are observers the production engine does not pay for.
+func (o *Options) treeOnly() bool { return o.OnNode != nil || o.OnNodeCost != nil }
 
 // compile resolves opt's engine for a one-shot entry point: the freshly
 // compiled VM program, or nil for the tree-walker (the tree engine, a
@@ -305,15 +306,15 @@ func RunBatch(res *lower.Result, opt Options, seeds []uint64, lanes int, sink Ba
 // Options and that seed: seeds are independent (own RNG, counters,
 // Result), so neither the engine nor the lane count can change any
 // per-seed outcome. PRINT output and per-node hooks observe runs one at a
-// time, so Out, OnNode and OnNodeCost force a single lane,
-// which runs seeds strictly in batch order. ctx is checked before every
+// time, so Out and the tree-only hooks force a single lane, which runs
+// seeds strictly in batch order. ctx is checked before every
 // seed: once it is done no further seed starts and RunBatchOn returns its
 // error. Per-seed runtime errors go to the sink and do not stop the batch.
 func RunBatchOn(ctx context.Context, res *lower.Result, c Compiled, opt Options, seeds []uint64, lanes int, sink BatchSink) (BatchStats, error) {
 	if lanes <= 0 {
 		lanes = runtime.GOMAXPROCS(0)
 	}
-	if opt.Out != nil || opt.OnNodeCost != nil || opt.treeOnly() {
+	if opt.Out != nil || opt.treeOnly() {
 		lanes = 1
 	}
 	lanes = max(1, min(lanes, len(seeds)))
@@ -405,7 +406,8 @@ type Options struct {
 	OnNode func(p *lower.Proc, n cfg.NodeID, get func(name string) (Value, bool))
 	// OnNodeCost, if set, is invoked before each node executes with the
 	// model cost accumulated so far, the node's own cost included.
-	// Requires Model to be set; silently never fires otherwise.
+	// Requires Model to be set; silently never fires otherwise. Like
+	// OnNode, it forces the tree-walker.
 	OnNodeCost func(p *lower.Proc, n cfg.NodeID, costSoFar float64)
 	// Engine selects the execution substrate. Both engines produce
 	// bit-identical Results; the VM (the default) compiles the program to
@@ -588,7 +590,7 @@ func Run(res *lower.Result, opt Options) (*Result, error) {
 				if m.result.Paths == nil {
 					m.result.Paths = make(map[string]*PathCounts)
 				}
-				m.result.Paths[name] = NewPathCounts(ps, opt.PathSpec.MultiIter)
+				m.result.Paths[name] = NewPathCounts(ps)
 			}
 		}
 		if opt.Model != nil {
@@ -644,7 +646,7 @@ func (m *machine) call(p *lower.Proc, caller *frame, callStmt *lang.CallStmt) er
 	var path *pathReg
 	if m.opt.PathSpec != nil {
 		if ps := m.opt.PathSpec.Procs[p.G.Name]; ps != nil {
-			path = &pathReg{spec: ps, counts: m.result.Paths[p.G.Name], prev: -1}
+			path = &pathReg{spec: ps, counts: m.result.Paths[p.G.Name]}
 		}
 	}
 	pc := g.Entry

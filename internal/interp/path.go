@@ -47,18 +47,6 @@ type PathProcSpec struct {
 // overflows.
 type PathSpec struct {
 	Procs map[string]*PathProcSpec
-	// MultiIter enables the multiple-loop-iteration extension (D'Elia &
-	// Demetrescu): counters are keyed by consecutive (previous, current)
-	// path-id pairs per activation instead of single ids, exposing
-	// cross-iteration chains. Recovery uses only the current component, so
-	// exactness is unaffected.
-	MultiIter bool
-}
-
-// PathPair keys a multi-iteration counter: the previous completed path of
-// the same activation (-1 when none) and the current one.
-type PathPair struct {
-	Prev, Cur int64
 }
 
 // PathPartial records a path prefix cut short by STOP: the node the frame
@@ -68,29 +56,25 @@ type PathPartial struct {
 	Reg  int64
 }
 
-// PathCounts is the per-procedure counter state of one run. Exactly one of
-// Dense, Sparse or Pairs is non-nil, fixed by the spec at run start.
+// PathCounts is the per-procedure counter state of one run, or of several
+// runs summed (Add). Exactly one of Dense or Sparse is non-nil, fixed by
+// the spec at construction.
 type PathCounts struct {
 	NumPaths int64
 	// Dense[id] counts completions of path id (NumPaths ≤ PathDenseLimit).
 	Dense []int64
 	// Sparse holds the same keyed by id for large numberings.
 	Sparse map[int64]int64
-	// Pairs holds (prev, cur) pair counts under PathSpec.MultiIter.
-	Pairs map[PathPair]int64
 	// Partials lists prefixes cut short by STOP, innermost frame first.
 	Partials []PathPartial
 }
 
 // NewPathCounts builds empty counter storage for one instrumented procedure.
-func NewPathCounts(ps *PathProcSpec, multiIter bool) *PathCounts {
+func NewPathCounts(ps *PathProcSpec) *PathCounts {
 	pc := &PathCounts{NumPaths: ps.NumPaths}
-	switch {
-	case multiIter:
-		pc.Pairs = make(map[PathPair]int64)
-	case ps.NumPaths <= PathDenseLimit:
+	if ps.NumPaths <= PathDenseLimit {
 		pc.Dense = make([]int64, ps.NumPaths)
-	default:
+	} else {
 		pc.Sparse = make(map[int64]int64)
 	}
 	return pc
@@ -99,113 +83,83 @@ func NewPathCounts(ps *PathProcSpec, multiIter bool) *PathCounts {
 // Reset zeroes every counter and drops recorded partials, reusing the
 // underlying storage — the batch engine's per-seed clear.
 func (pc *PathCounts) Reset() {
-	switch {
-	case pc.Pairs != nil:
-		clear(pc.Pairs)
-	case pc.Dense != nil:
-		for i := range pc.Dense {
-			pc.Dense[i] = 0
-		}
-	default:
+	if pc.Dense != nil {
+		clear(pc.Dense)
+	} else {
 		clear(pc.Sparse)
 	}
 	pc.Partials = pc.Partials[:0]
 }
 
-// Bump records one completed path. prev is the activation's previously
-// completed path id (-1 when none); it is only consulted in pair mode.
-func (pc *PathCounts) Bump(prev, id int64) {
-	switch {
-	case pc.Pairs != nil:
-		pc.Pairs[PathPair{Prev: prev, Cur: id}]++
-	case pc.Dense != nil:
+// Bump records one completed path.
+func (pc *PathCounts) Bump(id int64) {
+	if pc.Dense != nil {
 		pc.Dense[id]++
-	default:
+	} else {
 		pc.Sparse[id]++
 	}
 }
 
-// Total returns the completion count of path id, summing over pair keys in
-// multi-iteration mode.
-func (pc *PathCounts) Total(id int64) int64 {
-	switch {
-	case pc.Pairs != nil:
-		var n int64
-		for k, c := range pc.Pairs {
-			if k.Cur == id {
-				n += c
-			}
+// Add accumulates another run's counts of the same procedure, built from
+// the same spec: completion counts add path by path, and other's partials
+// are appended. Counts are integers, so the sum does not depend on the
+// order runs are added in.
+func (pc *PathCounts) Add(other *PathCounts) {
+	if pc.Dense != nil {
+		for id, c := range other.Dense {
+			pc.Dense[id] += c
 		}
-		return n
-	case pc.Dense != nil:
+	} else {
+		for id, c := range other.Sparse {
+			pc.Sparse[id] += c
+		}
+	}
+	pc.Partials = append(pc.Partials, other.Partials...)
+}
+
+// Total returns the completion count of path id.
+func (pc *PathCounts) Total(id int64) int64 {
+	if pc.Dense != nil {
 		if id >= 0 && id < int64(len(pc.Dense)) {
 			return pc.Dense[id]
 		}
 		return 0
-	default:
-		return pc.Sparse[id]
 	}
+	return pc.Sparse[id]
 }
 
-// Each calls f once per path id with a nonzero completion count, aggregating
-// pair keys by their current component. Iteration order is unspecified for
-// sparse and pair storage.
+// Each calls f once per path id with a nonzero completion count. Iteration
+// order is unspecified for sparse storage.
 func (pc *PathCounts) Each(f func(id, count int64)) {
-	switch {
-	case pc.Pairs != nil:
-		agg := make(map[int64]int64, len(pc.Pairs))
-		for k, c := range pc.Pairs {
-			agg[k.Cur] += c
-		}
-		for id, c := range agg {
-			f(id, c)
-		}
-	case pc.Dense != nil:
+	if pc.Dense != nil {
 		for id, c := range pc.Dense {
 			if c != 0 {
 				f(int64(id), c)
 			}
 		}
-	default:
-		for id, c := range pc.Sparse {
-			f(id, c)
-		}
+		return
+	}
+	for id, c := range pc.Sparse {
+		f(id, c)
 	}
 }
 
 // Bumps returns the total number of counter bumps recorded (completed
 // paths; partials excluded) and the number of distinct counters touched.
 func (pc *PathCounts) Bumps() (bumps, touched int64) {
-	add := func(c int64) {
-		if c != 0 {
-			bumps += c
-			touched++
-		}
-	}
-	switch {
-	case pc.Pairs != nil:
-		for _, c := range pc.Pairs {
-			add(c)
-		}
-	case pc.Dense != nil:
-		for _, c := range pc.Dense {
-			add(c)
-		}
-	default:
-		for _, c := range pc.Sparse {
-			add(c)
-		}
-	}
+	pc.Each(func(_, c int64) {
+		bumps += c
+		touched++
+	})
 	return bumps, touched
 }
 
 // pathReg is the path state of one instrumented tree-walker activation:
-// the register, the previously completed path id (-1 when none), and the
-// counters completions go to.
+// the register and the counters completions go to.
 type pathReg struct {
-	spec      *PathProcSpec
-	counts    *PathCounts
-	reg, prev int64
+	spec   *PathProcSpec
+	counts *PathCounts
+	reg    int64
 }
 
 // edge applies the k-th out-edge of node n: add its increment and, on a
@@ -213,14 +167,13 @@ type pathReg struct {
 func (r *pathReg) edge(n cfg.NodeID, k int) {
 	r.reg += r.spec.Inc[n][k]
 	if r.spec.Bump[n][k] {
-		r.counts.Bump(r.prev, r.reg)
-		r.prev = r.reg
+		r.counts.Bump(r.reg)
 		r.reg = r.spec.Reset[n][k]
 	}
 }
 
 // end completes the activation's final path at END.
-func (r *pathReg) end() { r.counts.Bump(r.prev, r.reg) }
+func (r *pathReg) end() { r.counts.Bump(r.reg) }
 
 // cut records the prefix a STOP unwinding through the activation cut
 // short at node n: the STOP node in the stopping frame, the CALL node in

@@ -223,18 +223,6 @@ func diffPathCounts(w, g *interp.PathCounts) string {
 				return fmt.Sprintf("path %d count %d, want %d", id, g.Sparse[id], c)
 			}
 		}
-	case w.Pairs != nil:
-		if g.Pairs == nil {
-			return "storage kind differs (want pairs)"
-		}
-		if len(w.Pairs) != len(g.Pairs) {
-			return fmt.Sprintf("%d pair entries, want %d", len(g.Pairs), len(w.Pairs))
-		}
-		for k, c := range w.Pairs {
-			if g.Pairs[k] != c {
-				return fmt.Sprintf("pair %v count %d, want %d", k, g.Pairs[k], c)
-			}
-		}
 	}
 	if len(w.Partials) != len(g.Partials) {
 		return fmt.Sprintf("%d partials, want %d", len(g.Partials), len(w.Partials))

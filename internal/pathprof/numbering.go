@@ -11,10 +11,11 @@
 // back edges is a DAG. Each back edge t→h is split into two dummy edges —
 // t→EXIT ending the current path and ENTRY→h starting the next one — so
 // every dynamic trace decomposes into acyclic paths with ids in
-// [0, NumPaths). The multiple-loop-iteration extension (D'Elia &
-// Demetrescu, PAPERS.md) is available behind Options.MultiIter: counters
-// are keyed by consecutive (previous, current) path pairs per activation,
-// exposing cross-iteration chains without changing recovered totals.
+// [0, NumPaths).
+//
+// Path counts add across runs like the paper's TOTAL_FREQ values, so a
+// batch of runs is profiled by summing its counts and decoding the sum
+// once (SeedSum); Plans.Profile is the one-run case.
 package pathprof
 
 import (

@@ -21,10 +21,6 @@ const DefaultMaxPaths = 1 << 20
 
 // Options configure plan building.
 type Options struct {
-	// MultiIter keys counters by consecutive (previous, current) path
-	// pairs per activation — the multiple-loop-iteration extension.
-	// Recovery only reads the current component, so totals are unchanged.
-	MultiIter bool
 	// MaxPaths caps NumPaths per procedure (0 = DefaultMaxPaths);
 	// procedures over the cap fall back to their Sarkar plan.
 	MaxPaths int64
@@ -85,7 +81,7 @@ func BuildPlansWith(prog *analysis.Program, fallback profiler.Plans, opts Option
 	pl := &Plans{
 		ByProc: make(map[string]*Plan, len(prog.Procs)),
 		Opts:   opts,
-		spec:   &interp.PathSpec{Procs: make(map[string]*interp.PathProcSpec), MultiIter: opts.MultiIter},
+		spec:   &interp.PathSpec{Procs: make(map[string]*interp.PathProcSpec)},
 	}
 	for name, a := range prog.Procs {
 		fb := fallback[name]
@@ -134,17 +130,14 @@ func (pl *Plans) Spec() *interp.PathSpec { return pl.spec }
 // Profile recovers full per-procedure condition totals from one
 // instrumented run: path counts where the procedure is instrumented, the
 // Sarkar fallback (readings simulated from the run's exact counts)
-// elsewhere. The run must come from the same lowered program.
+// elsewhere. It is the one-run case of SeedSum. The run must come from the
+// same lowered program.
 func (pl *Plans) Profile(run *interp.Result) (profiler.ProgramProfile, error) {
-	out := make(profiler.ProgramProfile, len(pl.ByProc))
-	for name, p := range pl.ByProc {
-		totals, err := p.Recover(run)
-		if err != nil {
-			return nil, err
-		}
-		out[name] = totals
+	s := pl.NewSeedSum(1)
+	if err := s.Add(0, run); err != nil {
+		return nil, err
 	}
-	return out, nil
+	return s.Profile()
 }
 
 // edgeTotals accumulates decoded per-edge counts plus the activation count
@@ -155,10 +148,10 @@ type edgeTotals struct {
 }
 
 // decodeRun decodes every recorded path (complete and partial) of the
-// procedure into exact edge counts and the activation count. Activations
-// need no separate counter: every activation contributes exactly one path
-// or partial whose decode starts at the real entry rather than an entry
-// dummy.
+// procedure, in one run or several summed, into exact edge counts and the
+// activation count. Activations need no separate counter: every
+// activation contributes exactly one path or partial whose decode starts
+// at the real entry rather than an entry dummy.
 func (p *Plan) decodeRun(pc *interp.PathCounts) (*edgeTotals, error) {
 	g := p.A.P.G
 	et := &edgeTotals{edge: make([][]int64, g.MaxID()+1)}
@@ -239,19 +232,36 @@ func (et *edgeTotals) labelCount(g *cfg.Graph, n cfg.NodeID, l cfg.Label) int64 
 // TOTAL_FREQ of every FCDG control condition — the same mapping
 // profiler.ExactTotals applies to uninstrumented counts, sourced purely
 // from path data. Fallback procedures recover through their Sarkar plan.
+// It is the per-procedure reference SeedSum is tested against.
 func (p *Plan) Recover(run *interp.Result) (freq.Totals, error) {
-	a := p.A
 	if p.N == nil {
 		return p.Fallback.RecoverRun(run)
 	}
-	pc := run.Paths[a.P.G.Name]
-	if pc == nil {
-		return nil, fmt.Errorf("pathprof: run has no path counts for %s (was it started with the plan's Spec?)", a.P.G.Name)
+	pc, err := p.counts(run)
+	if err != nil {
+		return nil, err
 	}
+	return p.recoverCounts(pc)
+}
+
+// counts returns the run's path counts of the instrumented procedure.
+func (p *Plan) counts(run *interp.Result) (*interp.PathCounts, error) {
+	name := p.A.P.G.Name
+	pc := run.Paths[name]
+	if pc == nil {
+		return nil, fmt.Errorf("pathprof: run has no path counts for %s (was it started with the plan's Spec?)", name)
+	}
+	return pc, nil
+}
+
+// recoverCounts decodes path counts, of one run or several summed, into
+// the condition totals of the instrumented procedure.
+func (p *Plan) recoverCounts(pc *interp.PathCounts) (freq.Totals, error) {
 	et, err := p.decodeRun(pc)
 	if err != nil {
 		return nil, err
 	}
+	a := p.A
 	g := a.P.G
 	totals := make(freq.Totals)
 	for _, c := range a.FCDG.Conditions() {

@@ -190,29 +190,6 @@ func TestRecoverRandBranchesAcrossSeeds(t *testing.T) {
 	}
 }
 
-func TestRecoverMultiIter(t *testing.T) {
-	res, ap := build(t, randBranchSrc)
-	pl, err := BuildPlans(ap, Options{MultiIter: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := checkDifferential(t, res, ap, pl, 3)
-	pc := run.Paths["RMAIN"]
-	if pc == nil || pc.Pairs == nil {
-		t.Fatal("multi-iteration mode did not record pair counters")
-	}
-	chained := false
-	for k := range pc.Pairs {
-		if k.Prev != -1 {
-			chained = true
-			break
-		}
-	}
-	if !chained {
-		t.Fatal("no cross-iteration (prev, cur) pair recorded in a 200-iteration loop")
-	}
-}
-
 func TestRecoverFallback(t *testing.T) {
 	res, ap := build(t, paperex.Source)
 	// MaxPaths 1 forces the loopy EXMPL procedure over the cap; the plan

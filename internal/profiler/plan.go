@@ -199,14 +199,6 @@ func PlanLevel(a *analysis.Proc, level Level) (*Plan, error) {
 	return planImpl(a, level, nil, nil)
 }
 
-// PlanStatic computes the fully optimized placement and additionally drops
-// counters for conditions whose FREQ is known at compile time (package
-// staticfreq): the paper's complementary program analysis. static maps
-// conditions to their compile-time FREQ.
-func PlanStatic(a *analysis.Proc, static map[cdg.Condition]float64) (*Plan, error) {
-	return planImpl(a, LevelFull, static, nil)
-}
-
 // PlanFlow computes the fully optimized placement additionally informed by
 // the procedure's dataflow facts (a.Flow): counters for conditions pinned
 // to an exact 0/1 frequency by feasibility analysis are dropped, and DO

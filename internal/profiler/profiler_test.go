@@ -438,7 +438,7 @@ func TestVarianceRun(t *testing.T) {
 	}
 	c := cdg.Condition{Node: a.Ext.Preheader[inner], Label: ecfg.LoopBodyLabel}
 	// Per-entry header executions: trips+1 = {2,3,4,5,6}; VAR = 2.
-	if got := vars["VARP"][c]; math.Abs(got-2) > 1e-9 {
+	if got := vars["VARP"][c].Var(); math.Abs(got-2) > 1e-9 {
 		t.Errorf("VAR(FREQ(inner)) = %g, want 2", got)
 	}
 }

@@ -44,11 +44,6 @@ type recovery struct {
 	tripTest []cfg.NodeID
 	// out lists the condition slots recovery reports.
 	out []int32
-	// linear is set when every rule maps integer readings to integer
-	// totals linearly: no RuleStaticCond carries a fractional StaticFreq.
-	// Recovering a sum of consistent readings then equals summing the
-	// recoveries (see SeedSum).
-	linear bool
 	// err is set when the plan cannot recover every condition.
 	err error
 }
@@ -100,12 +95,8 @@ func newRecovery(p *Plan) *recovery {
 	rec := &recovery{
 		condSlot: make([]int32, len(p.Counters)),
 		tripTest: make([]cfg.NodeID, len(p.Counters)),
-		linear:   true,
 	}
 	for i := range p.rules {
-		if r := &p.rules[i]; r.Kind == RuleStaticCond && r.StaticFreq != 0 && r.StaticFreq != 1 {
-			rec.linear = false
-		}
 		if r := &p.rules[i]; r.Kind == RuleDoAddTrip && r.Counter >= 0 && r.Counter < len(p.Counters) && rec.tripTest[r.Counter] == cfg.None {
 			rec.tripTest[r.Counter] = r.Node
 		}

@@ -12,21 +12,19 @@ import (
 // into the batch's totals. Summing per-run recoveries instead would run
 // the schedule and build a condition map once per run and procedure.
 //
-// Recovering the sum equals summing the recoveries bit for bit when the
-// schedule is integer-linear and every input is consistent:
+// Recovering the sum equals summing the recoveries bit for bit because
+// the schedule is integer-linear and every summed input is consistent:
 //
 //   - readings are integer-valued float64s below 2^53, so every sum,
 //     difference and integer multiple is exact in any order;
-//   - every rule is linear with integer coefficients unless a
-//     RuleStaticCond carries a fractional StaticFreq (PlanFlow's static
+//   - every rule is linear with integer coefficients (PlanFlow's static
 //     frequencies come from staticfreq.Exact and are 0 or 1);
 //   - a run that froze a frame of a procedure at STOP is not consistent
 //     for that procedure: its recovery needs the run's stop record.
 //
 // So a run that froze a frame of a procedure recovers that procedure on
 // its own (RecoverRun), and its totals are added to the recovered sum in
-// seed order. Plans that are not all integer-linear get no SeedSum (see
-// NewSeedSum).
+// seed order.
 type SeedSum struct {
 	// plans are ordered by procedure name; plans[k]'s readings of seed i
 	// are readings[i*width+off[k] : i*width+off[k+1]].
@@ -45,16 +43,10 @@ type seedPart struct {
 	val []float64
 }
 
-// NewSeedSum returns an empty batch of the given number of runs over pl,
-// or nil when some plan is not integer-linear (a RuleStaticCond with a
-// fractional StaticFreq, which only PlanStatic makes): such plans must
-// recover every run on its own, as Plans.Profile does.
+// NewSeedSum returns an empty batch of the given number of runs over pl.
 func (pl Plans) NewSeedSum(seeds int) *SeedSum {
 	names := make([]string, 0, len(pl))
-	for name, p := range pl {
-		if !p.recovery().linear {
-			return nil
-		}
+	for name := range pl {
 		names = append(names, name)
 	}
 	sort.Strings(names)

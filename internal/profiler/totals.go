@@ -148,56 +148,69 @@ func BuildPlans(prog *analysis.Program) (Plans, error) { return BuildPlansPrebui
 // readings of one run. The run must come from the same lowered program
 // the plans were built for. STOP-terminated runs recover exactly: the
 // run's stop record caps in-flight loops at their observed partial trips.
+// It is the one-run case of SeedSum.
 func (pl Plans) Profile(run *interp.Result) (ProgramProfile, error) {
-	out := make(ProgramProfile, len(pl))
-	for name, plan := range pl {
-		totals, err := plan.RecoverRun(run)
-		if err != nil {
-			return nil, err
-		}
-		out[name] = totals
+	s := pl.NewSeedSum(1)
+	if err := s.Add(0, run); err != nil {
+		return nil, err
 	}
-	return out, nil
+	return s.Profile()
 }
 
-// LoopVariance extracts, for every loop condition of a procedure, the
-// empirical E[F²] second moment of the per-entry iteration count — the
-// paper's Section 5 refinement ("the variance term can also be computed by
-// obtaining E(FREQ(u,l)²) from execution profile information"). It needs
-// per-entry samples, which the simulated profile cannot reconstruct from
-// plain counters, so it is collected by a separate instrumented run with an
-// OnNode hook; see VarianceProfile in the estimate package tests.
-//
-// Here we derive it exactly for DO loops whose trip count is constant per
-// entry (then E[F²] = (Σtrip)²/entries² ... degenerate) — the general case
-// lives in VarianceRun.
-func LoopVariance(a *analysis.Proc, perEntryCounts map[cfg.NodeID][]int64) map[cdg.Condition]float64 {
-	out := make(map[cdg.Condition]float64)
+// LoopMoments are the raw moments of one loop condition's per-entry
+// iteration count F — the header's executions per entry of the loop —
+// over the entries profiled: their number, ΣF and ΣF². The paper's
+// Section 5 refinement needs E(FREQ(u,l)²) from the execution profile;
+// unlike a variance, raw moments add across runs, so the program database
+// sums them and derives VAR(F) from the sum.
+type LoopMoments struct {
+	Entries float64 `json:"entries"`
+	Sum     float64 `json:"sum"`
+	SumSq   float64 `json:"sum_sq"`
+}
+
+// Add accumulates another run's moments of the same loop.
+func (m *LoopMoments) Add(o LoopMoments) {
+	m.Entries += o.Entries
+	m.Sum += o.Sum
+	m.SumSq += o.SumSq
+}
+
+// Var returns VAR(F) = E[F²] − E[F]², 0 when no entry was profiled.
+func (m LoopMoments) Var() float64 {
+	if m.Entries == 0 {
+		return 0
+	}
+	mean := m.Sum / m.Entries
+	return m.SumSq/m.Entries - mean*mean
+}
+
+// loopMoments sums the per-entry header-execution samples of every loop
+// of a procedure into the moments of its loop condition.
+func loopMoments(a *analysis.Proc, perEntryCounts map[cfg.NodeID][]int64) map[cdg.Condition]LoopMoments {
+	out := make(map[cdg.Condition]LoopMoments)
 	for h, samples := range perEntryCounts {
 		ph, ok := a.Ext.Preheader[h]
 		if !ok || len(samples) == 0 {
 			continue
 		}
-		var sum, sumsq float64
+		var m LoopMoments
 		for _, s := range samples {
-			sum += float64(s)
-			sumsq += float64(s) * float64(s)
+			m.Add(LoopMoments{Entries: 1, Sum: float64(s), SumSq: float64(s) * float64(s)})
 		}
-		n := float64(len(samples))
-		mean := sum / n
-		out[cdg.Condition{Node: ph, Label: ecfg.LoopBodyLabel}] = sumsq/n - mean*mean
+		out[cdg.Condition{Node: ph, Label: ecfg.LoopBodyLabel}] = m
 	}
 	return out
 }
 
 // VarianceRun executes the program once more with lightweight
 // instrumentation that records, for every loop header, the per-entry
-// header-execution counts, and returns VAR(FREQ) per loop condition and
-// per procedure. This is the optional extra profile Section 5 case 1
+// header-execution counts, and returns their moments per loop condition
+// and per procedure (VAR(FREQ) is LoopMoments.Var). This is the optional extra profile Section 5 case 1
 // mentions; it costs one extra counter write per loop entry and exit.
 // Recursive procedures are not supported (their activations interleave and
 // the per-entry state would mix), matching the paper's scope.
-func VarianceRun(prog *analysis.Program, opt interp.Options) (map[string]map[cdg.Condition]float64, error) {
+func VarianceRun(prog *analysis.Program, opt interp.Options) (map[string]map[cdg.Condition]LoopMoments, error) {
 	type loopState struct {
 		inEntry map[cfg.NodeID]int64 // header -> count this activation
 	}
@@ -239,13 +252,13 @@ func VarianceRun(prog *analysis.Program, opt interp.Options) (map[string]map[cdg
 	if _, err := interp.Run(prog.Res, opt); err != nil {
 		return nil, err
 	}
-	out := make(map[string]map[cdg.Condition]float64, len(prog.Procs))
+	out := make(map[string]map[cdg.Condition]LoopMoments, len(prog.Procs))
 	for name, a := range prog.Procs {
 		// Close samples left open at program end.
 		for h, cnt := range open[name].inEntry {
 			samples[name][h] = append(samples[name][h], cnt)
 		}
-		out[name] = LoopVariance(a, samples[name])
+		out[name] = loopMoments(a, samples[name])
 	}
 	return out, nil
 }

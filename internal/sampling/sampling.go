@@ -38,9 +38,8 @@ type Result struct {
 }
 
 // Run executes the program once, sampling every interval cycles. The
-// opt.Engine selection passes through to interp.Run: both engines support
-// the OnNodeCost sampling hook and tick at identical trace positions, so
-// sampled profiles are engine-independent.
+// OnNodeCost sampling hook runs on the tree-walker whatever opt.Engine
+// selects, so sampled profiles are engine-independent.
 func Run(res *lower.Result, m cost.Model, interval float64, opt interp.Options) (*Result, error) {
 	if interval <= 0 {
 		return nil, fmt.Errorf("sampling: interval must be positive, got %g", interval)

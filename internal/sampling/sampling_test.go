@@ -192,9 +192,9 @@ func TestBadInterval(t *testing.T) {
 	}
 }
 
-// TestSamplingEngineEquivalence runs the sampler on both execution engines
-// and requires identical sample counts: the VM fires OnNodeCost at the
-// same trace positions as the tree-walker.
+// TestSamplingEngineEquivalence runs the sampler with both engine
+// selections and requires identical sample counts: OnNodeCost is a
+// tree-only hook, so a run that asks for the VM takes the tree-walker.
 func TestSamplingEngineEquivalence(t *testing.T) {
 	p, err := core.Load(twoProcs)
 	if err != nil {

@@ -17,9 +17,13 @@ const benchPrograms = 48
 
 var benchSeeds = []uint64{1, 2, 3, 4, 5, 6, 7, 8}
 
-// benchBody is the request body of generated program seed.
-func benchBody(b *testing.B, seed uint64) []byte {
-	body, err := json.Marshal(AnalyzeRequest{Source: progen.Generate(seed, 80, 3), Seeds: benchSeeds})
+// benchPlans are the counter strategies each request benchmark runs
+// under, one sub-benchmark each.
+var benchPlans = []string{"sarkar", "ball-larus"}
+
+// benchBody is the request body of generated program seed under plan.
+func benchBody(b *testing.B, seed uint64, plan string) []byte {
+	body, err := json.Marshal(AnalyzeRequest{Source: progen.Generate(seed, 80, 3), Seeds: benchSeeds, Plan: plan})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -40,16 +44,20 @@ func serveOnce(b *testing.B, svc *Service, body []byte) {
 // the working set is compiled before the timer starts, so each op is a
 // cache hit that profiles eight seeds, estimates and writes the response.
 func BenchmarkAnalyzeWarm(b *testing.B) {
-	svc := New(Config{Metrics: &obs.Registry{}})
-	bodies := make([][]byte, benchPrograms)
-	for i := range bodies {
-		bodies[i] = benchBody(b, uint64(i+1))
-		serveOnce(b, svc, bodies[i])
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		serveOnce(b, svc, bodies[i%len(bodies)])
+	for _, plan := range benchPlans {
+		b.Run(plan, func(b *testing.B) {
+			svc := New(Config{Metrics: &obs.Registry{}})
+			bodies := make([][]byte, benchPrograms)
+			for i := range bodies {
+				bodies[i] = benchBody(b, uint64(i+1), plan)
+				serveOnce(b, svc, bodies[i])
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				serveOnce(b, svc, bodies[i%len(bodies)])
+			}
+		})
 	}
 }
 
@@ -57,14 +65,18 @@ func BenchmarkAnalyzeWarm(b *testing.B) {
 // program the service has not seen, so it compiles (parse, lower,
 // analyze, lint, plan, bytecode) before it profiles.
 func BenchmarkAnalyzeCold(b *testing.B) {
-	svc := New(Config{Metrics: &obs.Registry{}})
-	bodies := make([][]byte, b.N)
-	for i := range bodies {
-		bodies[i] = benchBody(b, uint64(1000+i))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		serveOnce(b, svc, bodies[i])
+	for _, plan := range benchPlans {
+		b.Run(plan, func(b *testing.B) {
+			svc := New(Config{Metrics: &obs.Registry{}})
+			bodies := make([][]byte, b.N)
+			for i := range bodies {
+				bodies[i] = benchBody(b, uint64(1000+i), plan)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				serveOnce(b, svc, bodies[i])
+			}
+		})
 	}
 }

@@ -94,18 +94,21 @@ func TestStaticAgreesWithProfile(t *testing.T) {
 	}
 }
 
+// TestStaticShrinksCounterPlan: PlanFlow, which drops the counters of
+// conditions the dataflow facts pin to an exact frequency, places no more
+// counters than the purely profile-driven PlanSmart and still recovers
+// losslessly.
 func TestStaticShrinksCounterPlan(t *testing.T) {
 	p, err := core.Load(fullyStatic)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a := p.An.Procs["STATP"]
-	static := staticfreq.Analyze(a)
 	plain, err := profiler.PlanSmart(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	withStatic, err := profiler.PlanStatic(a, static)
+	withStatic, err := profiler.PlanFlow(a)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,7 +67,7 @@ func (a *laneArena) getFrame(pi int, pc *procCode) *frame {
 		for i := range f.trips {
 			f.trips[i] = 0
 		}
-		f.reg, f.prev = 0, -1
+		f.reg = 0
 		return f
 	}
 	f := &a.frames.carve(1)[0]
@@ -76,7 +76,6 @@ func (a *laneArena) getFrame(pi int, pc *procCode) *frame {
 	f.arrays = a.arrays.carve(pc.numArrays)
 	f.trips = a.trips.carve(pc.numTrips)
 	copy(f.vals, pc.valTemplate)
-	f.prev = -1
 	return f
 }
 

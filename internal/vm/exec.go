@@ -32,7 +32,6 @@ import (
 // STOP.
 func (rs *runState) exec(pc *procCode, f *frame, pi int) error {
 	var (
-		onCost   = rs.opt.OnNodeCost
 		steps    = rs.steps
 		maxSteps = rs.max
 		cost     = rs.result.Cost
@@ -80,9 +79,6 @@ activation:
 				nodes[in.a]++
 				if costs != nil {
 					cost += costs[in.a]
-					if onCost != nil {
-						onCost(pc.proc, cfg.NodeID(in.a), cost)
-					}
 				}
 				ip++
 
@@ -397,9 +393,6 @@ activation:
 				nodes[in.f]++
 				if costs != nil {
 					cost += costs[in.f]
-					if onCost != nil {
-						onCost(pc.proc, cfg.NodeID(in.f), cost)
-					}
 				}
 				edges[in.b]++
 				ip = int(in.a)
@@ -417,9 +410,6 @@ activation:
 					nodes[tin.f]++
 					if costs != nil {
 						cost += costs[tin.f]
-						if onCost != nil {
-							onCost(pc.proc, cfg.NodeID(tin.f), cost)
-						}
 					}
 					var tcell *interp.Value
 					if tin.b&1 != 0 {
@@ -440,9 +430,6 @@ activation:
 					nodes[tin.f]++
 					if costs != nil {
 						cost += costs[tin.f]
-						if onCost != nil {
-							onCost(pc.proc, cfg.NodeID(tin.f), cost)
-						}
 					}
 					if trips[tin.e] > 0 {
 						edges[tin.c]++
@@ -461,9 +448,6 @@ activation:
 				nodes[in.f]++
 				if costs != nil {
 					cost += costs[in.f]
-					if onCost != nil {
-						onCost(pc.proc, cfg.NodeID(in.f), cost)
-					}
 				}
 				if trips[in.e] > 0 {
 					edges[in.c]++
@@ -481,9 +465,6 @@ activation:
 				nodes[in.f]++
 				if costs != nil {
 					cost += costs[in.f]
-					if onCost != nil {
-						onCost(pc.proc, cfg.NodeID(in.f), cost)
-					}
 				}
 				var cell *interp.Value
 				if in.b&1 != 0 {
@@ -513,9 +494,6 @@ activation:
 				nodes[tin.f]++
 				if costs != nil {
 					cost += costs[tin.f]
-					if onCost != nil {
-						onCost(pc.proc, cfg.NodeID(tin.f), cost)
-					}
 				}
 				if trips[tin.e] > 0 {
 					edges[tin.c]++
@@ -553,9 +531,6 @@ activation:
 				nodes[tin.f]++
 				if costs != nil {
 					cost += costs[tin.f]
-					if onCost != nil {
-						onCost(pc.proc, cfg.NodeID(tin.f), cost)
-					}
 				}
 				if trips[tin.e] > 0 {
 					edges[tin.c]++
@@ -573,9 +548,6 @@ activation:
 				nodes[in.f]++
 				if costs != nil {
 					cost += costs[in.f]
-					if onCost != nil {
-						onCost(pc.proc, cfg.NodeID(in.f), cost)
-					}
 				}
 				stack[sp] = consts[in.a]
 				sp++
@@ -589,9 +561,6 @@ activation:
 				nodes[in.f]++
 				if costs != nil {
 					cost += costs[in.f]
-					if onCost != nil {
-						onCost(pc.proc, cfg.NodeID(in.f), cost)
-					}
 				}
 				stack[sp] = vals[in.a]
 				sp++
@@ -605,9 +574,6 @@ activation:
 				nodes[in.f]++
 				if costs != nil {
 					cost += costs[in.f]
-					if onCost != nil {
-						onCost(pc.proc, cfg.NodeID(in.f), cost)
-					}
 				}
 				stack[sp] = *refs[in.a]
 				sp++
@@ -720,9 +686,6 @@ activation:
 				nodes[in.f]++
 				if costs != nil {
 					cost += costs[in.f]
-					if onCost != nil {
-						onCost(pc.proc, cfg.NodeID(in.f), cost)
-					}
 				}
 				v, ok := binopFast(lang.BinOp(in.c), *refs[in.a], consts[in.b])
 				if !ok {
@@ -761,9 +724,6 @@ activation:
 				nodes[in.f]++
 				if costs != nil {
 					cost += costs[in.f]
-					if onCost != nil {
-						onCost(pc.proc, cfg.NodeID(in.f), cost)
-					}
 				}
 				stack[sp] = *refs[in.a]
 				sp++
@@ -817,9 +777,6 @@ activation:
 				nodes[uin.f]++
 				if costs != nil {
 					cost += costs[uin.f]
-					if onCost != nil {
-						onCost(pc.proc, cfg.NodeID(uin.f), cost)
-					}
 				}
 				edges[uin.b]++
 				ip = int(uin.a)
@@ -835,9 +792,6 @@ activation:
 				nodes[win.f]++
 				if costs != nil {
 					cost += costs[win.f]
-					if onCost != nil {
-						onCost(pc.proc, cfg.NodeID(win.f), cost)
-					}
 				}
 				var wcell *interp.Value
 				if win.b&1 != 0 {
@@ -861,9 +815,6 @@ activation:
 				nodes[xin.f]++
 				if costs != nil {
 					cost += costs[xin.f]
-					if onCost != nil {
-						onCost(pc.proc, cfg.NodeID(xin.f), cost)
-					}
 				}
 				if trips[xin.e] > 0 {
 					edges[xin.c]++
@@ -930,9 +881,6 @@ activation:
 					nodes[tin.f]++
 					if costs != nil {
 						cost += costs[tin.f]
-						if onCost != nil {
-							onCost(pc.proc, cfg.NodeID(tin.f), cost)
-						}
 					}
 					var tcell *interp.Value
 					if tin.b&1 != 0 {
@@ -956,9 +904,6 @@ activation:
 					nodes[uin.f]++
 					if costs != nil {
 						cost += costs[uin.f]
-						if onCost != nil {
-							onCost(pc.proc, cfg.NodeID(uin.f), cost)
-						}
 					}
 					if trips[uin.e] > 0 {
 						edges[uin.c]++
@@ -976,9 +921,6 @@ activation:
 					nodes[tin.f]++
 					if costs != nil {
 						cost += costs[tin.f]
-						if onCost != nil {
-							onCost(pc.proc, cfg.NodeID(tin.f), cost)
-						}
 					}
 					edges[tin.b]++
 					ip = int(tin.a)
@@ -1030,9 +972,6 @@ activation:
 				nodes[tin.f]++
 				if costs != nil {
 					cost += costs[tin.f]
-					if onCost != nil {
-						onCost(pc.proc, cfg.NodeID(tin.f), cost)
-					}
 				}
 				if trips[tin.e] > 0 {
 					edges[tin.c]++
@@ -1051,9 +990,6 @@ activation:
 				nodes[in.f]++
 				if costs != nil {
 					cost += costs[in.f]
-					if onCost != nil {
-						onCost(pc.proc, cfg.NodeID(in.f), cost)
-					}
 				}
 				stack[sp] = consts[in.a]
 				stack[sp+1] = consts[in.b]
@@ -1081,9 +1017,6 @@ activation:
 				nodes[in.f]++
 				if costs != nil {
 					cost += costs[in.f]
-					if onCost != nil {
-						onCost(pc.proc, cfg.NodeID(in.f), cost)
-					}
 				}
 				rs.args = append(rs.args, argSlot{cell: &vals[in.a]}, argSlot{cell: &vals[in.b]})
 				ip++
@@ -1098,8 +1031,7 @@ activation:
 					// A back edge completes the current path: bump its
 					// counter and restart the register at the header's
 					// entry-dummy value.
-					rs.paths[pi].Bump(f.prev, f.reg)
-					f.prev = f.reg
+					rs.paths[pi].Bump(f.reg)
 					f.reg = rt.reset[in.b]
 				}
 				ip = int(in.a)
@@ -1107,7 +1039,7 @@ activation:
 			case opEnd:
 				if pc.path != nil {
 					// END completes the activation's final path.
-					rs.paths[pi].Bump(f.prev, f.reg)
+					rs.paths[pi].Bump(f.reg)
 				}
 				if len(calls) == 0 {
 					break activation

@@ -243,7 +243,7 @@ func FuzzFusePipeline(f *testing.F) {
 		if err != nil {
 			t.Fatalf("analyze: %v\n%s", err, src)
 		}
-		bl, err := pathprof.BuildPlans(ap, pathprof.Options{MultiIter: seed%2 == 1})
+		bl, err := pathprof.BuildPlans(ap, pathprof.Options{})
 		if err != nil {
 			t.Fatalf("path plans: %v\n%s", err, src)
 		}

@@ -130,7 +130,7 @@ func TestPathBatchLanes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bl, err := pathprof.BuildPlans(ap, pathprof.Options{MultiIter: seed%2 == 1})
+		bl, err := pathprof.BuildPlans(ap, pathprof.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

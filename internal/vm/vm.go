@@ -29,8 +29,8 @@
 // builtins, DO trip counts and the RNG are interp's own (interp.BinOp,
 // interp.Intrinsic, interp.TripCount, interp.SeedRNG). It is the
 // production engine (interp.EffectiveEngine's default). It compiles every
-// program lang.Analyze accepts; only runs that set Options.OnNode take the
-// tree-walker, the reference.
+// program lang.Analyze accepts; only runs that set a per-node hook
+// (Options.OnNode or OnNodeCost) take the tree-walker, the reference.
 package vm
 
 import (
@@ -51,7 +51,7 @@ type opcode uint8
 
 const (
 	// opNode is the fused per-node bookkeeping marker: step count and
-	// limit, node counter, cost accumulation, OnNodeCost hook. a = node ID.
+	// limit, node counter, cost accumulation. a = node ID.
 	opNode       opcode = iota
 	opConst             // push consts[a]
 	opLocal             // push vals[a]
@@ -218,10 +218,9 @@ type frame struct {
 	arrays   []*interp.Array
 	trips    []int64
 	callLine int
-	// reg and prev are the activation's Ball–Larus path register and its
-	// previously completed path id (-1 when none); only instrumented code
-	// reads them.
-	reg, prev int64
+	// reg is the activation's Ball–Larus path register; only instrumented
+	// code reads it.
+	reg int64
 }
 
 // Program is a compiled program, safe for concurrent Run calls.
@@ -464,8 +463,8 @@ func (rs *runState) recordStopFrame(pi int, pc *procCode, f *frame, node cfg.Nod
 
 // Run executes the compiled program once under opt, as a lane that runs
 // one seed. Results are bit-identical to interp.Run on the same lowered
-// program. Runs that set OnNode are delegated to the tree-walker (see
-// interp.NewLane).
+// program. Runs that set a per-node hook are delegated to the tree-walker
+// (see interp.NewLane).
 func (p *Program) Run(opt interp.Options) (*interp.Result, error) {
 	return interp.NewLane(p.res, p, opt).RunSeed(opt.Seed)
 }
@@ -491,7 +490,7 @@ func (rs *runState) initPaths() {
 		if rs.result.Paths == nil {
 			rs.result.Paths = make(map[string]*interp.PathCounts)
 		}
-		pcn := interp.NewPathCounts(pc.path.spec, spec.MultiIter)
+		pcn := interp.NewPathCounts(pc.path.spec)
 		rs.paths[i] = pcn
 		rs.result.Paths[pc.name] = pcn
 	}
